@@ -1,9 +1,11 @@
-//! Regenerates every table and figure of the evaluation, writing CSVs to
-//! `results/` and printing each table. This is the one-command artifact:
+//! Regenerates the tables and figures of the evaluation, writing CSVs to
+//! `results/` and printing each table. This is the one entry point for
+//! every experiment in the registry:
 //!
 //! ```text
 //! cargo run --release -p vab-bench --bin run_all          # full fidelity
 //! cargo run --release -p vab-bench --bin run_all -- --quick
+//! cargo run --release -p vab-bench --bin run_all -- --quick --only f7_ber_vs_range
 //! VAB_OBS=jsonl cargo run --release -p vab-bench --bin run_all -- --quick
 //! ```
 //!

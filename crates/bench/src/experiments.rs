@@ -1080,8 +1080,8 @@ pub fn f19_fault_sweep(cfg: &ExpConfig) -> CsvTable {
 /// `panel=conv` rows time direct vs overlap-save FFT convolution of a
 /// one-second 48 kHz waveform against growing tap counts; the work runs
 /// under the named stages `util.conv_direct` / `util.conv_fft`, which land
-/// in the `BENCH_<sha>.json` perf snapshot where the obsctl baseline gate
-/// locks them.
+/// in the `BENCH_<sha>.json` perf snapshot where `vab-obsctl gate` locks
+/// them.
 pub fn fr1_replay_validation(cfg: &ExpConfig) -> CsvTable {
     use std::time::Instant;
     use vab_replay::{BankSpec, WaterSpec};
@@ -1205,6 +1205,20 @@ pub fn all_experiments_lazy() -> Vec<(&'static str, ExperimentFn)> {
         ("fn3_capacity_scaling", crate::network::fn3_capacity_scaling),
         ("fr1_replay_validation", fr1_replay_validation),
     ]
+}
+
+/// Looks up one registry entry by name; the error lists the valid names.
+/// `run_all --only` and the daemon's figure runner both resolve through
+/// this.
+pub fn experiment(name: &str) -> Result<(&'static str, ExperimentFn), String> {
+    let registry = all_experiments_lazy();
+    match registry.iter().find(|(n, _)| *n == name) {
+        Some(&entry) => Ok(entry),
+        None => {
+            let names: Vec<&str> = registry.iter().map(|(n, _)| *n).collect();
+            Err(format!("unknown figure {name:?}; valid names: {}", names.join(", ")))
+        }
+    }
 }
 
 pub fn all_experiments(cfg: &ExpConfig) -> Vec<(&'static str, CsvTable)> {

@@ -3,8 +3,8 @@
 //! One function per table/figure of the paper's evaluation (reconstructed —
 //! see DESIGN.md for the abstract-only caveat). Each returns a
 //! [`vab_sim::metrics::CsvTable`] whose rows are the series the paper
-//! plots; the `src/bin/` binaries print them and `run_all` writes the whole
-//! set to `results/`.
+//! plots; `run_all` prints them and writes them to `results/<name>.csv`
+//! (`run_all --only <name>` for a subset).
 //!
 //! Every experiment takes an [`ExpConfig`] so integration tests can run the
 //! same code with reduced trial counts.

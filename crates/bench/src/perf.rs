@@ -1,9 +1,9 @@
 //! Machine-readable performance snapshots: `results/BENCH_<sha>.json`.
 //!
-//! Every figure run (and `run_all`) folds its wall-clock time, trial
+//! Every `run_all` folds each figure's wall-clock time, trial
 //! configuration and per-stage timing deltas into a [`BenchSnapshot`] and
 //! writes it next to the CSVs. The snapshot is the input to the
-//! `vab-obsctl baseline` regression gate and to `vab-obsctl diff`, so the
+//! `vab-obsctl gate` regression gate and to `vab-obsctl bench history`, so the
 //! schema is versioned (`vab-bench-perf/1`) and rendered by hand — the
 //! bench crate stays free of JSON dependencies, like `vab-obs`.
 

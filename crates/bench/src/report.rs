@@ -1,75 +1,89 @@
-//! Shared harness for the per-figure bench binaries and `run_all`.
+//! The `run_all` harness: regenerates registry experiments into
+//! `results/<name>.csv` with the observability plumbing around them.
 //!
-//! Every `src/bin/fig_*` / `table_*` binary used to carry its own copy of
-//! the same preamble/CSV/arg-parsing boilerplate. They now all funnel
-//! through [`run_figure`], which adds on top of the old behaviour:
+//! On top of the tables it adds:
 //!
-//! - a uniform preamble (figure id, title, trial/bit/seed config, and the
-//!   observability mode resolved from `VAB_OBS`),
+//! - a config line (trial/bit/seed config, the observability mode resolved
+//!   from `VAB_OBS`, and whether `VAB_PROFILE` allocation profiling is on),
 //! - elapsed wall-clock per figure on stderr,
 //! - when observability is on: a per-stage time breakdown, a metrics
-//!   snapshot written to `results/metrics.json`, and a flushed trace.
+//!   snapshot written to `results/metrics.json`, and a flushed trace,
+//! - a machine-readable `BENCH_<sha>.json` perf snapshot keyed by registry
+//!   name, the input of `vab-obsctl gate`.
 //!
-//! Usage stays what it was: `--quick` for reduced trial counts, `--csv
-//! <path>` to also write the table as CSV, `--json <path>` to override
-//! where the machine-readable `BENCH_<sha>.json` perf snapshot lands
-//! (default `results/BENCH_<sha>.json`). `VAB_OBS=off|stderr|jsonl`
-//! selects the sink (see `vab_obs::init_from_env`).
+//! Usage: `--quick` for reduced trial counts, `--only <name>[,<name>…]` to
+//! run a subset of the registry by name, `--jobs <n>` for the worker
+//! count, `--json <path>` to override where the perf snapshot lands
+//! (default `results/BENCH_<sha>.json`), `--serve <addr>` to go through a
+//! `vab-svcd` daemon. Any other argument is a usage error (exit 2).
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use vab_obs::metrics::Snapshot;
 use vab_obs::ObsMode;
-use vab_sim::metrics::CsvTable;
 
-use crate::experiments::{self, ExpConfig};
+use crate::experiments::{self, ExpConfig, ExperimentFn};
 use crate::perf::BenchSnapshot;
 
-/// Parsed command-line options shared by every bench binary.
+const USAGE: &str = "usage: run_all [--quick] [--only <name>[,<name>...]] [--jobs <n>] \
+                     [--json <path>] [--serve <addr>]";
+
+/// Parsed `run_all` command line.
 struct Args {
     quick: bool,
-    csv: Option<String>,
+    jobs: Option<usize>,
     json: Option<String>,
-    /// `run_all --serve <addr>`: go through a `vab-svcd` daemon.
+    /// `--serve <addr>`: go through a `vab-svcd` daemon.
     serve: Option<String>,
+    /// The registry entries to run, in order: the `--only` list, or the
+    /// whole registry.
+    figures: Vec<(&'static str, ExperimentFn)>,
 }
 
-/// Extracts `--<flag> <value>`; a flag with no following value (or one
-/// followed by another option) is a usage error, not a panic.
-fn flag_value(argv: &[String], flag: &str) -> Result<Option<String>, String> {
-    match argv.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => match argv.get(i + 1) {
-            Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
-            _ => Err(format!("{flag} needs a path argument")),
-        },
-    }
-}
-
+/// Parses `argv` (without the program name). Every argument must be a
+/// known flag; a value flag with no following value (or one followed by
+/// another option) is an error, as is an unknown `--only` name.
 fn try_parse_args(argv: &[String]) -> Result<Args, String> {
-    let quick = argv.iter().any(|a| a == "--quick");
-    let csv = flag_value(argv, "--csv")?;
-    let json = flag_value(argv, "--json")?;
-    let serve = flag_value(argv, "--serve")?;
-    if let Some(jobs) = flag_value(argv, "--jobs")? {
-        let n: usize = jobs.parse().map_err(|_| format!("--jobs wants a count, got {jobs:?}"))?;
-        vab_util::threads::set_jobs(n);
+    let mut args = Args {
+        quick: false,
+        jobs: None,
+        json: None,
+        serve: None,
+        figures: experiments::all_experiments_lazy(),
+    };
+    let mut it = argv.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || match it.next() {
+            Some(v) if !v.starts_with("--") => Ok(v.clone()),
+            _ => Err(format!("{flag} needs a value")),
+        };
+        match flag.as_str() {
+            "--quick" => args.quick = true,
+            "--json" => args.json = Some(value()?),
+            "--serve" => args.serve = Some(value()?),
+            "--jobs" => {
+                let n = value()?;
+                args.jobs =
+                    Some(n.parse().map_err(|_| format!("--jobs wants a count, got {n:?}"))?);
+            }
+            "--only" => {
+                args.figures =
+                    value()?.split(',').map(experiments::experiment).collect::<Result<_, _>>()?;
+            }
+            other => return Err(format!("unknown argument {other:?}")),
+        }
     }
-    Ok(Args { quick, csv, json, serve })
+    Ok(args)
 }
 
 fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().collect();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
     match try_parse_args(&argv) {
         Ok(args) => args,
         Err(msg) => {
-            let prog = argv.first().map(String::as_str).unwrap_or("bench");
             eprintln!("error: {msg}");
-            eprintln!(
-                "usage: {prog} [--quick] [--jobs <n>] [--csv <path>] [--json <path>] \
-                 [--serve <addr>]"
-            );
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
     }
@@ -93,39 +107,6 @@ fn recording() -> bool {
     vab_obs::enabled() || vab_obs::alloc::profiling()
 }
 
-/// Runs one figure/table experiment with the uniform preamble and
-/// observability plumbing. `run` receives the resolved [`ExpConfig`];
-/// experiments that take no config simply ignore it.
-pub fn run_figure<F>(id: &str, title: &str, run: F)
-where
-    F: FnOnce(&ExpConfig) -> CsvTable,
-{
-    let args = parse_args();
-    let cfg = if args.quick { ExpConfig::quick() } else { ExpConfig::full() };
-    let mode = init_obs();
-    let profiling = vab_obs::alloc::init_from_env();
-    preamble(id, title, &cfg, args.quick, &mode, profiling);
-    let before = recording().then(Snapshot::capture);
-    let started = Instant::now();
-    let table = run(&cfg);
-    let elapsed = started.elapsed();
-    println!();
-    print!("{}", table.to_pretty());
-    if let Some(path) = &args.csv {
-        table.write_csv(Path::new(path)).expect("write CSV");
-        eprintln!("wrote {path}");
-    }
-    eprintln!("[{id}] completed in {elapsed:.2?}");
-    let delta = match before {
-        Some(before) => stage_delta(&before, &Snapshot::capture()),
-        None => Snapshot::default(),
-    };
-    let mut perf = BenchSnapshot::new(&cfg, args.quick);
-    perf.push_figure(id, elapsed.as_secs_f64(), table.len(), &delta);
-    write_perf(&perf, args.json.as_deref());
-    finish(&mode);
-}
-
 /// Writes the perf snapshot to `override_path` or its default location,
 /// reporting (but not dying on) IO errors.
 fn write_perf(perf: &BenchSnapshot, override_path: Option<&str>) {
@@ -134,21 +115,6 @@ fn write_perf(perf: &BenchSnapshot, override_path: Option<&str>) {
         Ok(()) => eprintln!("perf snapshot: {}", path.display()),
         Err(e) => eprintln!("warning: could not write perf snapshot {}: {e}", path.display()),
     }
-}
-
-/// Prints the uniform figure header: id, title, config, obs mode, and
-/// whether allocation profiling is recording.
-fn preamble(id: &str, title: &str, cfg: &ExpConfig, quick: bool, mode: &ObsMode, profiling: bool) {
-    println!("# {id} - {title}");
-    println!(
-        "# config: {} (trials={}, bits={}, seed={})  obs={}  profile={}",
-        if quick { "quick" } else { "full" },
-        cfg.trials,
-        cfg.bits,
-        cfg.seed,
-        mode.label(),
-        if profiling { "on" } else { "off" }
-    );
 }
 
 /// End-of-run observability epilogue: stage breakdown, allocation
@@ -217,18 +183,23 @@ fn stage_delta(before: &Snapshot, after: &Snapshot) -> Snapshot {
     delta
 }
 
-/// The `run_all` entry point: regenerates every table and figure into
-/// `results/`, with a per-figure stage-time breakdown when observability
-/// is on, and a final `results/metrics.json` snapshot.
+/// The `run_all` entry point: regenerates the selected tables and figures
+/// (the whole registry by default) into `results/`, with a per-figure
+/// stage-time breakdown when observability is on, and a final
+/// `results/metrics.json` snapshot.
 pub fn run_all_main() {
     let args = parse_args();
+    if let Some(n) = args.jobs {
+        vab_util::threads::set_jobs(n);
+    }
     let cfg = if args.quick { ExpConfig::quick() } else { ExpConfig::full() };
     let mode = init_obs();
     let profiling = vab_obs::alloc::init_from_env();
     let out_dir = Path::new("results");
     std::fs::create_dir_all(out_dir).expect("create results/");
     if let Some(addr) = &args.serve {
-        run_all_served(addr, &cfg, out_dir, &mode);
+        let names: Vec<&'static str> = args.figures.iter().map(|(n, _)| *n).collect();
+        run_all_served(addr, &cfg, &names, out_dir, &mode);
         return;
     }
     let started = Instant::now();
@@ -242,7 +213,7 @@ pub fn run_all_main() {
         if profiling { "on" } else { "off" }
     );
     let mut perf = BenchSnapshot::new(&cfg, args.quick);
-    for (name, run) in experiments::all_experiments_lazy() {
+    for &(name, run) in &args.figures {
         let before = recording().then(Snapshot::capture);
         let fig_started = Instant::now();
         let table = run(&cfg);
@@ -262,21 +233,32 @@ pub fn run_all_main() {
         }
         perf.push_figure(name, fig_elapsed.as_secs_f64(), table.len(), &delta);
     }
-    eprintln!("all experiments regenerated into results/ in {:.1?}", started.elapsed());
+    eprintln!(
+        "{} experiment(s) regenerated into results/ in {:.1?}",
+        args.figures.len(),
+        started.elapsed()
+    );
     write_perf(&perf, args.json.as_deref());
     finish(&mode);
 }
 
-/// `run_all --serve <addr>`: regenerate the fleet *through* a `vab-svcd`
-/// daemon. Identical re-runs are cache hits — the second invocation with
-/// the same config re-materializes every CSV without recomputing physics.
-fn run_all_served(addr: &str, cfg: &ExpConfig, out_dir: &Path, mode: &ObsMode) {
+/// `run_all --serve <addr>`: regenerate the selected figures *through* a
+/// `vab-svcd` daemon. Identical re-runs are cache hits — the second
+/// invocation with the same config re-materializes every CSV without
+/// recomputing physics.
+fn run_all_served(
+    addr: &str,
+    cfg: &ExpConfig,
+    names: &[&'static str],
+    out_dir: &Path,
+    mode: &ObsMode,
+) {
     let started = Instant::now();
     eprintln!(
         "run_all: serving through {addr} (trials={}, bits={}, seed={})",
         cfg.trials, cfg.bits, cfg.seed
     );
-    let figures = match crate::serve::serve_all(addr, cfg) {
+    let figures = match crate::serve::serve_all(addr, cfg, names) {
         Ok(figures) => figures,
         Err(e) => {
             eprintln!("error: {e}");
@@ -295,4 +277,59 @@ fn run_all_served(addr: &str, cfg: &ExpConfig, out_dir: &Path, mode: &ObsMode) {
         started.elapsed()
     );
     finish(mode);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        try_parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    fn names(args: &Args) -> Vec<&'static str> {
+        args.figures.iter().map(|(n, _)| *n).collect()
+    }
+
+    #[test]
+    fn defaults_run_the_whole_registry() {
+        let args = parse(&[]).expect("no arguments is valid");
+        assert!(!args.quick && args.jobs.is_none() && args.json.is_none());
+        assert_eq!(args.figures.len(), experiments::all_experiments_lazy().len());
+        let args = parse(&["--quick", "--jobs", "8", "--json", "p.json"]).expect("known flags");
+        assert!(args.quick);
+        assert_eq!(args.jobs, Some(8));
+        assert_eq!(args.json.as_deref(), Some("p.json"));
+    }
+
+    #[test]
+    fn only_selects_registry_entries_in_the_order_given() {
+        let args = parse(&["--only", "fr1_replay_validation,t2_power_budget", "--quick"])
+            .expect("valid selection");
+        assert_eq!(names(&args), ["fr1_replay_validation", "t2_power_budget"]);
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        for bad in [&["--quik"][..], &["--csv", "x.csv"][..], &["f7_ber_vs_range"][..]] {
+            let err = parse(bad).err().unwrap_or_else(|| panic!("{bad:?} must be rejected"));
+            assert!(err.contains("unknown argument"), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn unknown_only_name_lists_the_valid_names() {
+        let err = parse(&["--only", "f7_ber_vs_range,fig_ber_vs_range"]).err().expect("rejected");
+        assert!(err.contains("\"fig_ber_vs_range\""), "{err}");
+        assert!(err.contains("fn3_capacity_scaling"), "valid names listed: {err}");
+    }
+
+    #[test]
+    fn value_flags_need_a_value() {
+        for bad in [&["--only"][..], &["--only", "--quick"][..], &["--json"][..], &["--jobs"][..]] {
+            let err = parse(bad).err().unwrap_or_else(|| panic!("{bad:?} must be rejected"));
+            assert!(err.contains("needs a value"), "{bad:?}: {err}");
+        }
+        assert!(parse(&["--jobs", "many"]).is_err());
+    }
 }

@@ -34,11 +34,7 @@ impl FigureRunner for BenchFigures {
         bits: usize,
         seed: u64,
     ) -> Result<String, String> {
-        let run = experiments::all_experiments_lazy()
-            .into_iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, run)| run)
-            .ok_or_else(|| format!("unknown figure {name:?}"))?;
+        let (_, run) = experiments::experiment(name)?;
         let cfg = ExpConfig { trials, bits, seed };
         Ok(run(&cfg).to_csv())
     }
@@ -81,15 +77,17 @@ pub struct ServedFigure {
     pub cached: bool,
 }
 
-/// Runs every registry figure through the daemon at `addr`: submits the
-/// whole fleet as a batch (with backpressure retries), then fetches each
-/// result in submission order. Returns the figures in registry order.
-pub fn serve_all(addr: &str, cfg: &ExpConfig) -> Result<Vec<ServedFigure>, String> {
+/// Runs the named registry figures through the daemon at `addr`: submits
+/// them as a batch (with backpressure retries), then fetches each result
+/// in submission order. Returns the figures in the order of `names`.
+pub fn serve_all(
+    addr: &str,
+    cfg: &ExpConfig,
+    names: &[&'static str],
+) -> Result<Vec<ServedFigure>, String> {
     let mut client = Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let names: Vec<&'static str> =
-        experiments::all_experiments_lazy().iter().map(|(n, _)| *n).collect();
     let mut ids = Vec::with_capacity(names.len());
-    for name in &names {
+    for name in names {
         let job = figure_job(name, cfg);
         let resp =
             client.submit_with_retry(&job, None, 200).map_err(|e| format!("submit {name}: {e}"))?;
@@ -99,7 +97,7 @@ pub fn serve_all(addr: &str, cfg: &ExpConfig) -> Result<Vec<ServedFigure>, Strin
         ids.push((id, cached_at_submit));
     }
     let mut served = Vec::with_capacity(names.len());
-    for (name, (id, cached_at_submit)) in names.into_iter().zip(ids) {
+    for (&name, (id, cached_at_submit)) in names.iter().zip(ids) {
         let resp = fetch_done(&mut client, &id).map_err(|e| format!("fetch {name}: {e}"))?;
         if resp.str_field("status") != Some("done") {
             return Err(format!(

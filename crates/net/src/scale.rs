@@ -49,7 +49,7 @@ use vab_mac::Addr;
 use vab_sim::baseline::SystemKind;
 use vab_sim::scenario::Scenario;
 use vab_util::db::{db_to_lin_pow, power_db_sum};
-use vab_util::hash::fnv1a64;
+use vab_util::hash::content_digest;
 use vab_util::json::Json;
 use vab_util::rng::{derive_seed, seeded};
 use vab_util::units::{Degrees, Hertz, Meters};
@@ -172,10 +172,7 @@ impl ScaleSpec {
 
     /// Content address of this deployment under [`SCALE_VERSION`].
     pub fn digest(&self) -> u64 {
-        let mut bytes = self.canonical().into_bytes();
-        bytes.push(0);
-        bytes.extend_from_slice(SCALE_VERSION.as_bytes());
-        fnv1a64(&bytes)
+        content_digest(&self.canonical(), SCALE_VERSION)
     }
 
     /// Mean horizontal node pitch, metres (1/√density).

@@ -10,7 +10,7 @@
 use rand::RngExt;
 use vab_acoustics::environment::{Environment, SeaState};
 use vab_acoustics::geometry::Position;
-use vab_util::hash::fnv1a64;
+use vab_util::hash::content_digest;
 use vab_util::json::Json;
 use vab_util::rng::{derive_seed, seeded};
 use vab_util::units::Degrees;
@@ -163,10 +163,7 @@ impl NetworkSpec {
 
     /// Content address of this topology under [`TOPOLOGY_VERSION`].
     pub fn digest(&self) -> u64 {
-        let mut bytes = self.canonical().into_bytes();
-        bytes.push(0);
-        bytes.extend_from_slice(TOPOLOGY_VERSION.as_bytes());
-        fnv1a64(&bytes)
+        content_digest(&self.canonical(), TOPOLOGY_VERSION)
     }
 }
 

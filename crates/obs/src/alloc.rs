@@ -11,7 +11,7 @@
 //! allocations in the same stages no matter how many worker threads the
 //! trials are sharded across, so per-stage counters are bit-identical at
 //! `--jobs 1` and `--jobs 8` and can be pinned *exactly* in a committed
-//! baseline (`crates/bench/alloc_baseline.json`). Any drift is a real
+//! reference (`crates/bench/gate.json`). Any drift is a real
 //! behavior change, never noise.
 //!
 //! ## The three pieces

@@ -5,9 +5,7 @@
 //! vab-obsctl report     <trace.jsonl> [metrics.json]
 //! vab-obsctl anomalies  <trace.jsonl> [--context N]
 //! vab-obsctl diff       <metrics-a.json> <metrics-b.json> [--rel-tol X] [--json]
-//! vab-obsctl baseline   <BENCH_<sha>.json> [--baseline <path>] [--absolute]
-//!                       [--write] [--tolerance X]
-//! vab-obsctl alloc-gate <BENCH_<sha>.json> [--baseline <path>] [--write]
+//! vab-obsctl gate       <BENCH_<sha>.json> [--baseline <path>] [--write]
 //! vab-obsctl profile    <metrics.json> [--top N]
 //! vab-obsctl flame      <trace.jsonl> [--weight time|bytes|allocs] [--job <digest>]
 //! vab-obsctl bench      history [<results-dir>] [--mode quick|full]
@@ -25,10 +23,14 @@
 //!
 //! The profiling plane: `profile` renders the per-stage allocation table
 //! from a `VAB_PROFILE=1` metrics snapshot; `flame` folds the span tree
-//! into collapsed stacks for any flamegraph renderer; `alloc-gate` pins
-//! per-figure per-stage allocation counts *exactly* against
-//! `crates/bench/alloc_baseline.json`; `bench history` lists the
-//! `results/BENCH_<sha>.json` trajectory.
+//! into collapsed stacks for any flamegraph renderer; `bench history`
+//! lists the `results/BENCH_<sha>.json` trajectory.
+//!
+//! `gate` checks a `run_all` perf snapshot against the committed
+//! `crates/bench/gate.json`: wall-time shares when the run was traced,
+//! exact per-stage allocation counts when it was profiled (see
+//! [`vab_obsctl::gate`]). `--write` re-pins the planes the snapshot
+//! carries and keeps the other.
 //!
 //! Exit codes: `0` clean, `1` regression / threshold breach, `2` usage or
 //! input error.
@@ -36,11 +38,10 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use vab_obsctl::allocgate::{self, AllocBaseline};
 use vab_obsctl::anomaly::{self, AnomalyConfig};
-use vab_obsctl::baseline::{Baseline, BenchDoc};
 use vab_obsctl::diff::{self, DiffConfig};
 use vab_obsctl::flame::{self, Weight};
+use vab_obsctl::gate::{self, BenchDoc, Gate};
 use vab_obsctl::history;
 use vab_obsctl::json::Json;
 use vab_obsctl::live::{self, SloSpec};
@@ -49,12 +50,9 @@ use vab_obsctl::report;
 use vab_obsctl::trace::{MetricsDoc, Trace};
 use vab_obsctl::waterfall::Waterfall;
 
-/// Default location of the committed perf baseline, relative to the repo
-/// root (where CI and `run_all` execute).
-const DEFAULT_BASELINE: &str = "crates/bench/baseline.json";
-
-/// Default location of the committed allocation baseline.
-const DEFAULT_ALLOC_BASELINE: &str = "crates/bench/alloc_baseline.json";
+/// Default location of the committed perf reference, relative to the
+/// repo root (where CI and `run_all` execute).
+const DEFAULT_GATE: &str = "crates/bench/gate.json";
 
 /// Default directory `run_all` writes `BENCH_<sha>.json` snapshots into.
 const DEFAULT_RESULTS_DIR: &str = "results";
@@ -65,8 +63,7 @@ fn usage() -> ExitCode {
          vab-obsctl report     <trace.jsonl> [metrics.json]\n  \
          vab-obsctl anomalies  <trace.jsonl> [--context N]\n  \
          vab-obsctl diff       <metrics-a.json> <metrics-b.json> [--rel-tol X] [--json]\n  \
-         vab-obsctl baseline   <BENCH.json> [--baseline <path>] [--absolute] [--write] [--tolerance X]\n  \
-         vab-obsctl alloc-gate <BENCH.json> [--baseline <path>] [--write]\n  \
+         vab-obsctl gate       <BENCH.json> [--baseline <path>] [--write]\n  \
          vab-obsctl profile    <metrics.json> [--top N]\n  \
          vab-obsctl flame      <trace.jsonl> [--weight time|bytes|allocs] [--job <digest>]\n  \
          vab-obsctl bench      history [<results-dir>] [--mode quick|full]\n  \
@@ -202,20 +199,11 @@ fn cmd_diff(mut args: Vec<String>) -> ExitCode {
     }
 }
 
-fn cmd_baseline(mut args: Vec<String>) -> ExitCode {
-    let baseline_path = match take_flag_value(&mut args, "--baseline") {
-        Ok(p) => p.map(PathBuf::from).unwrap_or_else(|| PathBuf::from(DEFAULT_BASELINE)),
+fn cmd_gate(mut args: Vec<String>) -> ExitCode {
+    let gate_path = match take_flag_value(&mut args, "--baseline") {
+        Ok(p) => PathBuf::from(p.as_deref().unwrap_or(DEFAULT_GATE)),
         Err(e) => return fail(&e),
     };
-    let tolerance = match take_flag_value(&mut args, "--tolerance") {
-        Ok(Some(x)) => match x.parse() {
-            Ok(x) => Some(x),
-            Err(_) => return fail("--tolerance needs a number"),
-        },
-        Ok(None) => None,
-        Err(e) => return fail(&e),
-    };
-    let absolute = take_flag(&mut args, "--absolute");
     let write = take_flag(&mut args, "--write");
     if args.len() != 1 {
         return usage();
@@ -225,83 +213,47 @@ fn cmd_baseline(mut args: Vec<String>) -> ExitCode {
         Err(e) => return fail(&e),
     };
     if write {
-        // Refresh the committed reference from this snapshot, keeping the
-        // existing file's tolerance/min_share unless overridden.
-        let (tol, min_share) = match Baseline::load(&baseline_path) {
-            Ok(old) => (tolerance.unwrap_or(old.tolerance), old.min_share),
-            Err(_) => (tolerance.unwrap_or(0.5), 0.02),
+        // Re-pin the planes this snapshot carries; a first write starts
+        // from the default tolerance and noise floor.
+        let mut reference = if gate_path.exists() {
+            match Gate::load(&gate_path) {
+                Ok(g) => g,
+                Err(e) => return fail(&e),
+            }
+        } else {
+            Gate::default()
         };
-        let fresh = Baseline::from_bench(&doc, tol, min_share);
-        if let Err(e) = std::fs::write(&baseline_path, fresh.to_json()) {
-            return fail(&format!("cannot write {}: {e}", baseline_path.display()));
-        }
-        println!(
-            "baseline refreshed from {} run {} -> {}",
-            doc.mode,
-            doc.sha,
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-    let base = match Baseline::load(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => return fail(&e),
-    };
-    if base.mode != doc.mode {
-        eprintln!(
-            "warning: baseline was captured in {:?} mode but the snapshot is {:?}",
-            base.mode, doc.mode
-        );
-    }
-    let report = vab_obsctl::baseline::check(&doc, &base, absolute);
-    print!("{}", report.render());
-    if report.regressions() > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-fn cmd_alloc_gate(mut args: Vec<String>) -> ExitCode {
-    let baseline_path = match take_flag_value(&mut args, "--baseline") {
-        Ok(p) => p.map(PathBuf::from).unwrap_or_else(|| PathBuf::from(DEFAULT_ALLOC_BASELINE)),
-        Err(e) => return fail(&e),
-    };
-    let write = take_flag(&mut args, "--write");
-    if args.len() != 1 {
-        return usage();
-    }
-    let doc = match BenchDoc::load(Path::new(&args[0])) {
-        Ok(d) => d,
-        Err(e) => return fail(&e),
-    };
-    if write {
-        let fresh = match AllocBaseline::from_bench(&doc) {
-            Ok(b) => b,
+        let (timing, alloc) = match reference.refresh(&doc) {
+            Ok(planes) => planes,
             Err(e) => return fail(&e),
         };
-        if let Err(e) = std::fs::write(&baseline_path, fresh.to_json()) {
-            return fail(&format!("cannot write {}: {e}", baseline_path.display()));
+        if let Err(e) = std::fs::write(&gate_path, reference.to_json()) {
+            return fail(&format!("cannot write {}: {e}", gate_path.display()));
         }
         println!(
-            "alloc baseline refreshed from {} run {} -> {}",
+            "gate refreshed (timing: {}, alloc: {}) from {} run {} -> {}",
+            if timing { "re-pinned" } else { "kept" },
+            if alloc { "re-pinned" } else { "kept" },
             doc.mode,
             doc.sha,
-            baseline_path.display()
+            gate_path.display()
         );
         return ExitCode::SUCCESS;
     }
-    let base = match AllocBaseline::load(&baseline_path) {
-        Ok(b) => b,
+    let reference = match Gate::load(&gate_path) {
+        Ok(g) => g,
         Err(e) => return fail(&e),
     };
-    if base.mode != doc.mode {
+    if reference.mode != doc.mode {
         eprintln!(
-            "warning: alloc baseline was captured in {:?} mode but the snapshot is {:?}",
-            base.mode, doc.mode
+            "warning: gate was captured in {:?} mode but the snapshot is {:?}",
+            reference.mode, doc.mode
         );
     }
-    let report = allocgate::check(&doc, &base);
+    let report = match gate::check(&doc, &reference) {
+        Ok(r) => r,
+        Err(e) => return fail(&format!("{}: {e}", args[0])),
+    };
     print!("{}", report.render());
     if report.failures() > 0 {
         ExitCode::FAILURE
@@ -564,8 +516,7 @@ fn main() -> ExitCode {
         "report" => cmd_report(argv),
         "anomalies" => cmd_anomalies(argv),
         "diff" => cmd_diff(argv),
-        "baseline" => cmd_baseline(argv),
-        "alloc-gate" => cmd_alloc_gate(argv),
+        "gate" => cmd_gate(argv),
         "profile" => cmd_profile(argv),
         "flame" => cmd_flame(argv),
         "bench" => cmd_bench(argv),

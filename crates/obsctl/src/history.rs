@@ -10,14 +10,14 @@
 //! the *same mode* (quick-vs-full deltas are meaningless).
 //!
 //! EXPERIMENTS.md documents the retention policy this listing supports:
-//! keep the newest snapshot per mode plus anything a baseline was
-//! written from; prune the rest once the trajectory has been inspected.
+//! keep the newest snapshot per mode plus anything `gate --write` was
+//! run on; prune the rest once the trajectory has been inspected.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
 
-use crate::baseline::BenchDoc;
+use crate::gate::BenchDoc;
 
 /// One snapshot in the trajectory.
 #[derive(Debug, Clone)]

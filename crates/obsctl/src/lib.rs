@@ -12,9 +12,12 @@
 //!   window.
 //! * [`diff`] — two-run metrics/stage comparison with configurable
 //!   relative thresholds; regressions drive a non-zero exit.
-//! * [`baseline`] — gates `BENCH_<sha>.json` perf snapshots against the
-//!   committed `crates/bench/baseline.json` so a slow channel
-//!   realization or Viterbi decode cannot ship silently.
+//! * [`gate`] — gates `BENCH_<sha>.json` perf snapshots against the
+//!   committed `crates/bench/gate.json`: wall-time shares with a
+//!   tolerance, so a slow channel realization or Viterbi decode cannot
+//!   ship silently, and per-figure per-stage allocation counts pinned
+//!   *exactly* (counts are work-derived and deterministic, so any drift
+//!   is a behavior change).
 //! * [`waterfall`] — reconstructs one job's cross-process span tree
 //!   (client submit → wire → queue → execute → cache persist) from
 //!   merged daemon+client JSONL traces, with skew-immune critical-path
@@ -26,9 +29,6 @@
 //!   allocs and bytes) from `VAB_PROFILE=1` metrics snapshots.
 //! * [`flame`] — collapsed-stack flamegraph folding of the span tree,
 //!   weighted by time or by allocations.
-//! * [`allocgate`] — pins per-figure per-stage allocation counts
-//!   *exactly* against `crates/bench/alloc_baseline.json`; counts are
-//!   work-derived and deterministic, so any drift is a behavior change.
 //! * [`history`] — lists the `results/BENCH_<sha>.json` trajectory with
 //!   per-mode wall-time deltas.
 //!
@@ -36,11 +36,10 @@
 //! `vab_util::json` parser/serializer, and the crate analyzes only what
 //! the workspace itself emitted.
 
-pub mod allocgate;
 pub mod anomaly;
-pub mod baseline;
 pub mod diff;
 pub mod flame;
+pub mod gate;
 pub mod history;
 pub mod json;
 pub mod live;

@@ -9,7 +9,7 @@
 
 use vab_acoustics::environment::{Environment, SeaState};
 use vab_acoustics::geometry::Position;
-use vab_util::fnv1a64;
+use vab_util::hash::content_digest;
 use vab_util::json::Json;
 
 /// Water column the bank was recorded in. Mirrors the scenario builders:
@@ -138,10 +138,7 @@ impl BankSpec {
     /// Content address: FNV-1a of the canonical bytes, a NUL separator and
     /// the engine version (same recipe as the svc job digest).
     pub fn digest_with_version(&self, engine_version: &str) -> u64 {
-        let mut bytes = self.canonical().into_bytes();
-        bytes.push(0);
-        bytes.extend_from_slice(engine_version.as_bytes());
-        fnv1a64(&bytes)
+        content_digest(&self.canonical(), engine_version)
     }
 
     /// Digest under this crate's [`crate::ENGINE_VERSION`].

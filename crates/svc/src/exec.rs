@@ -320,10 +320,7 @@ fn execute_sweep(
                 ("range_m", Json::Num(range_m)),
             ]);
             let canonical = point_spec.render();
-            let mut bytes = canonical.clone().into_bytes();
-            bytes.push(0);
-            bytes.extend_from_slice(crate::ENGINE_VERSION.as_bytes());
-            let digest = crate::fnv1a64(&bytes);
+            let digest = vab_util::hash::content_digest(&canonical, crate::ENGINE_VERSION);
             let payload = cache.get(digest).unwrap_or_else(|| {
                 let scenario = scenario_for(system, env, range_m, 0.0);
                 let lb = LinkBudget::compute(&scenario);

@@ -490,10 +490,7 @@ impl JobSpec {
     /// Content address under an explicit engine version (tests use this to
     /// show a version bump misses the cache).
     pub fn digest_with_version(&self, engine_version: &str) -> u64 {
-        let mut bytes = self.canonical().into_bytes();
-        bytes.push(0);
-        bytes.extend_from_slice(engine_version.as_bytes());
-        crate::fnv1a64(&bytes)
+        vab_util::hash::content_digest(&self.canonical(), engine_version)
     }
 
     /// Content address under [`crate::ENGINE_VERSION`].

@@ -22,6 +22,23 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The workspace's content-address recipe: FNV-1a of the canonical
+/// bytes, a NUL separator, then the version string. Every cache key and
+/// artifact name (jobs, banks, topologies, deployments) is derived this
+/// way, so bumping `version` re-addresses all content of that kind.
+///
+/// ```
+/// let d = vab_util::hash::content_digest("{}", "v/1");
+/// assert_eq!(d, vab_util::hash::fnv1a64(b"{}\0v/1"));
+/// ```
+pub fn content_digest(canonical: &str, version: &str) -> u64 {
+    let mut bytes = Vec::with_capacity(canonical.len() + 1 + version.len());
+    bytes.extend_from_slice(canonical.as_bytes());
+    bytes.push(0);
+    bytes.extend_from_slice(version.as_bytes());
+    fnv1a64(&bytes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

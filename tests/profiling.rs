@@ -3,7 +3,7 @@
 //! counts at any worker count — and the collapsed-stack flame fold must
 //! reproduce its golden fixture exactly. Together with the disabled-path
 //! silence assertions in `tests/observability.rs`, these are the
-//! contracts the CI alloc ratchet (`vab-obsctl alloc-gate`) stands on.
+//! contracts the CI alloc ratchet (`vab-obsctl gate`) stands on.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -57,7 +57,7 @@ fn stage_counts() -> BTreeMap<String, (u64, u64, u64, u64, u64)> {
 
 /// The tentpole acceptance contract: one worker or eight, a fixed-seed
 /// figure attributes *exactly* the same allocation counts to each stage.
-/// This is what lets `alloc_baseline.json` pin counts instead of
+/// This is what lets `gate.json` pin counts instead of
 /// tolerancing them.
 #[test]
 fn per_stage_alloc_counts_bit_identical_across_worker_counts() {

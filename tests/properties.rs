@@ -269,3 +269,105 @@ proptest! {
         prop_assert!(tl2 >= tl1);
     }
 }
+
+// ---------------- the perf gate's parsers (bytes read from disk)
+
+/// The committed gate reference.
+const GATE_JSON: &str = include_str!("../crates/bench/gate.json");
+
+/// A perf snapshot exactly as `run_all` renders it, both planes populated.
+fn rendered_snapshot() -> String {
+    use vab_bench::perf::{BenchSnapshot, FigurePerf, StagePerf};
+    let stage = |name: &str, sum_s: f64, alloc_count: u64| StagePerf {
+        name: name.into(),
+        count: 40,
+        sum_s,
+        p50_s: 1e-3,
+        p95_s: 2e-3,
+        p99_s: 3e-3,
+        alloc_count,
+        alloc_bytes: 64 * alloc_count,
+    };
+    let figure =
+        |name: &str, wall_s: f64, stages| FigurePerf { name: name.into(), wall_s, rows: 6, stages };
+    BenchSnapshot {
+        sha: "deadbeef".into(),
+        mode: "quick".into(),
+        trials: 25,
+        bits: 256,
+        seed: 2023,
+        figures: vec![
+            figure(
+                "fr1_replay_validation",
+                3.7,
+                vec![stage("replay.apply", 2.2, 63), stage("sim.demod", 0.03, 320)],
+            ),
+            figure("t2_power_budget", 0.001, vec![]),
+        ],
+    }
+    .to_json()
+}
+
+/// Real inputs of both parsers: `(is_gate, text)`.
+fn gate_inputs() -> Vec<(bool, String)> {
+    let fixture = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/bench_profiled.json"
+    ))
+    .expect("fixture");
+    vec![(false, rendered_snapshot()), (false, fixture), (true, GATE_JSON.to_string())]
+}
+
+#[test]
+fn gate_parsers_reject_every_truncated_prefix() {
+    use vab_obsctl::gate::{BenchDoc, Gate};
+    for (is_gate, text) in gate_inputs() {
+        let parse =
+            |t: &str| if is_gate { Gate::parse(t).map(drop) } else { BenchDoc::parse(t).map(drop) };
+        assert!(parse(&text).is_ok(), "the whole file parses");
+        let body = text.trim_end();
+        for cut in (0..body.len()).filter(|&i| body.is_char_boundary(i)) {
+            assert!(parse(&body[..cut]).is_err(), "a {cut}-byte prefix parsed");
+        }
+    }
+    // Each parser refuses the other's file.
+    assert!(BenchDoc::parse(GATE_JSON).is_err());
+    assert!(Gate::parse(&rendered_snapshot()).is_err());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn gate_parsers_reject_random_bytes(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+        use vab_obsctl::gate::{BenchDoc, Gate};
+        let text = String::from_utf8_lossy(&bytes);
+        prop_assert!(BenchDoc::parse(&text).is_err());
+        prop_assert!(Gate::parse(&text).is_err());
+    }
+
+    #[test]
+    fn gate_never_panics_on_corrupted_files(
+        which in 0usize..3,
+        at in any::<prop::sample::Index>(),
+        byte in any::<u8>(),
+    ) {
+        use vab_obsctl::gate::{check, BenchDoc, Gate};
+        let (_, text) = gate_inputs().swap_remove(which);
+        let mut bytes = text.into_bytes();
+        let i = at.index(bytes.len());
+        bytes[i] = byte;
+        let text = String::from_utf8_lossy(&bytes);
+        // Either parser may accept or refuse a one-byte corruption; neither
+        // may panic, and neither may the checks over what they accept.
+        let reference = Gate::parse(GATE_JSON).expect("committed gate");
+        if let Ok(doc) = BenchDoc::parse(&text) {
+            let _ = check(&doc, &reference);
+            let _ = reference.clone().refresh(&doc);
+        }
+        if let Ok(gate) = Gate::parse(&text) {
+            let _ = gate.to_json();
+            let _ = BenchDoc::parse(&rendered_snapshot()).map(|doc| check(&doc, &gate));
+        }
+    }
+}
