@@ -10,7 +10,7 @@ use vab_link::golay::{golay24_decode, golay24_encode};
 use vab_util::complex::C64;
 use vab_util::fft::{goertzel_power, Fft};
 use vab_util::resample::fractional_delay;
-use vab_util::rng::{random_bits, seeded};
+use vab_util::rng::{gaussian, random_bits, seeded};
 use vab_util::units::Hertz;
 
 fn bench_fft(c: &mut Criterion) {
@@ -42,6 +42,12 @@ fn bench_viterbi(c: &mut Criterion) {
     let soft: Vec<f64> = coded.iter().map(|&b| if b { 1.0 } else { -1.0 }).collect();
     c.bench_function("viterbi_soft_512_info_bits", |b| {
         b.iter(|| black_box(conv_decode_soft(black_box(&soft))))
+    });
+    // The link-budget trial's input: ±1 plus Gaussian noise, so path
+    // metrics spread and the compare-select outcomes vary per step.
+    let noisy: Vec<f64> = soft.iter().map(|&s| s + 0.8 * gaussian(&mut rng)).collect();
+    c.bench_function("viterbi_soft_512_info_bits_noisy", |b| {
+        b.iter(|| black_box(conv_decode_soft(black_box(&noisy))))
     });
 }
 

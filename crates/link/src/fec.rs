@@ -146,11 +146,33 @@ pub const CONV_K: usize = 7;
 const G0: u32 = 0o171; // 1111001
 const G1: u32 = 0o133; // 1011011
 const STATES: usize = 1 << (CONV_K - 1);
+/// Butterflies per trellis step: predecessors `(2j, 2j+1)` feed successors
+/// `(j, j + HALF)`.
+const HALF: usize = STATES / 2;
+
+// Both generators tap the newest and the oldest register bit, so the two
+// predecessors of a butterfly, and its two inputs, emit complementary
+// output pairs. The decoder below relies on this.
+const _: () = assert!(G0 & G1 & 1 != 0 && G0 & G1 & (1 << (CONV_K - 1)) != 0);
 
 #[inline]
-fn parity(x: u32) -> bool {
+const fn parity(x: u32) -> bool {
     x.count_ones() % 2 == 1
 }
+
+/// Output pair `(o0 << 1) | o1` that even predecessor `2j` emits on input
+/// 0. Odd predecessor `2j+1` on input 0, and `2j` on input 1, emit its
+/// complement `3 − index`; `2j+1` on input 1 emits it again.
+const BRANCH_INDEX: [usize; HALF] = {
+    let mut table = [0; HALF];
+    let mut j = 0;
+    while j < HALF {
+        let reg = (2 * j) as u32;
+        table[j] = ((parity(reg & G0) as usize) << 1) | parity(reg & G1) as usize;
+        j += 1;
+    }
+    table
+};
 
 /// Convolutional encoder; appends `K−1` zero tail bits to flush the
 /// register, so output length is `2·(len + 6)`.
@@ -173,75 +195,152 @@ pub fn conv_decode_hard(bits: &[bool]) -> Vec<bool> {
 
 /// Soft-decision Viterbi decoder. Input is one metric per channel bit,
 /// positive meaning "probably 1" (e.g. the demodulator's soft statistic).
-/// Returns the information bits (tail removed).
+/// A trailing odd metric is ignored. Returns the information bits (tail
+/// removed).
+///
+/// The trellis runs as 32 radix-2 butterflies per step. Predecessors
+/// `2j` and `2j+1` feed successors `j` (input 0) and `j + 32` (input 1),
+/// and every branch metric is one of four per-step sums `(±m0) + (±m1)`.
+/// Add-compare-select keeps the odd predecessor only when its candidate
+/// is strictly larger, so ties go to the even one. Path metrics ping-pong
+/// between two stack arrays, and each step records one `u64` decision
+/// word whose bit `s` says "the odd predecessor won into state `s`".
+/// Traceback from state 0 rebuilds the predecessor `((s & 31) << 1) | bit`
+/// and reads the input bit as `s >> 5`. A call makes two allocations: the
+/// decision words and the output.
+///
+/// Contract: for finite metrics the output is identical, bit for bit, to
+/// the scalar state-by-state decoder this replaced, ties included. Callers
+/// pass finite metrics: `decode_uplink` sorts its soft statistics with
+/// `expect("finite")` and clamps them to three times their median
+/// magnitude, and the link-budget trials draw ±1 plus finite Gaussian
+/// noise. Non-finite metrics never panic and still yield one bit per
+/// information step, but `+∞ + −∞` makes NaN path metrics, so the decoded
+/// bits are then unspecified.
 pub fn conv_decode_soft(metrics: &[f64]) -> Vec<bool> {
     let _t = vab_obs::time_stage("fec.viterbi");
     let n_steps = metrics.len() / 2;
     if n_steps < CONV_K {
         return Vec::new();
     }
-    // Trellis tables. The decoder state is the encoder register shifted
-    // down by one — i.e. the last K−1 input bits. A step with input `inp`
-    // reconstructs the full register `reg = state | inp << (K−1)`, emits the
-    // two generator parities, and moves to `reg >> 1`, exactly mirroring
-    // [`conv_encode`].
-    let mut next_state = [[0usize; 2]; STATES];
-    let mut outs = [[(false, false); 2]; STATES];
-    for s in 0..STATES {
-        for inp in 0..2 {
-            let reg = (s as u32) | ((inp as u32) << (CONV_K - 1));
-            outs[s][inp] = (parity(reg & G0), parity(reg & G1));
-            next_state[s][inp] = (reg >> 1) as usize;
-        }
-    }
-    const NEG: f64 = f64::NEG_INFINITY;
-    let mut metric = vec![NEG; STATES];
-    metric[0] = 0.0;
-    // Survivor paths as packed input bits per step.
-    let mut survivors: Vec<[u8; STATES]> = Vec::with_capacity(n_steps);
-    let mut prev_state: Vec<[u16; STATES]> = Vec::with_capacity(n_steps);
-    for step in 0..n_steps {
-        let m0 = metrics[2 * step];
-        let m1 = metrics[2 * step + 1];
-        let mut new_metric = vec![NEG; STATES];
-        let mut surv = [0u8; STATES];
-        let mut prev = [0u16; STATES];
-        for s in 0..STATES {
-            if metric[s] == NEG {
-                continue;
-            }
-            for inp in 0..2 {
-                let (o0, o1) = outs[s][inp];
-                let branch = (if o0 { m0 } else { -m0 }) + (if o1 { m1 } else { -m1 });
-                let ns = next_state[s][inp];
-                let cand = metric[s] + branch;
-                if cand > new_metric[ns] {
-                    new_metric[ns] = cand;
-                    surv[ns] = inp as u8;
-                    prev[ns] = s as u16;
-                }
-            }
-        }
-        metric = new_metric;
-        survivors.push(surv);
-        prev_state.push(prev);
+    // The decoder state is the encoder register shifted down by one, i.e.
+    // the last K−1 input bits, exactly mirroring [`conv_encode`]. The
+    // encoder starts in state 0; every other state is unreachable.
+    let mut path = [[f64::NEG_INFINITY; STATES]; 2];
+    path[0][0] = 0.0;
+    let mut decisions: Vec<u64> = Vec::with_capacity(n_steps);
+    for (step, m) in metrics.chunks_exact(2).enumerate() {
+        let [a, b] = &mut path;
+        let (cur, next) = if step % 2 == 0 { (&*a, b) } else { (&*b, a) };
+        decisions.push(acs_step(cur, next, m[0], m[1]));
     }
     // Traceback from state 0 (the tail flushes the encoder to 0).
-    let mut state = 0usize;
-    let mut decoded = vec![false; n_steps];
-    for step in (0..n_steps).rev() {
-        decoded[step] = survivors[step][state] == 1;
-        state = prev_state[step][state] as usize;
+    let n_info = n_steps - (CONV_K - 1);
+    let (info, tail) = decisions.split_at(n_info);
+    let prev = |state: usize, word: u64| ((state % HALF) << 1) | ((word >> state) & 1) as usize;
+    let mut state = tail.iter().rev().fold(0, |s, &word| prev(s, word));
+    let mut decoded = vec![false; n_info];
+    for (bit, &word) in decoded.iter_mut().zip(info).rev() {
+        *bit = state >= HALF;
+        state = prev(state, word);
     }
-    decoded.truncate(n_steps - (CONV_K - 1));
     decoded
+}
+
+/// One add-compare-select step over all 32 butterflies: fills `next` from
+/// `cur` and returns the step's decision word.
+#[inline(always)]
+fn acs_step(cur: &[f64; STATES], next: &mut [f64; STATES], m0: f64, m1: f64) -> u64 {
+    // Indexed by output pair `(o0 << 1) | o1`, each computed as
+    // `(±m0) + (±m1)` in that order.
+    let branch = [-m0 + -m1, -m0 + m1, m0 + -m1, m0 + m1];
+    let mut word = 0u64;
+    for j in 0..HALF {
+        let idx = BRANCH_INDEX[j];
+        let (same, flip) = (branch[idx], branch[3 - idx]);
+        let (even, odd) = (cur[2 * j], cur[2 * j + 1]);
+        let (lo_even, lo_odd) = (even + same, odd + flip);
+        let (hi_even, hi_odd) = (even + flip, odd + same);
+        let lo = lo_odd > lo_even;
+        let hi = hi_odd > hi_even;
+        next[j] = if lo { lo_odd } else { lo_even };
+        next[j + HALF] = if hi { hi_odd } else { hi_even };
+        word |= ((lo as u64) << j) | ((hi as u64) << (j + HALF));
+    }
+    word
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::RngExt;
     use vab_util::rng::{random_bits, seeded};
+
+    /// The scalar state-by-state soft Viterbi decoder that the butterfly
+    /// decoder replaced, kept verbatim (minus its stage guard) as the oracle
+    /// the butterfly must match bit for bit on finite input.
+    fn conv_decode_soft_reference(metrics: &[f64]) -> Vec<bool> {
+        let n_steps = metrics.len() / 2;
+        if n_steps < CONV_K {
+            return Vec::new();
+        }
+        // Trellis tables. The decoder state is the encoder register shifted
+        // down by one — i.e. the last K−1 input bits. A step with input `inp`
+        // reconstructs the full register `reg = state | inp << (K−1)`, emits the
+        // two generator parities, and moves to `reg >> 1`, exactly mirroring
+        // [`conv_encode`].
+        let mut next_state = [[0usize; 2]; STATES];
+        let mut outs = [[(false, false); 2]; STATES];
+        for s in 0..STATES {
+            for inp in 0..2 {
+                let reg = (s as u32) | ((inp as u32) << (CONV_K - 1));
+                outs[s][inp] = (parity(reg & G0), parity(reg & G1));
+                next_state[s][inp] = (reg >> 1) as usize;
+            }
+        }
+        const NEG: f64 = f64::NEG_INFINITY;
+        let mut metric = vec![NEG; STATES];
+        metric[0] = 0.0;
+        // Survivor paths as packed input bits per step.
+        let mut survivors: Vec<[u8; STATES]> = Vec::with_capacity(n_steps);
+        let mut prev_state: Vec<[u16; STATES]> = Vec::with_capacity(n_steps);
+        for step in 0..n_steps {
+            let m0 = metrics[2 * step];
+            let m1 = metrics[2 * step + 1];
+            let mut new_metric = vec![NEG; STATES];
+            let mut surv = [0u8; STATES];
+            let mut prev = [0u16; STATES];
+            for s in 0..STATES {
+                if metric[s] == NEG {
+                    continue;
+                }
+                for inp in 0..2 {
+                    let (o0, o1) = outs[s][inp];
+                    let branch = (if o0 { m0 } else { -m0 }) + (if o1 { m1 } else { -m1 });
+                    let ns = next_state[s][inp];
+                    let cand = metric[s] + branch;
+                    if cand > new_metric[ns] {
+                        new_metric[ns] = cand;
+                        surv[ns] = inp as u8;
+                        prev[ns] = s as u16;
+                    }
+                }
+            }
+            metric = new_metric;
+            survivors.push(surv);
+            prev_state.push(prev);
+        }
+        // Traceback from state 0 (the tail flushes the encoder to 0).
+        let mut state = 0usize;
+        let mut decoded = vec![false; n_steps];
+        for step in (0..n_steps).rev() {
+            decoded[step] = survivors[step][state] == 1;
+            state = prev_state[step][state] as usize;
+        }
+        decoded.truncate(n_steps - (CONV_K - 1));
+        decoded
+    }
 
     #[test]
     fn repetition_roundtrip_and_correction() {
@@ -355,5 +454,131 @@ mod tests {
         assert!(conv_decode_hard(&[]).is_empty());
         let one = conv_encode(&[true]);
         assert_eq!(conv_decode_hard(&one), vec![true]);
+    }
+
+    /// Channel metrics for a random `n_info`-bit codeword: `±1` per coded
+    /// bit, then `channel` applied to each with the same generator.
+    fn channel_metrics(
+        seed: u64,
+        n_info: usize,
+        mut channel: impl FnMut(f64, &mut rand::rngs::StdRng) -> f64,
+    ) -> Vec<f64> {
+        let mut rng = seeded(seed);
+        let coded = conv_encode(&random_bits(&mut rng, n_info));
+        coded.iter().map(|&b| channel(if b { 1.0 } else { -1.0 }, &mut rng)).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn butterfly_matches_reference_on_gaussian_metrics(
+            n_info in 0usize..=600,
+            sigma in 0usize..5,
+            seed in any::<u64>(),
+            stray in any::<bool>(),
+        ) {
+            // 1e6 is the link-budget trial's "channel gone" noise level.
+            let sigma = [0.3, 0.8, 1.2, 2.0, 1e6][sigma];
+            let mut soft = channel_metrics(seed, n_info, |s, rng| {
+                s + sigma * vab_util::rng::gaussian(rng)
+            });
+            if stray {
+                soft.push(0.5); // a trailing odd metric is ignored
+            }
+            prop_assert_eq!(conv_decode_soft(&soft), conv_decode_soft_reference(&soft));
+        }
+
+        #[test]
+        fn butterfly_matches_reference_on_flipped_hard_metrics(
+            n_info in 0usize..=600,
+            flip_permille in 0u32..300,
+            seed in any::<u64>(),
+        ) {
+            let p = flip_permille as f64 / 1000.0;
+            let soft = channel_metrics(seed, n_info, |s, rng| {
+                if rng.random::<f64>() < p { -s } else { s }
+            });
+            prop_assert_eq!(conv_decode_soft(&soft), conv_decode_soft_reference(&soft));
+        }
+
+        #[test]
+        fn butterfly_matches_reference_on_tied_small_integer_metrics(
+            metrics in prop::collection::vec(-2i8..=2, 0..=2 * (600 + CONV_K - 1) + 1),
+        ) {
+            // Integer metrics (a fifth of them exact zeros) make equal path
+            // metrics common: ties must go to the even predecessor.
+            let soft: Vec<f64> = metrics.iter().map(|&m| m as f64).collect();
+            prop_assert_eq!(conv_decode_soft(&soft), conv_decode_soft_reference(&soft));
+        }
+    }
+
+    #[test]
+    fn butterfly_matches_reference_on_constant_inputs() {
+        for value in [0.0, -0.0, 1.0, -1.0, 1e-300, 1e300] {
+            for len in [0, 13, 14, 15, 2 * 64 + 12] {
+                let soft = vec![value; len];
+                assert_eq!(
+                    conv_decode_soft(&soft),
+                    conv_decode_soft_reference(&soft),
+                    "value {value}, {len} metrics"
+                );
+            }
+        }
+    }
+
+    /// Outside the finite-input contract the bits are unspecified, but the
+    /// decoder must neither panic nor change the output length.
+    #[test]
+    fn non_finite_metrics_never_panic_and_keep_the_length() {
+        let n_info = 64;
+        let clean = channel_metrics(46, n_info, |s, _| s);
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            for at in [0, 1, 2, 57, clean.len() - 1] {
+                let mut soft = clean.clone();
+                soft[at] = bad;
+                assert_eq!(conv_decode_soft(&soft).len(), n_info, "{bad} at {at}");
+            }
+            assert_eq!(conv_decode_soft(&vec![bad; clean.len()]).len(), n_info, "all {bad}");
+        }
+        let mixed: Vec<f64> = (0..clean.len())
+            .map(|i| [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1.0][i % 4])
+            .collect();
+        assert_eq!(conv_decode_soft(&mixed).len(), n_info);
+    }
+
+    /// The speedup target: on a seeded noisy 512-bit frame the butterfly
+    /// decoder beats the scalar reference by at least 3×, best of three.
+    /// Gated behind `VAB_BENCH=1` because wall-clock assertions have no
+    /// place in the default suite; run it with `--release`.
+    #[test]
+    fn butterfly_meets_the_bench_speedup_target() {
+        if std::env::var("VAB_BENCH").is_err() {
+            eprintln!("skipped: set VAB_BENCH=1 to run the speedup gate");
+            return;
+        }
+        use std::hint::black_box;
+        use std::time::Instant;
+        let soft = channel_metrics(47, 512, |s, rng| s + 0.8 * vab_util::rng::gaussian(rng));
+        assert_eq!(conv_decode_soft(&soft), conv_decode_soft_reference(&soft));
+        const CALLS: usize = 50;
+        let best = |decode: fn(&[f64]) -> Vec<bool>| {
+            (0..3)
+                .map(|_| {
+                    let t = Instant::now();
+                    for _ in 0..CALLS {
+                        black_box(decode(black_box(&soft)));
+                    }
+                    t.elapsed().as_secs_f64() / CALLS as f64
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let reference = best(conv_decode_soft_reference);
+        let butterfly = best(conv_decode_soft);
+        let speedup = reference / butterfly.max(1e-12);
+        eprintln!(
+            "viterbi 518 steps: reference {:.1} us, butterfly {:.1} us, speedup {speedup:.1}x",
+            reference * 1e6,
+            butterfly * 1e6
+        );
+        assert!(speedup >= 3.0, "butterfly Viterbi speedup {speedup:.2}x < 3x");
     }
 }

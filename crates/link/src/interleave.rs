@@ -45,21 +45,23 @@ impl Interleaver {
 
     /// Inverse permutation. Input length must be a whole number of blocks.
     pub fn deinterleave(&self, bits: &[bool]) -> Vec<bool> {
-        self.deinterleave_symbols(bits, false)
+        self.deinterleave_symbols(bits)
     }
 
     /// Inverse permutation over soft metrics (for soft-decision decoding
     /// after the channel). Input length must be a whole number of blocks.
     pub fn deinterleave_soft(&self, metrics: &[f64]) -> Vec<f64> {
-        self.deinterleave_symbols(metrics, 0.0)
+        self.deinterleave_symbols(metrics)
     }
 
-    fn deinterleave_symbols<T: Copy>(&self, symbols: &[T], zero: T) -> Vec<T> {
+    /// Permutes every block straight into one output buffer (the single
+    /// allocation), which starts as a copy of the input so no fill value
+    /// is needed.
+    fn deinterleave_symbols<T: Copy>(&self, symbols: &[T]) -> Vec<T> {
         let block = self.block_len();
         assert!(symbols.len().is_multiple_of(block), "deinterleave needs whole blocks");
-        let mut out = Vec::with_capacity(symbols.len());
-        for chunk in symbols.chunks(block) {
-            let mut plain = vec![zero; block];
+        let mut out = symbols.to_vec();
+        for (plain, chunk) in out.chunks_exact_mut(block).zip(symbols.chunks_exact(block)) {
             let mut i = 0;
             for c in 0..self.cols {
                 for r in 0..self.rows {
@@ -67,7 +69,6 @@ impl Interleaver {
                     i += 1;
                 }
             }
-            out.extend_from_slice(&plain);
         }
         out
     }
@@ -123,6 +124,33 @@ mod tests {
         let rx_hard = il.deinterleave(&tx);
         for (s, h) in rx_soft.iter().zip(&rx_hard) {
             assert_eq!(*s >= 0.0, *h);
+        }
+    }
+
+    #[test]
+    fn soft_deinterleave_round_trips_across_blocks() {
+        // Five blocks, the last one padded. Each metric carries its sign
+        // from the interleaved bit and a unique magnitude from its channel
+        // position, so a dropped, duplicated or cross-block move shows.
+        let il = Interleaver::new(4, 8);
+        let block = il.block_len();
+        let bits = random_bits(&mut seeded(55), 4 * block + 11);
+        let tx = il.interleave(&bits);
+        let soft: Vec<f64> = tx
+            .iter()
+            .enumerate()
+            .map(|(k, &b)| if b { 1.0 + k as f64 } else { -1.0 - k as f64 })
+            .collect();
+        let rx = il.deinterleave_soft(&soft);
+        assert_eq!(rx.len(), tx.len());
+        let signs: Vec<bool> = rx.iter().map(|&m| m > 0.0).collect();
+        assert_eq!(&signs[..bits.len()], &bits[..]);
+        assert_eq!(signs, il.deinterleave(&tx));
+        for (p, m) in rx.iter().enumerate() {
+            let k = m.abs() as usize - 1;
+            assert_eq!(k / block, p / block, "metric moved across blocks");
+            let (r, c) = ((p % block) / il.cols, (p % block) % il.cols);
+            assert_eq!(k % block, c * il.rows + r, "plain position {p}");
         }
     }
 

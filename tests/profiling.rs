@@ -119,6 +119,32 @@ fn repeated_runs_yield_identical_profiles() {
     assert_eq!(first, second, "fixed seed must reproduce the exact allocation profile");
 }
 
+/// The soft Viterbi decoder allocates only its decision words and its
+/// output, whatever the frame length: one call on 512 information bits
+/// makes at most two allocations inside its `fec.viterbi` stage.
+#[test]
+fn soft_viterbi_makes_at_most_two_allocations_per_call() {
+    let _g = profile_lock();
+    let mut rng = vab::util::rng::seeded(512);
+    let coded = vab::link::fec::conv_encode(&vab::util::rng::random_bits(&mut rng, 512));
+    let soft: Vec<f64> = coded
+        .iter()
+        .map(|&b| if b { 1.0 } else { -1.0 } + 0.8 * vab::util::rng::gaussian(&mut rng))
+        .collect();
+    let was_profiling = vab::obs::alloc::profiling();
+    vab::obs::alloc::enable();
+    vab::obs::alloc::reset();
+    let decoded = vab::link::fec::conv_decode_soft(&soft);
+    let counts = stage_counts();
+    if !was_profiling {
+        vab::obs::alloc::disable();
+    }
+    assert_eq!(decoded.len(), 512);
+    let (calls, _, _, cum_allocs, _) = counts["fec.viterbi"];
+    assert_eq!(calls, 1, "{counts:?}");
+    assert!(cum_allocs <= 2, "fec.viterbi made {cum_allocs} allocations on one 512-bit frame");
+}
+
 /// A profiled metrics snapshot must survive the full surfacing path:
 /// `Snapshot::to_json()` → `MetricsDoc::parse` → `profile::render`,
 /// with self/cumulative attribution intact.
