@@ -1,5 +1,5 @@
-//! Per-node channels: each placed node gets its own round-trip link
-//! budget and multipath realization from `vab-acoustics`/`vab-sim`.
+//! The link-budget constructor: the paper tier's one-reader cell plan,
+//! with each placed node's channel derived from `vab-acoustics`/`vab-sim`.
 //!
 //! A deployment is just many single-link scenarios sharing one
 //! environment: node `i`'s budget comes from the exact sonar-equation
@@ -9,6 +9,7 @@
 //! the *linear-power* view of each node at the hydrophone, which is what
 //! superposition and SINR capture need.
 
+use vab_mac::Addr;
 use vab_sim::baseline::SystemKind;
 use vab_sim::linkbudget::LinkBudget;
 use vab_sim::montecarlo::fading_delta_db;
@@ -17,43 +18,21 @@ use vab_util::db::db_to_lin_pow;
 use vab_util::rng::{derive_seed, seeded};
 use vab_util::units::Meters;
 
+use crate::capture::CaptureModel;
+use crate::network::{NetPhy, Network, NodeChannel};
+use crate::route::RelayRoute;
 use crate::topology::{NetworkSpec, NodeSite, Topology};
 
 /// Per-purpose seed stream for fading realizations (one sub-stream per
 /// node address on top of it).
 const STREAM_FADING: u64 = 0xFAD0;
+const STREAM_CONTENTION: u64 = 0xA10A;
+const STREAM_DECODE: u64 = 0xDEC0;
 
-/// One node's channel as the reader's hydrophone sees it.
-#[derive(Debug, Clone, Copy)]
-pub struct NodeChannel {
-    /// MAC address.
-    pub addr: vab_mac::Addr,
-    /// Reader–node separation, metres.
-    pub range_m: f64,
-    /// Round-trip received level including this topology's multipath
-    /// fading realization, dB re 1 µPa.
-    pub received_level_db: f64,
-    /// Multipath fading applied on top of the direct-path budget, dB.
-    pub fading_db: f64,
-    /// Eb/N0 including fading (no interference), dB.
-    pub ebn0_db: f64,
-    /// Received power in linear units (µPa², arbitrary common scale) —
-    /// the quantity that superposes when replies collide.
-    pub rx_power_lin: f64,
-    /// Noise power in the bit bandwidth, same linear scale.
-    pub noise_power_lin: f64,
-    /// Probability the node's frame decodes on a clean (interference-free)
-    /// slot.
-    pub packet_success: f64,
-}
-
-impl NodeChannel {
-    /// Interference-free SNR in the bit bandwidth, linear (equals
-    /// Eb/N0 since the noise is integrated over one bit time).
-    pub fn snr_lin(&self) -> f64 {
-        self.rx_power_lin / self.noise_power_lin
-    }
-}
+/// ALOHA window ceiling of the one-reader plan (the classic 256 slots).
+pub const MAX_WINDOW: usize = 256;
+/// Contention rounds after which the one-reader plan's inventory gives up.
+pub const MAX_INVENTORY_ROUNDS: u32 = 200;
 
 /// Builds the `vab-sim` scenario for one placed node: the canonical
 /// reader/PHY parameters with this deployment's environment and the
@@ -68,95 +47,128 @@ pub fn scenario_for_node(spec: &NetworkSpec, topology: &Topology, site: &NodeSit
     s
 }
 
-/// Decode probability of a frame of `frame_bits` channel bits at an
-/// effective per-bit SNR of `snr_lin` (interference folded in by the
-/// caller), with FEC rate `fec_rate`.
-///
-/// Uses the closed-form noncoherent-orthogonal channel-bit BER and no
-/// coding-gain credit — a deliberate lower bound that keeps the capture
-/// model conservative.
-pub fn frame_success(snr_lin: f64, frame_bits: usize, fec_rate: f64) -> f64 {
-    let ber = vab_phy::ber::ber_noncoherent_orthogonal(snr_lin * fec_rate);
-    (1.0 - ber).powi(frame_bits as i32)
-}
+impl Network {
+    /// The link-budget constructor: places `spec`'s nodes around its one
+    /// reader and derives every node's channel from its own link budget
+    /// plus an image-method fading realization. The plan has one cell,
+    /// direct routes and no foreign readers, so no interference sinks.
+    ///
+    /// Deterministic: node `addr`'s fading stream is
+    /// `derive_seed(derive_seed(seed, STREAM_FADING), addr)`, so channels
+    /// do not depend on derivation order or thread count.
+    pub fn build_link_budget(spec: &NetworkSpec) -> Self {
+        let _t = vab_obs::time_stage("net.build");
+        let topology = Topology::generate(spec);
+        let phy = NetPhy::derive(spec.env, spec.n_pairs);
 
-/// Derives every node's channel for `topology`.
-///
-/// Deterministic: node `addr`'s fading stream is
-/// `derive_seed(derive_seed(seed, STREAM_FADING), addr)`, so channels do
-/// not depend on derivation order or thread count.
-pub fn derive_channels(
-    spec: &NetworkSpec,
-    topology: &Topology,
-    frame_bits: usize,
-    fec_rate: f64,
-) -> Vec<NodeChannel> {
-    let _t = vab_obs::time_stage("net.channel_derivation");
-    let fading_master = derive_seed(spec.seed, STREAM_FADING);
-    let fe = {
+        let stage = vab_obs::time_stage("net.channels");
+        let fading_master = derive_seed(spec.seed, STREAM_FADING);
         // The front end only depends on system + carrier, shared by all nodes.
-        let any = &topology.nodes[0];
-        scenario_for_node(spec, topology, any).front_end()
-    };
-    topology
-        .nodes
-        .iter()
-        .map(|site| {
-            let scenario = scenario_for_node(spec, topology, site);
-            let lb = LinkBudget::compute_with_front_end(&scenario, &fe);
-            let mut rng = seeded(derive_seed(fading_master, site.addr as u64));
-            let fading_db = fading_delta_db(&scenario, &mut rng);
-            let received_level_db = lb.received_level_db + fading_db;
-            let ebn0_db = lb.ebn0_db + fading_db;
-            let noise_power_db = lb.noise_psd_db + 10.0 * lb.bit_rate.log10();
-            let ch = NodeChannel {
-                addr: site.addr,
-                range_m: scenario.range().value(),
-                received_level_db,
-                fading_db,
-                ebn0_db,
-                rx_power_lin: db_to_lin_pow(received_level_db),
-                noise_power_lin: db_to_lin_pow(noise_power_db),
-                packet_success: frame_success(db_to_lin_pow(ebn0_db), frame_bits, fec_rate),
-            };
-            vab_obs::event!(
-                "net.channel",
-                "node_channel",
-                addr = ch.addr,
-                range_m = ch.range_m,
-                ebn0_db = ch.ebn0_db,
-            );
-            ch
-        })
-        .collect()
+        let fe = scenario_for_node(spec, &topology, &topology.nodes[0]).front_end();
+        let nodes: Vec<NodeChannel> = topology
+            .nodes
+            .iter()
+            .map(|site| {
+                let scenario = scenario_for_node(spec, &topology, site);
+                let lb = LinkBudget::compute_with_front_end(&scenario, &fe);
+                let mut rng = seeded(derive_seed(fading_master, site.addr as u64));
+                let fading_db = fading_delta_db(&scenario, &mut rng);
+                let received_level_db = lb.received_level_db + fading_db;
+                let ebn0_db = lb.ebn0_db + fading_db;
+                let d = scenario.range().value();
+                vab_obs::event!(
+                    "net.channel",
+                    "node_channel",
+                    addr = site.addr,
+                    range_m = d,
+                    ebn0_db = ebn0_db,
+                );
+                NodeChannel {
+                    addr: site.addr,
+                    pos: site.pos,
+                    cell: 0,
+                    d_reader_m: d,
+                    reply_db_at_1m: received_level_db + phy.tl_db(d),
+                    rx_reader_lin: db_to_lin_pow(received_level_db),
+                    direct_success: phy.frame_success(db_to_lin_pow(ebn0_db)),
+                }
+            })
+            .collect();
+        drop(stage);
+
+        let routes = nodes
+            .iter()
+            .map(|n| RelayRoute {
+                addr: n.addr,
+                relays: Vec::new(),
+                delivery_prob: n.direct_success,
+            })
+            .collect();
+        Self {
+            noise_lin: db_to_lin_pow(phy.noise_reader_db),
+            phy,
+            seed: spec.seed,
+            readers: vec![topology.reader],
+            cell_members: vec![(0..nodes.len() as Addr).collect()],
+            routes,
+            horizon_m: 0.0,
+            sinks: vec![Vec::new(); nodes.len()],
+            max_range_m: topology.max_range_m,
+            capture: CaptureModel::default(),
+            cell_seeds: vec![(
+                derive_seed(spec.seed, STREAM_CONTENTION),
+                derive_seed(spec.seed, STREAM_DECODE),
+            )],
+            max_window: MAX_WINDOW,
+            max_rounds: MAX_INVENTORY_ROUNDS,
+            nodes,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{NetworkSpec, Topology};
+    use crate::topology::NetworkSpec;
 
     #[test]
     fn channels_are_deterministic_and_consistent() {
         let spec = NetworkSpec::river(16, 11);
-        let topo = Topology::generate(&spec);
-        let a = derive_channels(&spec, &topo, 288, 0.5);
-        let b = derive_channels(&spec, &topo, 288, 0.5);
-        assert_eq!(a.len(), 16);
-        for (ca, cb) in a.iter().zip(&b) {
-            assert_eq!(ca.ebn0_db.to_bits(), cb.ebn0_db.to_bits());
-            // Linear and dB views agree: SNR ≈ Eb/N0.
-            let snr_db = 10.0 * ca.snr_lin().log10();
-            assert!((snr_db - ca.ebn0_db).abs() < 1e-9, "{snr_db} vs {}", ca.ebn0_db);
-            assert!(ca.packet_success >= 0.0 && ca.packet_success <= 1.0);
+        let a = Network::build_link_budget(&spec);
+        let b = Network::build_link_budget(&spec);
+        assert_eq!(a.nodes.len(), 16);
+        for (ca, cb) in a.nodes.iter().zip(&b.nodes) {
+            assert_eq!(ca.rx_reader_lin.to_bits(), cb.rx_reader_lin.to_bits());
+            assert_eq!(ca.direct_success.to_bits(), cb.direct_success.to_bits());
+            assert!(ca.direct_success >= 0.0 && ca.direct_success <= 1.0);
+            // The reply level at 1 m, spread over the reader range, lands
+            // at the received power.
+            let rx_db = ca.reply_db_at_1m - a.phy.tl_db(ca.d_reader_m);
+            assert!((rx_db - 10.0 * ca.rx_reader_lin.log10()).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn noise_matches_every_node_link_budget() {
+        // The engine's one reader noise floor is each node's own
+        // link-budget noise, bit for bit.
+        let spec = NetworkSpec::river(8, 3);
+        let net = Network::build_link_budget(&spec);
+        let topology = Topology::generate(&spec);
+        for site in &topology.nodes {
+            let s = scenario_for_node(&spec, &topology, site);
+            let lb = LinkBudget::compute(&s);
+            let noise_db = lb.noise_psd_db + 10.0 * lb.bit_rate.log10();
+            assert_eq!(db_to_lin_pow(noise_db).to_bits(), net.noise_lin.to_bits());
         }
     }
 
     #[test]
     fn frame_success_is_monotone_in_snr() {
-        let lo = frame_success(db_to_lin_pow(5.0), 288, 0.5);
-        let hi = frame_success(db_to_lin_pow(15.0), 288, 0.5);
+        let phy = NetPhy::derive(crate::topology::NetEnv::River, 4);
+        let lo = phy.frame_success(db_to_lin_pow(5.0));
+        let hi = phy.frame_success(db_to_lin_pow(15.0));
         assert!(hi > lo);
-        assert!(frame_success(db_to_lin_pow(30.0), 288, 0.5) > 0.999);
+        assert!(phy.frame_success(db_to_lin_pow(30.0)) > 0.999);
     }
 }

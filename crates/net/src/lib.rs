@@ -10,28 +10,40 @@
 //! hydrophone and per-node SINR decides *capture*, rather than an
 //! abstract collision bit.
 //!
-//! Two tiers share the same MAC and capture machinery:
+//! One engine runs every deployment. A [`Network`] is a cell plan — a
+//! node table, readers, cell members, interference sinks and routes —
+//! and everything after channel derivation (capture-aware slot
+//! resolution and the inventory loop) is one code path. Two constructors
+//! fill it:
 //!
-//! * the **paper tier** ([`network`]) — one reader, full image-method
-//!   channels, pairwise interference; faithful at N ≲ a few thousand;
-//! * the **scale tier** ([`scale`]) — multi-reader cells, closed-form
-//!   channels, grid-accelerated interference ([`grid`]) and multi-hop
-//!   routing ([`route`]); O(N log N)-ish, runs 65k+ nodes in seconds.
+//! * the **paper tier** ([`Network::build_link_budget`]) — the one-reader
+//!   plan: per-node link budgets with image-method fading, direct routes,
+//!   no foreign readers and so no interference sinks; faithful at
+//!   N ≲ a few thousand;
+//! * the **ocean tier** ([`Network::build`]) — multi-reader FDM cells,
+//!   closed-form channels, grid-culled co-channel interference ([`grid`])
+//!   and multi-hop relay routes ([`route`]); runs 65k+ nodes in seconds.
+//!
+//! Placement, the spec types and their digests, the report schemas and
+//! the steady-state models stay per tier: the paper tier samples
+//! per-node TDMA, the ocean tier takes expected values under duty floors
+//! and relay billing. Both read the one node table.
 //!
 //! The layers:
 //!
 //! * [`topology`] — seed-pure node placement in a deployment volume,
 //!   with a content-addressed spec digest for per-topology caching;
-//! * [`channel`] — per-node round-trip link budgets and image-method
-//!   fading, in the linear-power units superposition needs;
 //! * [`capture`] — the SINR capture rule and Jain's fairness index;
-//! * [`network`] — discovery (framed ALOHA via
-//!   [`vab_mac::AlohaReader::run_round_with`]) and steady-state TDMA
-//!   monitoring, producing a canonical [`DeploymentReport`];
+//! * [`network`] — the engine: node table, slot resolver, inventory
+//!   (framed ALOHA via [`vab_mac::AlohaReader::run_round_with`]) and the
+//!   paper tier's sampled steady state and [`DeploymentReport`];
+//! * [`channel`] — the link-budget constructor, in the linear-power
+//!   units superposition needs;
 //! * [`grid`] — the uniform spatial grid and absorption-derived
 //!   interference horizon (bit-identical to pairwise below the horizon);
 //! * [`route`] — VBF and cluster-head relay planning for rim nodes;
-//! * [`scale`] — the ocean-scale deployment runner ([`ScaleReport`]).
+//! * [`scale`] — the closed-form constructor, the ocean steady state and
+//!   [`ScaleReport`].
 //!
 //! Each deployment is single-threaded and deterministic in its spec;
 //! campaigns parallelize *across* deployments through the `vab-svc`
@@ -86,14 +98,14 @@ pub mod scale;
 pub mod topology;
 
 pub use capture::{jain_fairness, sinr_db, CaptureModel};
-pub use channel::NodeChannel;
 pub use grid::{
     grid_interference_lin, interference_horizon_m, pairwise_interference_lin, PointSource,
     SpatialGrid,
 };
 pub use network::{
-    run_deployment, DeploymentReport, NetInventoryReport, Network, SteadyStateReport,
+    run_deployment, DeploymentReport, NetInventoryReport, NetPhy, Network, NodeChannel,
+    ScaleNetwork, SteadyStateReport,
 };
 pub use route::{plan_routes, RelayRoute, RouteNode, RoutePolicy};
-pub use scale::{run_scale_deployment, ScaleNetwork, ScaleReport, ScaleSpec};
+pub use scale::{run_scale_deployment, ScaleReport, ScaleSpec};
 pub use topology::{DeploymentVolume, NetEnv, NetworkSpec, NodeSite, Topology};

@@ -1,7 +1,16 @@
-//! The deployment runner: inventory (discovery) and steady-state
-//! (monitoring) phases of a spatial Van Atta network, driven over the
-//! unmodified `vab-mac` policies with physical-layer capture resolving
-//! each contention slot.
+//! The network engine: one node table, one slot resolver and one
+//! inventory loop for every deployment.
+//!
+//! A [`Network`] is a cell plan — readers, the nodes each one serves,
+//! every node's link to its own reader, the cross-cell interference sinks
+//! and the planned uplink routes — filled by the link-budget constructor
+//! ([`crate::channel`], the paper tier's one-reader plan) or the
+//! closed-form constructor ([`crate::scale`], the ocean tier). Inventory
+//! is framed ALOHA per cell over the unmodified `vab-mac` policy, with
+//! physical-layer capture resolving each slot on top of the cross-cell
+//! duty-weighted interference floor. The paper tier's sampled TDMA
+//! steady state lives here too; the ocean tier's expected-value one lives
+//! with its constructor. Both read the one node table.
 //!
 //! Everything here is single-threaded and seed-pure per deployment —
 //! parallelism belongs one layer up (the `vab-svc` worker pool shards
@@ -10,135 +19,312 @@
 
 use rand::rngs::StdRng;
 use rand::RngExt;
+use vab_acoustics::environment::Environment;
+use vab_acoustics::geometry::Position;
 use vab_link::frame::LinkConfig;
 use vab_mac::aloha::{AlohaReader, SlotOutcome};
 use vab_mac::tdma::TdmaSchedule;
 use vab_mac::Addr;
+use vab_sim::baseline::SystemKind;
+use vab_sim::scenario::Scenario;
+use vab_util::db::power_db_sum;
 use vab_util::json::Json;
 use vab_util::rng::{derive_seed, seeded};
+use vab_util::units::{Degrees, Hertz, Meters};
 
 use crate::capture::{jain_fairness, CaptureModel};
-use crate::channel::{derive_channels, frame_success, scenario_for_node, NodeChannel};
-use crate::topology::{NetworkSpec, Topology};
+use crate::route::RelayRoute;
+use crate::topology::{NetEnv, NetworkSpec};
 
 /// Payload carried per frame, bytes (a sensor report).
 pub const PAYLOAD_BYTES: usize = 16;
 /// Useful payload bits per frame.
 pub const PAYLOAD_BITS: usize = PAYLOAD_BYTES * 8;
-/// Contention rounds after which inventory gives up — nodes whose SINR
-/// can never clear capture stay undiscovered, so a cap is load-bearing.
-pub const MAX_INVENTORY_ROUNDS: u32 = 200;
-/// TDMA rounds simulated for the steady-state phase.
+/// TDMA rounds simulated for the sampled steady-state phase.
 pub const STEADY_ROUNDS: u32 = 50;
+
+/// Minimum end-to-end relay delivery probability for an undiscovered rim
+/// node to count as reachable through its planned route.
+pub const RELAY_DISCOVERY_MIN: f64 = 0.05;
 
 /// Schema tag of [`DeploymentReport::to_json`] payloads.
 pub const REPORT_SCHEMA: &str = "vab-net-report/1";
 
-const STREAM_CONTENTION: u64 = 0xA10A;
-const STREAM_DECODE: u64 = 0xDEC0;
 const STREAM_STEADY: u64 = 0x57EA;
 
-/// A fully derived deployment: topology, per-node channels and the
-/// capture rule, ready to run MAC phases over.
+/// Shared PHY constants of one deployment, derived once from the same
+/// reader/modem parameters the single-link tier uses.
 #[derive(Debug, Clone)]
-pub struct Network {
-    /// The spec this network derives from.
-    pub spec: NetworkSpec,
-    /// Placed reader and nodes.
-    pub topology: Topology,
-    /// Per-node channels, indexed by address.
-    pub channels: Vec<NodeChannel>,
-    /// The capture rule used for colliding slots.
-    pub capture: CaptureModel,
+pub struct NetPhy {
+    /// Acoustic environment.
+    pub env: Environment,
+    /// Carrier frequency.
+    pub carrier: Hertz,
+    /// Projector source level, dB re 1 µPa @ 1 m.
+    pub source_level_db: f64,
+    /// Broadside modulated gain of the node array, dB.
+    pub modulated_gain_db: f64,
     /// Channel bits per frame.
     pub frame_bits: usize,
     /// FEC rate of the link stack.
     pub fec_rate: f64,
     /// Uplink bit rate, bits/s.
     pub bit_rate: f64,
-    /// Sound speed in this environment, m/s.
+    /// Reader noise power in the bit bandwidth (ambient + residual
+    /// self-interference), dB.
+    pub noise_reader_db: f64,
+    /// Node-to-node hop noise power in the bit bandwidth (ambient only —
+    /// a relay hop sees no reader self-interference), dB.
+    pub noise_hop_db: f64,
+    /// Sound speed, m/s.
     pub sound_speed: f64,
 }
 
-impl Network {
-    /// Derives the full network (placement + channels) from `spec`.
-    pub fn build(spec: &NetworkSpec) -> Self {
-        let topology = Topology::generate(spec);
+impl NetPhy {
+    /// Derives the constants for `n_pairs`-pair nodes in `env`.
+    pub fn derive(env: NetEnv, n_pairs: usize) -> Self {
+        let mut s = Scenario::river(SystemKind::Vab { n_pairs }, Meters(1.0));
+        s.env = env.environment();
+        let fe = s.front_end();
         let link = LinkConfig::vab_default();
-        let frame_bits = link.encoded_len(PAYLOAD_BYTES);
-        let fec_rate = link.fec.rate();
-        let channels = derive_channels(spec, &topology, frame_bits, fec_rate);
-        let scenario = scenario_for_node(spec, &topology, &topology.nodes[0]);
+        let carrier = s.carrier();
+        let bit_rate = s.mod_params.bit_rate;
+        let ambient = s.env.noise_psd(carrier).value();
+        let si = s.reader.si_floor_psd().value();
+        let bits_db = 10.0 * bit_rate.log10();
         Self {
-            spec: spec.clone(),
-            topology,
-            channels,
-            capture: CaptureModel::default(),
-            frame_bits,
-            fec_rate,
-            bit_rate: scenario.mod_params.bit_rate,
-            sound_speed: scenario.env.sound_speed(),
+            carrier,
+            source_level_db: s.reader.source_level_db,
+            modulated_gain_db: fe.modulated_gain_db(Degrees(0.0)),
+            frame_bits: link.encoded_len(PAYLOAD_BYTES),
+            fec_rate: link.fec.rate(),
+            bit_rate,
+            noise_reader_db: power_db_sum([ambient, si]) + bits_db,
+            noise_hop_db: ambient + bits_db,
+            sound_speed: s.env.sound_speed(),
+            env: s.env,
         }
     }
 
-    /// Wall-clock duration of one contention slot: the reply frame plus
-    /// the worst-case round-trip propagation guard.
-    pub fn slot_duration_s(&self) -> f64 {
-        self.frame_bits as f64 / self.bit_rate + 2.0 * self.topology.max_range_m / self.sound_speed
+    /// One-way transmission loss over `d` metres (1 m reference clamp).
+    pub fn tl_db(&self, d: f64) -> f64 {
+        self.env.transmission_loss(self.carrier, Meters(d.max(1.0))).value()
     }
 
+    /// Wall-clock duration of one slot: the reply frame plus the
+    /// round-trip propagation guard for a reader range of `range_m`.
+    pub fn slot_duration_s(&self, range_m: f64) -> f64 {
+        self.frame_bits as f64 / self.bit_rate + 2.0 * range_m / self.sound_speed
+    }
+
+    /// Decode probability of one frame at an effective per-bit SNR of
+    /// `snr_lin` (interference folded in by the caller).
+    ///
+    /// Uses the closed-form noncoherent-orthogonal channel-bit BER and no
+    /// coding-gain credit — a deliberate lower bound that keeps the
+    /// capture model conservative.
+    pub fn frame_success(&self, snr_lin: f64) -> f64 {
+        let ber = vab_phy::ber::ber_noncoherent_orthogonal(snr_lin * self.fec_rate);
+        (1.0 - ber).powi(self.frame_bits as i32)
+    }
+}
+
+/// One node's link to its own reader — the node table's row.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeChannel {
+    /// MAC address (dense from 0 — the index into every per-node array).
+    pub addr: Addr,
+    /// Position (z positive down).
+    pub pos: Position,
+    /// Index of the node's cell (its reader).
+    pub cell: u32,
+    /// Distance to the node's own reader, metres.
+    pub d_reader_m: f64,
+    /// Effective backscatter reply level at 1 m, dB re 1 µPa
+    /// (illumination − loss + gain + fading).
+    pub reply_db_at_1m: f64,
+    /// Linear received power at the node's own reader (µPa², the scale
+    /// that superposes when replies collide).
+    pub rx_reader_lin: f64,
+    /// Frame-success probability of the direct link on a clean slot.
+    pub direct_success: f64,
+}
+
+/// A fully derived deployment — a cell plan — ready to run inventory and
+/// steady state over.
+#[derive(Debug, Clone)]
+pub struct Network {
+    /// Shared PHY constants.
+    pub phy: NetPhy,
+    /// Master seed of the spec the plan derives from.
+    pub seed: u64,
+    /// Reader positions, one per cell.
+    pub readers: Vec<Position>,
+    /// The node table, indexed by address.
+    pub nodes: Vec<NodeChannel>,
+    /// Per-cell member addresses, ascending.
+    pub cell_members: Vec<Vec<Addr>>,
+    /// Planned uplink route per node, indexed by address.
+    pub routes: Vec<RelayRoute>,
+    /// Interference horizon used to cull cross-cell interferers, metres
+    /// (0 for a one-reader plan, which has no cross-cell interference).
+    pub horizon_m: f64,
+    /// Per-node cross-cell interference sinks: for every co-channel
+    /// foreign reader within [`Network::horizon_m`] of the node, `(reader
+    /// index, linear received power at that reader)`.
+    pub sinks: Vec<Vec<(u32, f64)>>,
+    /// Largest node–reader separation, metres (sizes TDMA guards).
+    pub max_range_m: f64,
+    /// Reader noise power, linear.
+    pub noise_lin: f64,
+    /// The capture rule used for colliding slots.
+    pub capture: CaptureModel,
+    /// Per-cell `(contention, decode)` RNG seeds.
+    pub cell_seeds: Vec<(u64, u64)>,
+    /// ALOHA window ceiling of every cell.
+    pub max_window: usize,
+    /// Synchronized contention rounds after which inventory gives up —
+    /// nodes whose SINR can never clear capture stay undiscovered (or go
+    /// to the relay pass), so a cap is load-bearing.
+    pub max_rounds: u32,
+}
+
+/// A network built by either constructor; kept under the ocean tier's
+/// historical name.
+pub type ScaleNetwork = Network;
+
+impl Network {
     /// Resolves one contention slot physically: the respondents' received
-    /// powers superpose at the hydrophone, the strongest reply captures
-    /// iff its SINR clears the threshold, and a captured reply still has
-    /// to decode (Bernoulli on the frame-success probability at its
-    /// SINR). Respondents present but nothing decoded is a collision —
-    /// the reader hears energy without a frame, exactly the signal the
-    /// ALOHA window controller keys on.
-    pub fn resolve_slot(&self, respondents: &[Addr], decode_rng: &mut StdRng) -> SlotOutcome {
+    /// powers superpose at their reader, the strongest reply captures iff
+    /// its SINR over `noise_lin` (noise plus the cross-cell floor) clears
+    /// the threshold, and a captured reply still has to decode (Bernoulli
+    /// on the frame-success probability at its SINR). Respondents present
+    /// but nothing decoded is a collision — the reader hears energy
+    /// without a frame, exactly the signal the ALOHA window controller
+    /// keys on. `powers` is scratch space, reused across slots.
+    pub fn slot_outcome(
+        &self,
+        respondents: &[Addr],
+        noise_lin: f64,
+        decode: &mut StdRng,
+        powers: &mut Vec<(Addr, f64)>,
+    ) -> SlotOutcome {
         if respondents.is_empty() {
             return SlotOutcome::Idle;
         }
-        let powers: Vec<(Addr, f64)> =
-            respondents.iter().map(|&a| (a, self.channels[a as usize].rx_power_lin)).collect();
-        let noise = self.channels[respondents[0] as usize].noise_power_lin;
-        match self.capture.capture_candidate(&powers, noise) {
-            Some((addr, sinr_lin)) => {
-                let p = frame_success(sinr_lin, self.frame_bits, self.fec_rate);
-                if decode_rng.random::<f64>() < p {
-                    SlotOutcome::Single(addr)
-                } else {
-                    SlotOutcome::Collision
-                }
+        powers.clear();
+        powers.extend(respondents.iter().map(|&a| (a, self.nodes[a as usize].rx_reader_lin)));
+        match self.capture.capture_candidate(powers, noise_lin) {
+            Some((addr, sinr_lin)) if decode.random::<f64>() < self.phy.frame_success(sinr_lin) => {
+                SlotOutcome::Single(addr)
             }
-            None => SlotOutcome::Collision,
+            _ => SlotOutcome::Collision,
         }
     }
 
-    /// Runs the discovery phase: framed ALOHA over all deployed nodes
-    /// with capture-aware slot resolution, capped at
-    /// [`MAX_INVENTORY_ROUNDS`].
+    /// Runs the discovery phase: every cell contends concurrently in
+    /// synchronized rounds, with per-cell framed ALOHA, capture on top of
+    /// the cross-cell duty-weighted interference floor, and a relay pass
+    /// for rim nodes the direct link cannot reach.
     pub fn run_inventory(&self) -> NetInventoryReport {
         let _t = vab_obs::time_stage("net.inventory");
-        let mut contention = seeded(derive_seed(self.spec.seed, STREAM_CONTENTION));
-        let mut decode = seeded(derive_seed(self.spec.seed, STREAM_DECODE));
-        let initial_window = self.spec.n_nodes.next_power_of_two().clamp(4, 256);
-        let mut reader = AlohaReader::new(initial_window);
-        let mut pending: Vec<Addr> = self.topology.nodes.iter().map(|n| n.addr).collect();
-        let mut rounds = 0;
-        while !pending.is_empty() && rounds < MAX_INVENTORY_ROUNDS {
-            reader.run_round_with(&mut pending, &mut contention, |r| {
-                self.resolve_slot(r, &mut decode)
-            });
+        let r = self.readers.len();
+        let n = self.nodes.len();
+        struct Cell {
+            reader: AlohaReader,
+            pending: Vec<Addr>,
+            contention: StdRng,
+            decode: StdRng,
+        }
+        let mut cells: Vec<Cell> = self
+            .cell_members
+            .iter()
+            .zip(&self.cell_seeds)
+            .map(|(members, &(contention, decode))| {
+                let w = members.len().next_power_of_two().clamp(4, self.max_window);
+                Cell {
+                    reader: AlohaReader::with_max_window(w, self.max_window),
+                    pending: members.clone(),
+                    contention: seeded(contention),
+                    decode: seeded(decode),
+                }
+            })
+            .collect();
+        // Pending cross-cell interference energy, bucketed by (victim
+        // reader, source cell): floors are then O(R²) per round and
+        // updates O(1) per discovery, instead of rescanning every node.
+        let mut s_matrix = vec![0.0f64; r * r];
+        for node in &self.nodes {
+            for &(victim, rx) in &self.sinks[node.addr as usize] {
+                s_matrix[victim as usize * r + node.cell as usize] += rx;
+            }
+        }
+        let mut duties = vec![0.0f64; r];
+        let mut powers = Vec::new();
+        let mut discovered: Vec<Addr> = Vec::with_capacity(n);
+        let mut rounds = 0u32;
+        while rounds < self.max_rounds && cells.iter().any(|c| !c.pending.is_empty()) {
+            // Duty factor of each cell this round, snapshotted up front —
+            // a member of cell c transmits in 1 of its w_c slots.
+            for (duty, cell) in duties.iter_mut().zip(&cells) {
+                *duty =
+                    if cell.pending.is_empty() { 0.0 } else { 1.0 / cell.reader.window() as f64 };
+            }
+            for (c, cell) in cells.iter_mut().enumerate() {
+                if cell.pending.is_empty() {
+                    continue;
+                }
+                let mut floor = 0.0;
+                for (src, &duty) in duties.iter().enumerate() {
+                    if src != c {
+                        floor += duty * s_matrix[c * r + src];
+                    }
+                }
+                let noise = self.noise_lin + floor;
+                let Cell { reader, pending, contention, decode } = cell;
+                let before = reader.identified.len();
+                reader.run_round_with(pending, contention, |resp| {
+                    self.slot_outcome(resp, noise, decode, &mut powers)
+                });
+                // Newly discovered nodes stop contending: retire their
+                // energy from every victim reader's pending bucket.
+                let new = &reader.identified[before..];
+                for &a in new {
+                    for &(victim, rx) in &self.sinks[a as usize] {
+                        s_matrix[victim as usize * r + c] -= rx;
+                    }
+                }
+                discovered.extend_from_slice(new);
+            }
             rounds += 1;
         }
-        let discovered = reader.identified.clone();
+        let slots_used = cells.iter().map(|c| c.reader.slots_used).sum();
+        let collisions = cells.iter().map(|c| c.reader.collisions).sum();
+        // Relay pass: an undiscovered rim node is reachable if its
+        // planned route ends at a discovered relay and the end-to-end
+        // delivery probability is non-negligible.
+        let mut direct = vec![false; n];
+        for &a in &discovered {
+            direct[a as usize] = true;
+        }
+        let mut relayed = Vec::new();
+        let mut relay_slots = 0u64;
+        for (a, route) in self.routes.iter().enumerate() {
+            let Some(&last) = route.relays.last() else { continue };
+            if !direct[a] && direct[last as usize] && route.delivery_prob >= RELAY_DISCOVERY_MIN {
+                relayed.push(a as Addr);
+                relay_slots += route.hops() as u64;
+            }
+        }
         let report = NetInventoryReport {
-            n_nodes: self.spec.n_nodes,
+            n_nodes: n,
             discovered,
+            relayed,
             rounds,
-            slots_used: reader.slots_used,
-            collisions: reader.collisions,
-            time_s: reader.slots_used as f64 * self.slot_duration_s(),
+            slots_used,
+            collisions,
+            relay_slots,
+            time_s: slots_used as f64 * self.phy.slot_duration_s(self.max_range_m),
         };
         vab_obs::event!(
             "net.inventory",
@@ -154,27 +340,28 @@ impl Network {
         report
     }
 
-    /// Runs the monitoring phase: a TDMA round schedule over the
-    /// `discovered` nodes (collision-free slots — TDMA is what inventory
-    /// buys you), with each node's slot decoding at its clean-channel
-    /// frame-success probability.
-    pub fn run_steady_state(&self, discovered: &[Addr]) -> SteadyStateReport {
+    /// Runs the paper tier's monitoring phase: a TDMA round schedule over
+    /// the `discovered` nodes (collision-free slots — TDMA is what
+    /// inventory buys you), with each node's slot a Bernoulli draw at its
+    /// clean-channel frame-success probability, drawn in `discovered`
+    /// order.
+    pub fn run_sampled_steady_state(&self, discovered: &[Addr]) -> SteadyStateReport {
         let _t = vab_obs::time_stage("net.steady_state");
         let n_slots = discovered.len().max(1) as u32;
         let mut schedule = TdmaSchedule::for_frames(
             n_slots,
-            self.frame_bits,
-            self.bit_rate,
-            self.topology.max_range_m,
-            self.sound_speed,
+            self.phy.frame_bits,
+            self.phy.bit_rate,
+            self.max_range_m,
+            self.phy.sound_speed,
         );
         schedule.assign_all(discovered);
         let round_s = schedule.round_duration().value();
-        let mut rng = seeded(derive_seed(self.spec.seed, STREAM_STEADY));
+        let mut rng = seeded(derive_seed(self.seed, STREAM_STEADY));
         let horizon_s = STEADY_ROUNDS as f64 * round_s;
         let mut per_node: Vec<(Addr, f64)> = Vec::with_capacity(discovered.len());
         for &addr in discovered {
-            let p = self.channels[addr as usize].packet_success;
+            let p = self.nodes[addr as usize].direct_success;
             let mut delivered = 0u32;
             for _ in 0..STEADY_ROUNDS {
                 if rng.random::<f64>() < p {
@@ -207,29 +394,59 @@ impl Network {
 pub struct NetInventoryReport {
     /// Deployed population size.
     pub n_nodes: usize,
-    /// Addresses discovered, in discovery order.
+    /// Addresses discovered directly by their cell's ALOHA, in discovery
+    /// order (round, then cell, then slot).
     pub discovered: Vec<Addr>,
-    /// Contention rounds used.
+    /// Addresses unreachable directly but reached through their planned
+    /// relay route, ascending.
+    pub relayed: Vec<Addr>,
+    /// Synchronized contention rounds used.
     pub rounds: u32,
-    /// Contention slots spent.
+    /// Contention slots spent, summed over all cells.
     pub slots_used: u64,
-    /// Slots where energy was heard but nothing decoded.
+    /// Slots where energy was heard but nothing decoded, summed over all
+    /// cells.
     pub collisions: u64,
-    /// Wall-clock time to the end of inventory, seconds.
+    /// Extra TDMA slots the relay routes will bill per round.
+    pub relay_slots: u64,
+    /// Contention airtime at the worst-case slot length, seconds — for a
+    /// one-reader plan, the wall-clock time to the end of inventory.
     pub time_s: f64,
 }
 
 impl NetInventoryReport {
-    /// Fraction of the deployed population discovered.
+    /// Directly discovered node count.
+    pub fn n_direct(&self) -> usize {
+        self.discovered.len()
+    }
+
+    /// Relay-reached node count.
+    pub fn n_relayed(&self) -> usize {
+        self.relayed.len()
+    }
+
+    /// Fraction of the population served (directly or via relays).
     pub fn coverage(&self) -> f64 {
         if self.n_nodes == 0 {
             return 1.0;
         }
-        self.discovered.len() as f64 / self.n_nodes as f64
+        (self.n_direct() + self.n_relayed()) as f64 / self.n_nodes as f64
+    }
+
+    /// Per-address `(discovered directly, reached via relay)` flags.
+    pub fn reach_flags(&self) -> (Vec<bool>, Vec<bool>) {
+        let flags = |addrs: &[Addr]| {
+            let mut f = vec![false; self.n_nodes];
+            for &a in addrs {
+                f[a as usize] = true;
+            }
+            f
+        };
+        (flags(&self.discovered), flags(&self.relayed))
     }
 }
 
-/// Outcome of the monitoring phase.
+/// Outcome of the sampled monitoring phase.
 #[derive(Debug, Clone)]
 pub struct SteadyStateReport {
     /// Per-node goodput, bits/s, sorted by address.
@@ -242,7 +459,8 @@ pub struct SteadyStateReport {
     pub round_duration_s: f64,
 }
 
-/// Both phases of one deployment, plus the spec that produced them.
+/// Both phases of one paper-tier deployment, plus the spec that produced
+/// them.
 #[derive(Debug, Clone)]
 pub struct DeploymentReport {
     /// The deployment spec.
@@ -302,20 +520,19 @@ impl DeploymentReport {
     }
 }
 
-/// Builds the network for `spec` and runs both phases — the one-call
-/// entry point the service layer and the figures use.
+/// Builds the one-reader plan for `spec` and runs both phases — the
+/// one-call entry point the service layer and the figures use.
 pub fn run_deployment(spec: &NetworkSpec) -> DeploymentReport {
     let _t = vab_obs::time_stage("net.deployment");
-    let net = Network::build(spec);
+    let net = Network::build_link_budget(spec);
     let inventory = net.run_inventory();
-    let steady = net.run_steady_state(&inventory.discovered);
+    let steady = net.run_sampled_steady_state(&inventory.discovered);
     DeploymentReport { spec: spec.clone(), inventory, steady }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::NetworkSpec;
 
     #[test]
     fn deployment_is_deterministic() {
@@ -340,14 +557,15 @@ mod tests {
     #[test]
     fn slot_resolution_prefers_the_strong_node() {
         let spec = NetworkSpec::river(32, 9);
-        let net = Network::build(&spec);
+        let net = Network::build_link_budget(&spec);
         // Find the strongest and weakest nodes in the deployment.
-        let strongest =
-            net.channels.iter().max_by(|a, b| a.rx_power_lin.total_cmp(&b.rx_power_lin)).unwrap();
-        let weakest =
-            net.channels.iter().min_by(|a, b| a.rx_power_lin.total_cmp(&b.rx_power_lin)).unwrap();
+        let by_power =
+            |a: &&NodeChannel, b: &&NodeChannel| a.rx_reader_lin.total_cmp(&b.rx_reader_lin);
+        let strongest = net.nodes.iter().max_by(by_power).unwrap();
+        let weakest = net.nodes.iter().min_by(by_power).unwrap();
         let mut rng = seeded(1);
-        match net.resolve_slot(&[strongest.addr, weakest.addr], &mut rng) {
+        let respondents = [strongest.addr, weakest.addr];
+        match net.slot_outcome(&respondents, net.noise_lin, &mut rng, &mut Vec::new()) {
             SlotOutcome::Single(a) => assert_eq!(a, strongest.addr),
             SlotOutcome::Collision => {} // capture below threshold is legal
             SlotOutcome::Idle => panic!("occupied slot cannot be idle"),
@@ -357,9 +575,21 @@ mod tests {
     #[test]
     fn steady_state_with_nobody_discovered_is_sane() {
         let spec = NetworkSpec::river(4, 2);
-        let net = Network::build(&spec);
-        let s = net.run_steady_state(&[]);
+        let net = Network::build_link_budget(&spec);
+        let s = net.run_sampled_steady_state(&[]);
         assert_eq!(s.aggregate_goodput_bps, 0.0);
         assert_eq!(s.jain_fairness, 1.0);
+    }
+
+    #[test]
+    fn a_one_reader_plan_has_no_interference_and_direct_routes() {
+        let net = Network::build_link_budget(&NetworkSpec::river(16, 4));
+        assert_eq!(net.readers.len(), 1);
+        assert_eq!(net.cell_members, vec![(0..16).collect::<Vec<Addr>>()]);
+        assert!(net.sinks.iter().all(Vec::is_empty));
+        assert!(net.routes.iter().all(|r| r.relays.is_empty()));
+        let inv = net.run_inventory();
+        assert!(inv.relayed.is_empty());
+        assert_eq!(inv.relay_slots, 0);
     }
 }

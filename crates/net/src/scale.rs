@@ -1,11 +1,13 @@
-//! Ocean-scale deployments: multi-reader cells, grid-accelerated
-//! interference, and multi-hop routing for 10k–100k node networks.
+//! The closed-form constructor: ocean-scale cell plans with multi-reader
+//! cells, grid-accelerated interference and multi-hop routing for
+//! 10k–100k node networks.
 //!
-//! The paper-scale tier ([`crate::network`]) evaluates one reader and a
-//! few hundred nodes with full image-method channels and per-slot Monte
-//! Carlo — faithful, but O(N²) in interference and far too slow past a
-//! few thousand nodes. This tier trades channel fidelity for scale while
-//! keeping every number seed-pure and content-addressed:
+//! The link-budget constructor ([`crate::channel`]) derives every node
+//! from a full image-method channel realization — faithful, but far too
+//! slow past a few thousand nodes. This constructor trades channel
+//! fidelity for scale while keeping every number seed-pure and
+//! content-addressed; inventory then runs on the same engine
+//! ([`crate::network`]) the paper tier uses:
 //!
 //! * **Cells** — `⌈N¼⌉²` readers on a uniform grid partition the nodes by
 //!   nearest reader; cells inventory concurrently (spatial reuse).
@@ -41,23 +43,18 @@
 //! scaling — is documented in `SCALING.md` at the repo root.
 
 use rand::RngExt;
-use vab_acoustics::environment::Environment;
 use vab_acoustics::geometry::Position;
-use vab_link::frame::LinkConfig;
-use vab_mac::aloha::AlohaReader;
 use vab_mac::Addr;
-use vab_sim::baseline::SystemKind;
-use vab_sim::scenario::Scenario;
-use vab_util::db::{db_to_lin_pow, power_db_sum};
+use vab_util::db::db_to_lin_pow;
 use vab_util::hash::content_digest;
 use vab_util::json::Json;
 use vab_util::rng::{derive_seed, seeded};
-use vab_util::units::{Degrees, Hertz, Meters};
 
 use crate::capture::{jain_fairness, CaptureModel};
-use crate::channel::frame_success;
-use crate::grid::{interference_horizon_m, SpatialGrid, HORIZON_MARGIN_DB};
-use crate::network::{PAYLOAD_BITS, PAYLOAD_BYTES};
+use crate::grid::{
+    interference_horizon_m, reply_contribution_lin, PointSource, SpatialGrid, HORIZON_MARGIN_DB,
+};
+use crate::network::{NetInventoryReport, NetPhy, Network, NodeChannel, PAYLOAD_BITS};
 use crate::route::{plan_routes, RelayRoute, RouteNode, RoutePolicy};
 use crate::topology::{NetEnv, DEPTH_MARGIN_M};
 
@@ -85,10 +82,6 @@ pub const MAX_SCALE_ROUNDS: u32 = 100;
 /// Per-cell ALOHA window ceiling — ocean cells hold thousands of
 /// contenders, far past the paper tier's 256-slot ceiling.
 pub const MAX_CELL_WINDOW: usize = 4096;
-
-/// Minimum end-to-end relay delivery probability for an undiscovered rim
-/// node to count as reachable through its planned route.
-pub const RELAY_DISCOVERY_MIN: f64 = 0.05;
 
 /// VBF pipe radius as a multiple of the mean node pitch.
 pub const PIPE_RADIUS_PITCH_MULT: f64 = 2.0;
@@ -181,121 +174,14 @@ impl ScaleSpec {
     }
 }
 
-/// Shared PHY constants of one scale deployment, derived once from the
-/// same reader/modem parameters the single-link tier uses.
-#[derive(Debug, Clone)]
-pub struct ScalePhy {
-    /// Acoustic environment.
-    pub env: Environment,
-    /// Carrier frequency.
-    pub carrier: Hertz,
-    /// Projector source level, dB re 1 µPa @ 1 m.
-    pub source_level_db: f64,
-    /// Broadside modulated gain of the node array, dB.
-    pub modulated_gain_db: f64,
-    /// Channel bits per frame.
-    pub frame_bits: usize,
-    /// FEC rate of the link stack.
-    pub fec_rate: f64,
-    /// Uplink bit rate, bits/s.
-    pub bit_rate: f64,
-    /// Reader noise power in the bit bandwidth (ambient + residual
-    /// self-interference), dB.
-    pub noise_reader_db: f64,
-    /// Node-to-node hop noise power in the bit bandwidth (ambient only —
-    /// a relay hop sees no reader self-interference), dB.
-    pub noise_hop_db: f64,
-    /// Sound speed, m/s.
-    pub sound_speed: f64,
-}
-
-impl ScalePhy {
-    /// Derives the constants for `spec`.
-    pub fn derive(spec: &ScaleSpec) -> Self {
-        let mut s = Scenario::river(SystemKind::Vab { n_pairs: spec.n_pairs }, Meters(1.0));
-        s.env = spec.env.environment();
-        let fe = s.front_end();
-        let link = LinkConfig::vab_default();
-        let carrier = s.carrier();
-        let bit_rate = s.mod_params.bit_rate;
-        let ambient = s.env.noise_psd(carrier).value();
-        let si = s.reader.si_floor_psd().value();
-        let bits_db = 10.0 * bit_rate.log10();
-        Self {
-            carrier,
-            source_level_db: s.reader.source_level_db,
-            modulated_gain_db: fe.modulated_gain_db(Degrees(0.0)),
-            frame_bits: link.encoded_len(PAYLOAD_BYTES),
-            fec_rate: link.fec.rate(),
-            bit_rate,
-            noise_reader_db: power_db_sum([ambient, si]) + bits_db,
-            noise_hop_db: ambient + bits_db,
-            sound_speed: s.env.sound_speed(),
-            env: s.env,
-        }
-    }
-
-    /// One-way transmission loss over `d` metres (1 m reference clamp).
-    pub fn tl_db(&self, d: f64) -> f64 {
-        self.env.transmission_loss(self.carrier, Meters(d.max(1.0))).value()
-    }
-}
-
-/// One node as the scale tier sees it.
-#[derive(Debug, Clone, Copy)]
-pub struct ScaleNode {
-    /// MAC address (dense from 0 — the index into every per-node array).
-    pub addr: Addr,
-    /// Position (z positive down).
-    pub pos: Position,
-    /// Index of the node's cell (nearest reader).
-    pub cell: u32,
-    /// Distance to the node's own reader, metres.
-    pub d_reader_m: f64,
-    /// Effective backscatter reply level at 1 m, dB re 1 µPa
-    /// (illumination − loss + gain + fading).
-    pub reply_db_at_1m: f64,
-    /// Linear received power at the node's own reader.
-    pub rx_reader_lin: f64,
-    /// Frame-success probability of the direct link on a clean slot.
-    pub direct_success: f64,
-}
-
-/// A fully derived ocean-scale deployment, ready to run inventory and
-/// steady state over.
-#[derive(Debug, Clone)]
-pub struct ScaleNetwork {
-    /// The spec this network derives from.
-    pub spec: ScaleSpec,
-    /// Shared PHY constants.
-    pub phy: ScalePhy,
-    /// Reader positions, row-major on the reader grid.
-    pub readers: Vec<Position>,
-    /// Per-node state, indexed by address.
-    pub nodes: Vec<ScaleNode>,
-    /// Per-cell member addresses, ascending.
-    pub cell_members: Vec<Vec<Addr>>,
-    /// Planned uplink route per node, indexed by address.
-    pub routes: Vec<RelayRoute>,
-    /// Interference horizon used to cull cross-cell interferers, metres.
-    pub horizon_m: f64,
-    /// Per-node cross-cell interference sinks: for every foreign reader
-    /// within [`ScaleNetwork::horizon_m`] of the node, `(reader index,
-    /// linear received power at that reader)`.
-    pub sinks: Vec<Vec<(u32, f64)>>,
-    /// Reader noise power, linear.
-    pub noise_lin: f64,
-    capture: CaptureModel,
-}
-
-impl ScaleNetwork {
-    /// Derives the full deployment: placement, cells, channels, the
-    /// interference grid and routes.
+impl Network {
+    /// The closed-form constructor: derives the ocean cell plan —
+    /// placement, cells, channels, the interference grid and routes.
     pub fn build(spec: &ScaleSpec) -> Self {
-        let _t = vab_obs::time_stage("net.scale_build");
+        let _t = vab_obs::time_stage("net.build");
         assert!(spec.n_nodes >= 1 && spec.n_readers >= 1, "need nodes and readers");
         assert!(spec.x_m > 0.0 && spec.y_m > 0.0, "deployment extent must be positive");
-        let phy = ScalePhy::derive(spec);
+        let phy = NetPhy::derive(spec.env, spec.n_pairs);
 
         // Readers: row-major grid at the canonical reader depth.
         let g = (spec.n_readers as f64).sqrt().ceil() as usize;
@@ -345,10 +231,11 @@ impl ScaleNetwork {
 
         // Channels: closed-form sonar equation + log-normal fading,
         // per-address fading streams (order- and thread-independent).
-        let stage = vab_obs::time_stage("net.scale_channels");
+        let stage = vab_obs::time_stage("net.channels");
         let fading_master = derive_seed(spec.seed, STREAM_SCALE_FADING);
         let noise_lin = db_to_lin_pow(phy.noise_reader_db);
         let mut nodes = Vec::with_capacity(spec.n_nodes);
+        let mut max_range_m: f64 = 0.0;
         for (i, &pos) in positions.iter().enumerate() {
             let addr = i as Addr;
             let cell = cells[i];
@@ -359,10 +246,10 @@ impl ScaleNetwork {
                 phy.source_level_db - phy.tl_db(d) + phy.modulated_gain_db + fading_db;
             let rx_db = reply_db_at_1m - phy.tl_db(d);
             let rx_reader_lin = db_to_lin_pow(rx_db);
-            let direct_success =
-                frame_success(rx_reader_lin / noise_lin, phy.frame_bits, phy.fec_rate);
+            let direct_success = phy.frame_success(rx_reader_lin / noise_lin);
             cell_members[cell as usize].push(addr);
-            nodes.push(ScaleNode {
+            max_range_m = max_range_m.max(d);
+            nodes.push(NodeChannel {
                 addr,
                 pos,
                 cell,
@@ -378,8 +265,8 @@ impl ScaleNetwork {
         // node cloud, then per-node sink lists (which co-channel foreign
         // readers hear this node, and how loudly). Different-channel
         // cells are out of band at the victim's filter and never enter
-        // the floor.
-        let stage = vab_obs::time_stage("net.scale_interference");
+        // the floor. Each sink is the grid oracle's own per-source term.
+        let stage = vab_obs::time_stage("net.interference");
         let color = |r: usize| -> usize {
             let (i, j) = (r % g, r / g);
             (i % REUSE_GRID) + REUSE_GRID * (j % REUSE_GRID)
@@ -401,15 +288,16 @@ impl ScaleNetwork {
                 if color(n.cell as usize) != color(c) {
                     continue; // different FDM channel: filtered out of band
                 }
-                let rx =
-                    db_to_lin_pow(n.reply_db_at_1m - phy.tl_db(n.pos.distance_to(reader).value()));
+                let src =
+                    PointSource { addr: n.addr, pos: n.pos, level_db_at_1m: n.reply_db_at_1m };
+                let rx = reply_contribution_lin(&phy.env, phy.carrier, &src, *reader);
                 sinks[i as usize].push((c as u32, rx));
             }
         }
         drop(stage);
 
         // Routes: per cell, planned over the closed-form hop model.
-        let stage = vab_obs::time_stage("net.scale_routing");
+        let stage = vab_obs::time_stage("net.routing");
         let pipe_radius_m = PIPE_RADIUS_PITCH_MULT * spec.node_pitch_m();
         let route_seed = derive_seed(spec.seed, STREAM_SCALE_ROUTE);
         let noise_hop_db = phy.noise_hop_db;
@@ -426,7 +314,7 @@ impl ScaleNetwork {
                 let n = &nodes[from.addr as usize];
                 let d = from.pos.distance_to(&to.pos).value();
                 let snr_db = n.reply_db_at_1m - phy.tl_db(d) - noise_hop_db;
-                frame_success(db_to_lin_pow(snr_db), phy.frame_bits, phy.fec_rate)
+                phy.frame_success(db_to_lin_pow(snr_db))
             };
             let planned = plan_routes(
                 spec.policy,
@@ -445,127 +333,26 @@ impl ScaleNetwork {
             routes.into_iter().map(|r| r.expect("every node is in exactly one cell")).collect();
         drop(stage);
 
+        let contention_master = derive_seed(spec.seed, STREAM_SCALE_CONTENTION);
+        let decode_master = derive_seed(spec.seed, STREAM_SCALE_DECODE);
+        let cell_seeds = (0..spec.n_readers as u64)
+            .map(|c| (derive_seed(contention_master, c), derive_seed(decode_master, c)))
+            .collect();
         Self {
-            spec: spec.clone(),
             phy,
+            seed: spec.seed,
             readers,
             nodes,
             cell_members,
             routes,
             horizon_m,
             sinks,
+            max_range_m,
             noise_lin,
             capture: CaptureModel::default(),
-        }
-    }
-
-    /// Runs the discovery phase: every cell contends concurrently in
-    /// synchronized global rounds, with per-cell framed ALOHA, capture on
-    /// top of the cross-cell duty-weighted interference floor, and a
-    /// relay pass for rim nodes the direct link cannot reach.
-    pub fn run_inventory(&self) -> ScaleInventoryReport {
-        let _t = vab_obs::time_stage("net.scale_inventory");
-        let r = self.spec.n_readers;
-        let contention_master = derive_seed(self.spec.seed, STREAM_SCALE_CONTENTION);
-        let decode_master = derive_seed(self.spec.seed, STREAM_SCALE_DECODE);
-        struct Cell {
-            reader: AlohaReader,
-            pending: Vec<Addr>,
-            contention: rand::rngs::StdRng,
-            decode: rand::rngs::StdRng,
-        }
-        let mut cells: Vec<Cell> = (0..r)
-            .map(|c| {
-                let members = &self.cell_members[c];
-                let w = members.len().next_power_of_two().clamp(4, MAX_CELL_WINDOW);
-                Cell {
-                    reader: AlohaReader::with_max_window(w, MAX_CELL_WINDOW),
-                    pending: members.clone(),
-                    contention: seeded(derive_seed(contention_master, c as u64)),
-                    decode: seeded(derive_seed(decode_master, c as u64)),
-                }
-            })
-            .collect();
-        // Pending cross-cell interference energy, bucketed by (victim
-        // reader, source cell): floors are then O(R²) per round and
-        // updates O(1) per discovery, instead of rescanning every node.
-        let mut s_matrix = vec![0.0f64; r * r];
-        for n in &self.nodes {
-            for &(victim, rx) in &self.sinks[n.addr as usize] {
-                s_matrix[victim as usize * r + n.cell as usize] += rx;
-            }
-        }
-        let mut rounds = 0u32;
-        while rounds < MAX_SCALE_ROUNDS && cells.iter().any(|c| !c.pending.is_empty()) {
-            // Duty factor of each cell this round, snapshotted up front —
-            // a member of cell c transmits in 1 of its w_c slots.
-            let duties: Vec<f64> = cells
-                .iter()
-                .map(|c| if c.pending.is_empty() { 0.0 } else { 1.0 / c.reader.window() as f64 })
-                .collect();
-            for c in 0..r {
-                if cells[c].pending.is_empty() {
-                    continue;
-                }
-                let mut floor = 0.0;
-                for (src, &duty) in duties.iter().enumerate() {
-                    if src != c {
-                        floor += duty * s_matrix[c * r + src];
-                    }
-                }
-                let noise = self.noise_lin + floor;
-                let before = cells[c].reader.identified.len();
-                let Cell { reader, pending, contention, decode } = &mut cells[c];
-                reader.run_round_with(pending, contention, |resp| {
-                    resolve_scale_slot(self, resp, noise, decode)
-                });
-                // Newly discovered nodes stop contending: retire their
-                // energy from every victim reader's pending bucket.
-                let ids: Vec<Addr> = cells[c].reader.identified[before..].to_vec();
-                for a in ids {
-                    for &(victim, rx) in &self.sinks[a as usize] {
-                        s_matrix[victim as usize * r + c] -= rx;
-                    }
-                }
-            }
-            rounds += 1;
-        }
-        let mut discovered: Vec<bool> = vec![false; self.spec.n_nodes];
-        let mut slots_used = 0u64;
-        let mut collisions = 0u64;
-        for cell in &cells {
-            slots_used += cell.reader.slots_used;
-            collisions += cell.reader.collisions;
-            for &a in &cell.reader.identified {
-                discovered[a as usize] = true;
-            }
-        }
-        // Relay pass: an undiscovered rim node is reachable if its
-        // planned route ends at a discovered relay and the end-to-end
-        // delivery probability is non-negligible.
-        let mut relayed: Vec<bool> = vec![false; self.spec.n_nodes];
-        let mut relay_slots = 0u64;
-        for n in &self.nodes {
-            let a = n.addr as usize;
-            if discovered[a] {
-                continue;
-            }
-            let route = &self.routes[a];
-            if let Some(&last) = route.relays.last() {
-                if discovered[last as usize] && route.delivery_prob >= RELAY_DISCOVERY_MIN {
-                    relayed[a] = true;
-                    relay_slots += route.hops() as u64;
-                }
-            }
-        }
-        ScaleInventoryReport {
-            n_nodes: self.spec.n_nodes,
-            discovered,
-            relayed,
-            rounds,
-            slots_used,
-            collisions,
-            relay_slots,
+            cell_seeds,
+            max_window: MAX_CELL_WINDOW,
+            max_rounds: MAX_SCALE_ROUNDS,
         }
     }
 
@@ -574,35 +361,42 @@ impl ScaleNetwork {
     /// directly-discovered nodes whenever the route's clean delivery
     /// beats the direct link's (a rim node ALOHA barely reached should
     /// not be monitored over that same barely-closing link).
-    fn uses_route(&self, a: usize, inv: &ScaleInventoryReport) -> bool {
-        if inv.relayed[a] {
+    fn uses_route(&self, a: usize, direct: &[bool], relayed: &[bool]) -> bool {
+        if relayed[a] {
             return true;
         }
         let route = &self.routes[a];
         match route.relays.last() {
             Some(&last) => {
-                inv.discovered[last as usize] && route.delivery_prob > self.nodes[a].direct_success
+                direct[last as usize] && route.delivery_prob > self.nodes[a].direct_success
             }
             None => false,
         }
     }
 
-    /// Runs the monitoring phase: per-cell TDMA over the served nodes
-    /// (routed nodes billed one slot per hop), cross-cell interference
-    /// as a 1/round duty floor, and expected-value goodput per node.
-    pub fn run_steady_state(&self, inv: &ScaleInventoryReport) -> ScaleSteadyReport {
-        let _t = vab_obs::time_stage("net.scale_steady");
-        let r = self.spec.n_readers;
+    /// Runs the ocean tier's monitoring phase: per-cell TDMA over the
+    /// served nodes (routed nodes billed one slot per hop), cross-cell
+    /// interference as a 1/round duty floor, and expected-value goodput
+    /// per node.
+    pub fn run_steady_state(&self, inv: &NetInventoryReport) -> ScaleSteadyReport {
+        let _t = vab_obs::time_stage("net.steady_state");
+        let r = self.readers.len();
+        let (direct, relayed) = inv.reach_flags();
+        let served = |a: usize| direct[a] || relayed[a];
         // Slots each cell's round needs: one per direct node, hops() per
         // routed node.
         let mut n_slots = vec![0u64; r];
         let mut cell_range = vec![0.0f64; r];
         for n in &self.nodes {
             let a = n.addr as usize;
-            if !(inv.discovered[a] || inv.relayed[a]) {
+            if !served(a) {
                 continue;
             }
-            let slots = if self.uses_route(a, inv) { self.routes[a].hops() as u64 } else { 1 };
+            let slots = if self.uses_route(a, &direct, &relayed) {
+                self.routes[a].hops() as u64
+            } else {
+                1
+            };
             n_slots[n.cell as usize] += slots;
             cell_range[n.cell as usize] = cell_range[n.cell as usize].max(n.d_reader_m);
         }
@@ -611,7 +405,7 @@ impl ScaleNetwork {
         let mut floors = vec![0.0f64; r];
         for n in &self.nodes {
             let a = n.addr as usize;
-            if !(inv.discovered[a] || inv.relayed[a]) {
+            if !served(a) {
                 continue;
             }
             let duty = 1.0 / n_slots[n.cell as usize] as f64;
@@ -619,33 +413,21 @@ impl ScaleNetwork {
                 floors[victim as usize] += rx * duty;
             }
         }
-        let round_s: Vec<f64> = (0..r)
-            .map(|c| {
-                let slot = self.phy.frame_bits as f64 / self.phy.bit_rate
-                    + 2.0 * cell_range[c] / self.phy.sound_speed;
-                n_slots[c] as f64 * slot
-            })
-            .collect();
+        let round_s: Vec<f64> =
+            (0..r).map(|c| n_slots[c] as f64 * self.phy.slot_duration_s(cell_range[c])).collect();
         let mut goodputs: Vec<f64> = Vec::new();
         let mut hops_sum = 0u64;
         let mut aggregate = 0.0;
         for n in &self.nodes {
             let a = n.addr as usize;
             let c = n.cell as usize;
-            if round_s[c] <= 0.0 {
+            if round_s[c] <= 0.0 || !served(a) {
                 continue;
             }
-            let floored = |node: &ScaleNode| {
-                frame_success(
-                    node.rx_reader_lin / (self.noise_lin + floors[c]),
-                    self.phy.frame_bits,
-                    self.phy.fec_rate,
-                )
+            let floored = |node: &NodeChannel| {
+                self.phy.frame_success(node.rx_reader_lin / (self.noise_lin + floors[c]))
             };
-            if !(inv.discovered[a] || inv.relayed[a]) {
-                continue;
-            }
-            let delivery = if self.uses_route(a, inv) {
+            let delivery = if self.uses_route(a, &direct, &relayed) {
                 let route = &self.routes[a];
                 hops_sum += route.hops() as u64;
                 // Re-floor the final (relay → reader) hop: the planner
@@ -675,79 +457,11 @@ impl ScaleNetwork {
     }
 }
 
-/// Resolves one contention slot at a scale reader: superpose the
-/// respondents at the cell's reader, capture by SINR over noise plus the
-/// cross-cell floor, Bernoulli decode at the captured SINR.
-fn resolve_scale_slot(
-    net: &ScaleNetwork,
-    respondents: &[Addr],
-    noise_lin: f64,
-    decode: &mut rand::rngs::StdRng,
-) -> vab_mac::SlotOutcome {
-    use vab_mac::SlotOutcome;
-    if respondents.is_empty() {
-        return SlotOutcome::Idle;
-    }
-    let powers: Vec<(Addr, f64)> =
-        respondents.iter().map(|&a| (a, net.nodes[a as usize].rx_reader_lin)).collect();
-    match net.capture.capture_candidate(&powers, noise_lin) {
-        Some((addr, sinr_lin)) => {
-            let p = frame_success(sinr_lin, net.phy.frame_bits, net.phy.fec_rate);
-            if decode.random::<f64>() < p {
-                SlotOutcome::Single(addr)
-            } else {
-                SlotOutcome::Collision
-            }
-        }
-        None => SlotOutcome::Collision,
-    }
-}
-
 /// Standard normal draw (Box–Muller; two uniform draws per sample).
 fn gaussian<R: rand::Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = 1.0 - rng.random::<f64>(); // (0, 1] — ln stays finite
     let u2: f64 = rng.random::<f64>();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
-/// Outcome of the scale discovery phase.
-#[derive(Debug, Clone)]
-pub struct ScaleInventoryReport {
-    /// Deployed population size.
-    pub n_nodes: usize,
-    /// Per-address flag: discovered directly by its cell's ALOHA.
-    pub discovered: Vec<bool>,
-    /// Per-address flag: unreachable directly, reached through its
-    /// planned relay route.
-    pub relayed: Vec<bool>,
-    /// Synchronized global contention rounds used.
-    pub rounds: u32,
-    /// Contention slots spent, summed over all cells.
-    pub slots_used: u64,
-    /// Collision slots, summed over all cells.
-    pub collisions: u64,
-    /// Extra TDMA slots the relay routes will bill per round.
-    pub relay_slots: u64,
-}
-
-impl ScaleInventoryReport {
-    /// Directly discovered node count.
-    pub fn n_direct(&self) -> usize {
-        self.discovered.iter().filter(|&&d| d).count()
-    }
-
-    /// Relay-reached node count.
-    pub fn n_relayed(&self) -> usize {
-        self.relayed.iter().filter(|&&d| d).count()
-    }
-
-    /// Fraction of the population served (directly or via relays).
-    pub fn coverage(&self) -> f64 {
-        if self.n_nodes == 0 {
-            return 1.0;
-        }
-        (self.n_direct() + self.n_relayed()) as f64 / self.n_nodes as f64
-    }
 }
 
 /// Outcome of the scale monitoring phase (aggregates only — per-node
@@ -774,7 +488,7 @@ pub struct ScaleReport {
     /// Interference horizon used, metres.
     pub horizon_m: f64,
     /// Discovery outcome.
-    pub inventory: ScaleInventoryReport,
+    pub inventory: NetInventoryReport,
     /// Monitoring outcome.
     pub steady: ScaleSteadyReport,
 }
@@ -819,8 +533,8 @@ impl ScaleReport {
 /// Builds the network for `spec` and runs both phases — the one-call
 /// entry point the service layer and FN3 use.
 pub fn run_scale_deployment(spec: &ScaleSpec) -> ScaleReport {
-    let _t = vab_obs::time_stage("net.scale_deployment");
-    let net = ScaleNetwork::build(spec);
+    let _t = vab_obs::time_stage("net.deployment");
+    let net = Network::build(spec);
     let inventory = net.run_inventory();
     let steady = net.run_steady_state(&inventory);
     vab_obs::event!(
@@ -850,7 +564,7 @@ mod tests {
     #[test]
     fn cells_partition_the_population_by_nearest_reader() {
         let spec = ScaleSpec::ocean(200, 3);
-        let net = ScaleNetwork::build(&spec);
+        let net = Network::build(&spec);
         let total: usize = net.cell_members.iter().map(|m| m.len()).sum();
         assert_eq!(total, 200);
         for n in &net.nodes {

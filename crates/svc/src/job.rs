@@ -20,6 +20,17 @@ fn seed_to_json(seed: u64) -> Json {
     Json::Str(seed.to_string())
 }
 
+/// The `n_pairs` field of a Van Atta spec. A Van Atta array is built
+/// from element pairs, so zero is rejected here rather than panicking a
+/// worker at execution.
+fn n_pairs_field(v: &Json) -> Result<usize, String> {
+    match v.u64_field("n_pairs") {
+        Some(0) => Err("n_pairs must be at least 1".into()),
+        Some(n) => Ok(n as usize),
+        None => Err("missing n_pairs".into()),
+    }
+}
+
 fn seed_field(v: &Json, key: &str) -> Option<u64> {
     match v.get(key)? {
         Json::Str(s) => s.parse().ok(),
@@ -61,9 +72,7 @@ impl SystemSpec {
 
     fn from_json(v: &Json) -> Result<Self, String> {
         match v.str_field("kind") {
-            Some("vab") => Ok(SystemSpec::Vab {
-                n_pairs: v.u64_field("n_pairs").ok_or("vab system needs n_pairs")? as usize,
-            }),
+            Some("vab") => Ok(SystemSpec::Vab { n_pairs: n_pairs_field(v)? }),
             Some("pab") => Ok(SystemSpec::Pab),
             Some("conventional") => Ok(SystemSpec::Conventional {
                 n_elements: v
@@ -437,7 +446,7 @@ impl JobSpec {
                     y_m: dim("y_m")?,
                     standoff_m: dim("standoff_m")?,
                     env: EnvSpec::from_json(v.get("env").ok_or("missing env")?)?,
-                    n_pairs: need_usize("n_pairs")?,
+                    n_pairs: n_pairs_field(v)?,
                     seed: seed_field(v, "seed").ok_or("missing seed")?,
                 })
             }
@@ -646,6 +655,8 @@ mod tests {
             r#"{"kind":"net_topology","n_nodes":0,"x_m":60,"y_m":40,"standoff_m":10,"env":{"kind":"river"},"n_pairs":4,"seed":1}"#,
             r#"{"kind":"net_topology","n_nodes":500,"x_m":60,"y_m":40,"standoff_m":10,"env":{"kind":"river"},"n_pairs":4,"seed":1}"#,
             r#"{"kind":"net_topology","n_nodes":8,"x_m":-60,"y_m":40,"standoff_m":10,"env":{"kind":"river"},"n_pairs":4,"seed":1}"#,
+            r#"{"kind":"net_topology","n_nodes":8,"x_m":60,"y_m":40,"standoff_m":10,"env":{"kind":"river"},"n_pairs":0,"seed":1}"#,
+            r#"{"kind":"mc_point","system":{"kind":"vab","n_pairs":0},"env":{"kind":"river"},"range_m":50,"trials":10,"bits":8,"seed":1}"#,
             r#"{"kind":"net_scale","n_nodes":0,"policy":"vbf","seed":1}"#,
             r#"{"kind":"net_scale","n_nodes":2000000,"policy":"vbf","seed":1}"#,
             r#"{"kind":"net_scale","n_nodes":64,"policy":"teleport","seed":1}"#,

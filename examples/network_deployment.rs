@@ -9,6 +9,10 @@
 //! clears the capture threshold — followed by TDMA steady state where each
 //! slot delivers at the owner's actual frame-success probability.
 //!
+//! The deployment runs on the same cell engine as the ocean tier
+//! (`examples/ocean_scale.rs`): the link-budget constructor builds a
+//! one-reader plan, and the shared inventory loop discovers it.
+//!
 //! ```text
 //! cargo run --release --example network_deployment
 //! ```
@@ -26,15 +30,15 @@ fn main() {
     println!("  density:          {:.1} nodes / 1000 m^3", spec.density_per_1000m3());
     println!("  topology digest:  {:016x}", spec.digest());
 
-    let net = Network::build(&spec);
-    let nearest = net.channels.iter().map(|c| c.range_m).fold(f64::INFINITY, f64::min);
-    let farthest = net.channels.iter().map(|c| c.range_m).fold(0.0f64, f64::max);
-    let worst = net.channels.iter().map(|c| c.packet_success).fold(1.0f64, f64::min);
+    let net = Network::build_link_budget(&spec);
+    let nearest = net.nodes.iter().map(|n| n.d_reader_m).fold(f64::INFINITY, f64::min);
+    let farthest = net.max_range_m;
+    let worst = net.nodes.iter().map(|n| n.direct_success).fold(1.0f64, f64::min);
     println!("  reader range:     {nearest:.1} m (nearest) .. {farthest:.1} m (farthest)");
     println!(
         "  frame:            {} channel bits / slot of {:.2} s",
-        net.frame_bits,
-        net.slot_duration_s()
+        net.phy.frame_bits,
+        net.phy.slot_duration_s(net.max_range_m)
     );
     println!("  worst node frame-success: {worst:.3}");
     println!();
@@ -50,7 +54,7 @@ fn main() {
     println!();
 
     println!("=== steady state (TDMA) ===");
-    let steady = net.run_steady_state(&inventory.discovered);
+    let steady = net.run_sampled_steady_state(&inventory.discovered);
     println!("  round duration:   {:.1} s", steady.round_duration_s);
     println!("  aggregate goodput: {:.1} bps", steady.aggregate_goodput_bps);
     println!("  Jain fairness:    {:.4}", steady.jain_fairness);

@@ -11,9 +11,11 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use vab::acoustics::environment::{Environment, SeaState};
 use vab::acoustics::geometry::Position;
+use vab::net::scale::REUSE_GRID;
 use vab::net::{
-    grid_interference_lin, jain_fairness, pairwise_interference_lin, run_deployment, sinr_db,
-    CaptureModel, NetworkSpec, PointSource, SpatialGrid, Topology,
+    grid_interference_lin, jain_fairness, pairwise_interference_lin, run_deployment,
+    run_scale_deployment, sinr_db, CaptureModel, NetEnv, Network, NetworkSpec, PointSource,
+    RoutePolicy, ScaleSpec, SpatialGrid, Topology,
 };
 use vab::svc::ResultCache;
 use vab::util::hash::fnv1a64;
@@ -62,6 +64,24 @@ fn fn1_quick_csv_matches_the_pre_scale_golden() {
     assert_eq!(csv, golden, "FN1 quick CSV drifted from the pre-scale-tier golden fixture");
 }
 
+/// FN2 quick CSV, pinned byte-for-byte against the bytes the two-engine
+/// network stack produced before the paper tier folded onto the shared
+/// cell engine. Regenerate only for a deliberate physics change.
+#[test]
+fn fn2_quick_csv_matches_the_golden() {
+    let csv = fn2_with_cache(&ExpConfig::quick(), Arc::new(ResultCache::in_memory(64))).to_csv();
+    let golden = include_str!("fixtures/fn2_quick_golden.csv");
+    assert_eq!(csv, golden, "FN2 quick CSV drifted from the golden fixture");
+}
+
+/// FN3 quick CSV (up to 65,536 nodes), pinned the same way as FN2.
+#[test]
+fn fn3_quick_csv_matches_the_golden() {
+    let csv = fn3_with_cache(&ExpConfig::quick(), Arc::new(ResultCache::in_memory(64))).to_csv();
+    let golden = include_str!("fixtures/fn3_quick_golden.csv");
+    assert_eq!(csv, golden, "FN3 quick CSV drifted from the golden fixture");
+}
+
 /// Pre-widening topology specs keep their content addresses and reports:
 /// widening `Addr` to `u32` and removing the 256-node cap must not move
 /// a single byte of the historical ≤256-node results.
@@ -86,6 +106,78 @@ fn pre_widening_specs_keep_digests_and_reports() {
         0x1945_7140_5e6d_7ed6,
         "river(64, 42) deployment report drifted from the pre-scale-tier bytes"
     );
+    // An ocean environment and a densely packed box exercise the
+    // link-budget channels away from the canonical river volume.
+    let mut ocean = NetworkSpec::river(48, 11);
+    ocean.env = NetEnv::Ocean { sea_state: 2 };
+    let mut dense = NetworkSpec::river(96, 5);
+    dense.volume = dense.volume.scaled(0.25);
+    for (spec, want) in [(ocean, 0x9a80_22bd_885a_62c0_u64), (dense, 0x4cb7_3fdf_4270_03fb)] {
+        let report = run_deployment(&spec).to_json().render();
+        assert_eq!(fnv1a64(report.as_bytes()), want, "report of {} drifted", spec.canonical());
+    }
+    // Ocean-plan reports under the two non-default routing policies (the
+    // benchmark golden pins VBF).
+    for (policy, want) in [
+        (RoutePolicy::Direct, 0x926c_c449_a023_534c_u64),
+        (RoutePolicy::ClusterHead, 0xbe17_2fe3_7acd_90c4),
+    ] {
+        let mut spec = ScaleSpec::ocean(4096, 2023);
+        spec.policy = policy;
+        let report = run_scale_deployment(&spec).to_json().render();
+        assert_eq!(
+            fnv1a64(report.as_bytes()),
+            want,
+            "ocean(4096, 2023) report under {} drifted",
+            policy.as_str()
+        );
+    }
+}
+
+/// The production interference path is the oracle's path: when the
+/// horizon covers the whole box, each reader's sinks, summed in ascending
+/// address order, are bit-identical to the pairwise reference over that
+/// reader's co-channel foreign nodes.
+#[test]
+fn production_sinks_match_the_pairwise_oracle_when_the_horizon_covers_the_box() {
+    // A 10 × 10 reader grid, so the 8 × 8 reuse plan has co-channel
+    // pairs, packed into a box well inside the horizon.
+    let spec = ScaleSpec { n_readers: 100, x_m: 300.0, y_m: 300.0, ..ScaleSpec::ocean(600, 17) };
+    let net = Network::build(&spec);
+    let depth = net.phy.env.depth.value();
+    let diagonal = (spec.x_m.powi(2) + spec.y_m.powi(2) + depth.powi(2)).sqrt();
+    assert!(net.horizon_m >= diagonal, "horizon {} m must cover the box", net.horizon_m);
+    let g = 10;
+    let channel = |r: usize| (r % g % REUSE_GRID) + REUSE_GRID * (r / g % REUSE_GRID);
+    let mut co_channel_pairs = 0;
+    for (c, reader) in net.readers.iter().enumerate() {
+        let mut production = 0.0;
+        let mut sources = Vec::new();
+        for node in &net.nodes {
+            for &(victim, rx) in &net.sinks[node.addr as usize] {
+                if victim as usize == c {
+                    production += rx;
+                }
+            }
+            let cell = node.cell as usize;
+            if cell != c && channel(cell) == channel(c) {
+                sources.push(PointSource {
+                    addr: node.addr,
+                    pos: node.pos,
+                    level_db_at_1m: node.reply_db_at_1m,
+                });
+            }
+        }
+        co_channel_pairs += sources.len();
+        let oracle =
+            pairwise_interference_lin(&net.phy.env, net.phy.carrier, &sources, *reader, None);
+        assert_eq!(
+            production.to_bits(),
+            oracle.to_bits(),
+            "reader {c}: sinks drifted from the oracle"
+        );
+    }
+    assert!(co_channel_pairs > 0, "the plan must have co-channel interference to check");
 }
 
 /// The BENCH acceptance target for the scale tier: at N = 4096 in a
