@@ -4,20 +4,28 @@
 //! timeline: each input segment falling between two snapshots is convolved
 //! (overlap-save FFT, plan and scratch reused) with taps linearly
 //! interpolated at the segment's midpoint, and the segment outputs
-//! overlap-add into the result. A single-snapshot (static) bank collapses
+//! overlap-add into the result. Past the last snapshot the channel holds
+//! that snapshot, so the whole tail after it is one more segment: an
+//! `n`-snapshot bank retunes the FFT plan at most `n` times per call,
+//! however long the waveform. A single-snapshot (static) bank collapses
 //! to one convolution — which then matches the synthetic
 //! `apply_baseband` path to FFT rounding.
+
+use std::ops::Range;
 
 use vab_util::complex::C64;
 use vab_util::ola::OlaPlan;
 
 /// A stateful replay convolver over one tap matrix (one-way or round-trip).
 ///
-/// Construction allocates everything (FFT plan, interpolation buffer,
-/// segment scratch); [`ReplayChannel::apply`] then allocates only its
-/// output vector.
+/// Construction allocates everything (FFT plan, interpolation buffer);
+/// [`ReplayChannel::apply`] then allocates only its output vector. Inside
+/// the bank the taps interpolate linearly between snapshots; from the
+/// first sample at or after the last snapshot on, one segment replays the
+/// last snapshot unchanged.
 #[derive(Debug, Clone)]
 pub struct ReplayChannel {
+    /// Snapshot rows; exactly one for a static bank.
     snaps: Vec<Vec<C64>>,
     /// Snapshot spacing, seconds (zero for a static bank).
     dt: f64,
@@ -27,13 +35,13 @@ pub struct ReplayChannel {
     taps_len: usize,
     plan: OlaPlan,
     interp: Vec<C64>,
-    seg_out: Vec<C64>,
 }
 
 impl ReplayChannel {
     /// Builds a replay channel over `snaps` (snapshot-major tap rows,
     /// all the same length) spaced `dt` seconds apart, replaying from
-    /// bank time `t0` at sample rate `fs`.
+    /// bank time `t0` at sample rate `fs`. A zero `dt` replays the first
+    /// snapshot as a static bank.
     ///
     /// # Panics
     /// Panics when `snaps` is empty, rows are ragged, or `fs`/`dt`/`t0`
@@ -46,16 +54,15 @@ impl ReplayChannel {
         assert!(fs.is_finite() && fs > 0.0, "bad sample rate {fs}");
         assert!(dt.is_finite() && dt >= 0.0, "bad snapshot spacing {dt}");
         assert!(t0.is_finite() && t0 >= 0.0, "bad start time {t0}");
-        let plan = OlaPlan::new(&snaps[0]);
+        let snaps = if dt > 0.0 { snaps } else { &snaps[..1] };
         Self {
             snaps: snaps.to_vec(),
             dt,
             fs,
             t0,
             taps_len,
-            plan,
+            plan: OlaPlan::new(&snaps[0]),
             interp: vec![C64::ZERO; taps_len],
-            seg_out: Vec::new(),
         }
     }
 
@@ -64,31 +71,48 @@ impl ReplayChannel {
         self.taps_len
     }
 
-    /// Interpolation interval index for the sample at time `t` (clamped to
-    /// the last interval; a static bank is always interval 0).
-    fn interval_at(&self, t: f64) -> usize {
-        if self.snaps.len() < 2 || self.dt <= 0.0 {
-            return 0;
-        }
-        ((t / self.dt).floor() as usize).min(self.snaps.len() - 2)
+    /// Splits a `len`-sample input into the runs that share one tap
+    /// tuning, in order: `(samples, Some(k))` for the part of interpolation
+    /// interval `k` (between snapshots `k` and `k + 1`) the input covers,
+    /// then `(samples, None)` for everything from the first sample at or
+    /// after the last snapshot on. Empty runs are skipped, so there are at
+    /// most `n_snapshots` runs. Boundaries are computed in sample-index
+    /// space, `⌈(bank time − t0)·fs⌉`, so float rounding cannot split a
+    /// run.
+    fn segments(&self, len: usize) -> impl Iterator<Item = (Range<usize>, Option<usize>)> {
+        let intervals = self.snaps.len() - 1;
+        let (dt, fs, t0) = (self.dt, self.fs, self.t0);
+        let mut start = 0usize;
+        (0..=intervals).filter_map(move |k| {
+            let end = if k < intervals {
+                let boundary = (((k + 1) as f64 * dt - t0) * fs).ceil();
+                boundary.clamp(0.0, len as f64) as usize
+            } else {
+                len
+            };
+            if end <= start {
+                return None;
+            }
+            let run = start..end;
+            start = end;
+            Some((run, (k < intervals).then_some(k)))
+        })
     }
 
-    /// Linearly interpolates the taps at bank time `t` into the reusable
-    /// buffer and retunes the convolution plan.
-    fn tune_to(&mut self, t: f64) {
-        if self.snaps.len() < 2 || self.dt <= 0.0 {
-            self.plan.set_taps(&self.snaps[0]);
+    /// Retunes the convolution plan for `run`: taps linearly interpolated
+    /// at the run's midpoint inside interval `k`, or the last snapshot.
+    fn tune(&mut self, run: &Range<usize>, interval: Option<usize>) {
+        let Some(k) = interval else {
+            self.plan.set_taps(&self.snaps[self.snaps.len() - 1]);
             return;
-        }
-        let k = self.interval_at(t);
-        let alpha = ((t / self.dt) - k as f64).clamp(0.0, 1.0);
+        };
+        let mid = self.t0 + (run.start + run.end) as f64 / 2.0 / self.fs;
+        let alpha = ((mid / self.dt) - k as f64).clamp(0.0, 1.0);
         let (a, b) = (&self.snaps[k], &self.snaps[k + 1]);
         for ((o, &x), &y) in self.interp.iter_mut().zip(a).zip(b) {
             *o = x.scale(1.0 - alpha) + y.scale(alpha);
         }
-        let interp = std::mem::take(&mut self.interp);
-        self.plan.set_taps(&interp);
-        self.interp = interp;
+        self.plan.set_taps(&self.interp);
     }
 
     /// Replays `x` through the channel: output length
@@ -98,30 +122,10 @@ impl ReplayChannel {
         if x.is_empty() {
             return Vec::new();
         }
-        let out_len = x.len() + self.taps_len - 1;
-        let mut y = vec![C64::ZERO; out_len];
-        let static_bank = self.snaps.len() < 2 || self.dt <= 0.0;
-        let mut start = 0usize;
-        while start < x.len() {
-            // Maximal run of samples inside one interpolation interval.
-            let end = if static_bank {
-                x.len()
-            } else {
-                let k = self.interval_at(self.t0 + start as f64 / self.fs);
-                // First sample index that leaves interval k.
-                let boundary = ((k + 1) as f64 * self.dt - self.t0) * self.fs;
-                (boundary.ceil() as usize).clamp(start + 1, x.len())
-            };
-            let mid = self.t0 + (start + end) as f64 / 2.0 / self.fs;
-            self.tune_to(mid);
-            let seg_out = std::mem::take(&mut self.seg_out);
-            let mut seg_out = seg_out;
-            self.plan.convolve_into(&x[start..end], &mut seg_out);
-            for (j, v) in seg_out.iter().enumerate() {
-                y[start + j] += *v;
-            }
-            self.seg_out = seg_out;
-            start = end;
+        let mut y = vec![C64::ZERO; x.len() + self.taps_len - 1];
+        for (run, interval) in self.segments(x.len()) {
+            self.tune(&run, interval);
+            self.plan.convolve_add_into(&x[run.clone()], &mut y[run.start..]);
         }
         y
     }
@@ -192,6 +196,77 @@ mod tests {
         let mut ch = ReplayChannel::new(&snaps, 0.1, 1000.0, 0.0);
         let y = ch.apply(&x);
         assert!(y[10].re < y[150].re && y[150].re < y[250].re, "gain must rise along the bank");
+    }
+
+    /// Linear interpolation of two snapshot rows at weight `alpha`.
+    fn lerp(a: &[C64], b: &[C64], alpha: f64) -> Vec<C64> {
+        a.iter().zip(b).map(|(&x, &y)| x.scale(1.0 - alpha) + y.scale(alpha)).collect()
+    }
+
+    #[test]
+    fn long_replay_is_segmentwise_direct_convolution() {
+        // Three snapshots 0.125 s apart at fs = 1024: the interval
+        // boundaries fall exactly on samples 128 and 256, and the input
+        // runs on for ten times the bank's span.
+        let snaps: Vec<Vec<C64>> = (0..3)
+            .map(|s| {
+                (0..40)
+                    .map(|i| C64::new((i as f64 * 0.3 + s as f64).sin(), 0.1 * s as f64 + 0.05))
+                    .collect()
+            })
+            .collect();
+        let x = tone(2560);
+        let mut ch = ReplayChannel::new(&snaps, 0.125, 1024.0, 0.0);
+        let got = ch.apply(&x);
+        // Each in-bank run is tuned at its midpoint (alpha = 0.5); the tail
+        // replays the last snapshot.
+        let mut want = vec![C64::ZERO; x.len() + 39];
+        for (run, taps) in [
+            (0..128, lerp(&snaps[0], &snaps[1], 0.5)),
+            (128..256, lerp(&snaps[1], &snaps[2], 0.5)),
+            (256..2560, snaps[2].clone()),
+        ] {
+            for (j, v) in direct(&x[run.clone()], &taps).into_iter().enumerate() {
+                want[run.start + j] += v;
+            }
+        }
+        assert_eq!(got.len(), want.len());
+        let scale = want.iter().map(|v| v.abs()).fold(1.0, f64::max);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert!((*g - *w).abs() / scale < 1e-9, "sample {i}: {g:?} vs {w:?}");
+        }
+    }
+
+    #[test]
+    fn apply_tunes_at_most_once_per_snapshot() {
+        let taps = vec![C64::ONE; 5];
+        for n in [1usize, 2, 3, 8] {
+            let snaps = vec![taps.clone(); n];
+            for t0 in [0.0, 0.0003, 0.049, 0.1, 0.1 + 1e-12, 0.33, 0.7, 5.0] {
+                for len in [1usize, 2, 99, 100, 101, 777, 19_000] {
+                    let ch = ReplayChannel::new(&snaps, 0.1, 1000.0, t0);
+                    let runs: Vec<_> = ch.segments(len).collect();
+                    assert!(runs.len() <= n, "n={n} t0={t0} len={len}: {runs:?}");
+                    // The runs tile the input in order, none empty.
+                    let mut next = 0;
+                    for (run, interval) in &runs {
+                        assert_eq!(run.start, next, "n={n} t0={t0} len={len}: {runs:?}");
+                        assert!(run.end > run.start);
+                        next = run.end;
+                        // An in-bank run lies inside its own interval.
+                        if let Some(k) = interval {
+                            let (lo, hi) = (*k as f64 * 0.1, (*k + 1) as f64 * 0.1);
+                            let first = t0 + run.start as f64 / 1000.0;
+                            let last = t0 + (run.end - 1) as f64 / 1000.0;
+                            assert!(first >= lo - 1e-9 && last < hi + 1e-9, "{runs:?}");
+                        }
+                    }
+                    assert_eq!(next, len);
+                    // Only the last run may hold the last snapshot.
+                    assert!(runs[..runs.len() - 1].iter().all(|(_, k)| k.is_some()));
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 use crate::complex::C64;
 use crate::fft::{next_pow2, plan, Fft};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Tap count at and above which [`convolve_auto`] switches from the exact
@@ -115,60 +116,87 @@ impl OlaPlan {
     /// After the one-time construction, this performs no allocation
     /// beyond growing `out`.
     pub fn convolve_into(&mut self, x: &[C64], out: &mut Vec<C64>) {
+        out.clear();
         if x.is_empty() {
-            out.clear();
             return;
         }
-        let m = self.taps_len;
-        let out_len = x.len() + m - 1;
-        out.clear();
-        out.resize(out_len, C64::ZERO);
-        let mut pos = 0usize; // next output index to produce
-        while pos < out_len {
-            // Window covers padded input [pos − (m−1), pos + step); the
-            // virtual padding is m−1 leading zeros plus a zero tail that
-            // flushes the final taps. Copy the in-range slice, zero the rest.
-            let start = pos as isize - (m as isize - 1);
-            let lo = start.max(0) as usize;
-            let hi = (start + self.fft_n as isize).clamp(0, x.len() as isize) as usize;
-            self.scratch.fill(C64::ZERO);
-            if lo < hi {
-                let dst = (lo as isize - start) as usize;
-                self.scratch[dst..dst + (hi - lo)].copy_from_slice(&x[lo..hi]);
-            }
-            self.fft.forward(&mut self.scratch);
-            for (s, h) in self.scratch.iter_mut().zip(&self.h_spec) {
-                *s *= *h;
-            }
-            self.fft.inverse(&mut self.scratch);
-            let take = self.step.min(out_len - pos);
-            out[pos..pos + take].copy_from_slice(&self.scratch[m - 1..m - 1 + take]);
-            pos += take;
+        out.resize(x.len() + self.taps_len - 1, C64::ZERO);
+        self.for_each_block(
+            x.len(),
+            |dst, src| dst.copy_from_slice(&x[src]),
+            |pos, block| out[pos..pos + block.len()].copy_from_slice(block),
+        );
+    }
+
+    /// Full linear convolution `x ⊛ taps` *accumulated* into `out`
+    /// (`out[j] += y[j]` for `j < x.len() + taps_len − 1`): each block adds
+    /// straight into the caller's buffer, so a segmented convolution needs
+    /// no per-segment output vector. Never allocates.
+    ///
+    /// # Panics
+    /// Panics when `out` is shorter than the full convolution.
+    pub fn convolve_add_into(&mut self, x: &[C64], out: &mut [C64]) {
+        if x.is_empty() {
+            return;
         }
+        assert!(out.len() >= x.len() + self.taps_len - 1, "output too short for the convolution");
+        self.for_each_block(
+            x.len(),
+            |dst, src| dst.copy_from_slice(&x[src]),
+            |pos, block| {
+                for (o, b) in out[pos..pos + block.len()].iter_mut().zip(block) {
+                    *o += *b;
+                }
+            },
+        );
     }
 
     /// Full linear convolution of a real signal against real taps,
     /// writing the real part of the product into `out`.
     pub fn convolve_real_into(&mut self, x: &[f64], out: &mut Vec<f64>) {
+        out.clear();
         if x.is_empty() {
-            out.clear();
             return;
         }
+        out.resize(x.len() + self.taps_len - 1, 0.0);
+        self.for_each_block(
+            x.len(),
+            |dst, src| {
+                for (d, &v) in dst.iter_mut().zip(&x[src]) {
+                    *d = C64::real(v);
+                }
+            },
+            |pos, block| {
+                for (o, b) in out[pos..pos + block.len()].iter_mut().zip(block) {
+                    *o = b.re;
+                }
+            },
+        );
+    }
+
+    /// The overlap-save block loop over an `x_len`-sample input. Each
+    /// window covers padded input `[pos − (m−1), pos + step)`; the virtual
+    /// padding is `m−1` leading zeros plus a zero tail that flushes the
+    /// final taps. `load(dst, range)` fills `dst` from input `range` (the
+    /// rest of the window is zeroed); `emit(pos, block)` receives the valid
+    /// output samples `[pos, pos + block.len())`.
+    fn for_each_block(
+        &mut self,
+        x_len: usize,
+        mut load: impl FnMut(&mut [C64], Range<usize>),
+        mut emit: impl FnMut(usize, &[C64]),
+    ) {
         let m = self.taps_len;
-        let out_len = x.len() + m - 1;
-        out.clear();
-        out.resize(out_len, 0.0);
-        let mut pos = 0usize;
+        let out_len = x_len + m - 1;
+        let mut pos = 0usize; // next output index to produce
         while pos < out_len {
             let start = pos as isize - (m as isize - 1);
             let lo = start.max(0) as usize;
-            let hi = (start + self.fft_n as isize).clamp(0, x.len() as isize) as usize;
+            let hi = (start + self.fft_n as isize).clamp(0, x_len as isize) as usize;
             self.scratch.fill(C64::ZERO);
             if lo < hi {
                 let dst = (lo as isize - start) as usize;
-                for (s, &v) in self.scratch[dst..dst + (hi - lo)].iter_mut().zip(&x[lo..hi]) {
-                    *s = C64::real(v);
-                }
+                load(&mut self.scratch[dst..dst + (hi - lo)], lo..hi);
             }
             self.fft.forward(&mut self.scratch);
             for (s, h) in self.scratch.iter_mut().zip(&self.h_spec) {
@@ -176,9 +204,7 @@ impl OlaPlan {
             }
             self.fft.inverse(&mut self.scratch);
             let take = self.step.min(out_len - pos);
-            for (o, s) in out[pos..pos + take].iter_mut().zip(&self.scratch[m - 1..m - 1 + take]) {
-                *o = s.re;
-            }
+            emit(pos, &self.scratch[m - 1..m - 1 + take]);
             pos += take;
         }
     }
@@ -297,6 +323,28 @@ mod tests {
         assert_eq!(plan.taps_len(), 2048);
         plan.convolve_into(&x, &mut out);
         assert_eq!(out.len(), x.len() + 2048 - 1);
+    }
+
+    #[test]
+    fn convolve_add_into_is_convolve_into_then_add() {
+        let x: Vec<C64> =
+            (0..700).map(|i| C64::new((i as f64 * 0.07).cos(), (i as f64 * 0.3).sin())).collect();
+        let h: Vec<C64> = (0..150).map(|i| C64::new((i as f64 * 0.11).sin(), 0.2)).collect();
+        let base: Vec<C64> =
+            (0..x.len() + h.len() + 9).map(|i| C64::new(i as f64 * 0.5, -(i as f64))).collect();
+        let mut plan = OlaPlan::new(&h);
+        let mut y = Vec::new();
+        plan.convolve_into(&x, &mut y);
+        let mut want = base.clone();
+        for (w, v) in want.iter_mut().zip(&y) {
+            *w += *v;
+        }
+        let mut got = base;
+        plan.convolve_add_into(&x, &mut got);
+        // Bit for bit, including the untouched tail past the convolution.
+        let bits =
+            |v: &[C64]| v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

@@ -145,6 +145,33 @@ fn soft_viterbi_makes_at_most_two_allocations_per_call() {
     assert!(cum_allocs <= 2, "fec.viterbi made {cum_allocs} allocations on one 512-bit frame");
 }
 
+/// A replay channel allocates only its output vector, from the first call
+/// on: one `replay.apply` on a waveform that runs far past the bank's last
+/// snapshot makes exactly one allocation.
+#[test]
+fn replay_apply_allocates_only_its_output() {
+    use vab::util::complex::C64;
+    let _g = profile_lock();
+    let snaps: Vec<Vec<C64>> = (0..3)
+        .map(|s| (0..200).map(|i| C64::new((i as f64 * 0.1 + s as f64).cos(), 0.1)).collect())
+        .collect();
+    // 0.2 s of bank, 2 s of waveform.
+    let mut ch = vab_replay::ReplayChannel::new(&snaps, 0.1, 1000.0, 0.03);
+    let x: Vec<C64> = (0..2000).map(|i| C64::cis(i as f64 * 0.2)).collect();
+    let was_profiling = vab::obs::alloc::profiling();
+    vab::obs::alloc::enable();
+    vab::obs::alloc::reset();
+    let y = ch.apply(&x);
+    let counts = stage_counts();
+    if !was_profiling {
+        vab::obs::alloc::disable();
+    }
+    assert_eq!(y.len(), x.len() + 199);
+    let (calls, _, _, cum_allocs, _) = counts["replay.apply"];
+    assert_eq!(calls, 1, "{counts:?}");
+    assert_eq!(cum_allocs, 1, "replay.apply made {cum_allocs} allocations: {counts:?}");
+}
+
 /// A profiled metrics snapshot must survive the full surfacing path:
 /// `Snapshot::to_json()` → `MetricsDoc::parse` → `profile::render`,
 /// with self/cumulative attribution intact.
