@@ -42,6 +42,22 @@ pub struct AlohaReader {
     pub slots_used: u64,
     /// Total collisions observed.
     pub collisions: u64,
+    scratch: RoundScratch,
+}
+
+/// Per-round buffers, kept across rounds so a round allocates only when
+/// the window or the population outgrows every earlier round.
+#[derive(Debug, Clone, Default)]
+struct RoundScratch {
+    /// Slot drawn by each `pending` entry, in `pending` order.
+    slot_of: Vec<u32>,
+    /// Counting-sort offsets; after bucketing, `end[s]` is one past slot
+    /// `s`'s last respondent in `bucket`.
+    end: Vec<u32>,
+    /// Respondents grouped by slot, each slot in `pending` order.
+    bucket: Vec<Addr>,
+    /// The address each slot identified, if any.
+    winner: Vec<Option<Addr>>,
 }
 
 impl AlohaReader {
@@ -64,6 +80,7 @@ impl AlohaReader {
             identified: Vec::new(),
             slots_used: 0,
             collisions: 0,
+            scratch: RoundScratch::default(),
         }
     }
 
@@ -73,18 +90,14 @@ impl AlohaReader {
     }
 
     /// Runs one contention round against the (hidden) set of unidentified
-    /// nodes, using `rng` for their slot choices. Returns outcomes per slot.
+    /// nodes, using `rng` for their slot choices.
     ///
     /// `pending` is mutated: identified nodes are removed.
     ///
     /// Slots are resolved with the abstract [`classify_slot`] rule (any two
     /// respondents collide). Use [`AlohaReader::run_round_with`] to plug in
     /// a physical-layer resolver instead.
-    pub fn run_round<R: Rng + ?Sized>(
-        &mut self,
-        pending: &mut Vec<Addr>,
-        rng: &mut R,
-    ) -> Vec<SlotOutcome> {
+    pub fn run_round<R: Rng + ?Sized>(&mut self, pending: &mut Vec<Addr>, rng: &mut R) {
         self.run_round_with(pending, rng, classify_slot)
     }
 
@@ -99,46 +112,82 @@ impl AlohaReader {
     /// the hydrophone and decodes. The resolver must return `Idle` only for
     /// empty slots and may return `Single(addr)` only for an `addr` that is
     /// actually in the slot — window adaptation and identification both
-    /// trust it.
+    /// trust it. `pending` holds distinct addresses.
+    ///
+    /// Every node draws its slot in `pending` order; one stable counting
+    /// sort then groups the respondents by slot (each slot's slice in
+    /// `pending` order), `resolve` sees the slots in slot order, and
+    /// `pending` is compacted once, keeping its order. The buffers belong
+    /// to the reader, so rounds allocate only while they grow.
     pub fn run_round_with<R: Rng + ?Sized, F>(
         &mut self,
         pending: &mut Vec<Addr>,
         rng: &mut R,
         mut resolve: F,
-    ) -> Vec<SlotOutcome>
-    where
+    ) where
         F: FnMut(&[Addr]) -> SlotOutcome,
     {
         let w = self.window;
-        let mut chosen: Vec<Vec<Addr>> = vec![Vec::new(); w];
-        for &addr in pending.iter() {
-            let s = rng.random_range(0..w);
-            chosen[s].push(addr);
+        let RoundScratch { slot_of, end, bucket, winner } = &mut self.scratch;
+        slot_of.clear();
+        slot_of.extend(pending.iter().map(|_| rng.random_range(0..w) as u32));
+        // Counting sort: counts, exclusive prefix sums, then a stable
+        // placement that leaves `end[s]` one past slot `s`.
+        end.clear();
+        end.resize(w, 0);
+        for &s in slot_of.iter() {
+            end[s as usize] += 1;
         }
-        let outcomes: Vec<SlotOutcome> = chosen.iter().map(|v| resolve(v)).collect();
+        let mut start = 0;
+        for e in end.iter_mut() {
+            let count = *e;
+            *e = start;
+            start += count;
+        }
+        bucket.clear();
+        bucket.resize(pending.len(), 0);
+        for (&addr, &s) in pending.iter().zip(slot_of.iter()) {
+            let cursor = &mut end[s as usize];
+            bucket[*cursor as usize] = addr;
+            *cursor += 1;
+        }
+        winner.clear();
+        winner.resize(w, None);
         let mut idles = 0usize;
         let mut colls = 0usize;
-        for o in &outcomes {
-            self.slots_used += 1;
-            match o {
+        let mut lo = 0;
+        for (&hi, won) in end.iter().zip(winner.iter_mut()) {
+            let hi = hi as usize;
+            match resolve(&bucket[lo..hi]) {
                 SlotOutcome::Idle => idles += 1,
                 SlotOutcome::Single(addr) => {
-                    self.identified.push(*addr);
-                    pending.retain(|&a| a != *addr);
+                    self.identified.push(addr);
+                    *won = Some(addr);
                 }
                 SlotOutcome::Collision => {
                     colls += 1;
                     self.collisions += 1;
                 }
             }
+            lo = hi;
         }
+        self.slots_used += w as u64;
+        // Identified nodes leave `pending`; everyone else keeps their place.
+        let mut kept = 0;
+        for i in 0..pending.len() {
+            let addr = pending[i];
+            if winner[slot_of[i] as usize] != Some(addr) {
+                pending[kept] = addr;
+                kept += 1;
+            }
+        }
+        pending.truncate(kept);
         // Window adaptation: aim for ~one node per slot.
         if colls * 2 > w {
             self.window = (self.window * 2).min(self.max_window);
         } else if idles * 2 > w && colls == 0 {
             self.window = (self.window / 2).max(self.min_window);
         }
-        outcomes
     }
 }
 
@@ -157,6 +206,119 @@ pub fn slot_success_probability(n: usize, w: usize) -> f64 {
 mod tests {
     use super::*;
     use vab_util::rng::seeded;
+
+    /// The bucketing round as it stood before the counting sort, kept as
+    /// the oracle: one `Vec` per slot, every slot resolved before any
+    /// bookkeeping, one `retain` per discovery.
+    fn naive_round_with<R: Rng + ?Sized, F>(
+        reader: &mut AlohaReader,
+        pending: &mut Vec<Addr>,
+        rng: &mut R,
+        mut resolve: F,
+    ) where
+        F: FnMut(&[Addr]) -> SlotOutcome,
+    {
+        let w = reader.window;
+        let mut chosen: Vec<Vec<Addr>> = vec![Vec::new(); w];
+        for &addr in pending.iter() {
+            let s = rng.random_range(0..w);
+            chosen[s].push(addr);
+        }
+        let outcomes: Vec<SlotOutcome> = chosen.iter().map(|v| resolve(v)).collect();
+        let mut idles = 0usize;
+        let mut colls = 0usize;
+        for o in &outcomes {
+            reader.slots_used += 1;
+            match o {
+                SlotOutcome::Idle => idles += 1,
+                SlotOutcome::Single(addr) => {
+                    reader.identified.push(*addr);
+                    pending.retain(|&a| a != *addr);
+                }
+                SlotOutcome::Collision => {
+                    colls += 1;
+                    reader.collisions += 1;
+                }
+            }
+        }
+        if colls * 2 > w {
+            reader.window = (reader.window * 2).min(reader.max_window);
+        } else if idles * 2 > w && colls == 0 {
+            reader.window = (reader.window / 2).max(reader.min_window);
+        }
+    }
+
+    /// A capture-style resolver: a slot's first respondent decodes with
+    /// probability 1/occupancy on a draw from `decode`, so the oracle
+    /// comparison also pins the order slots are resolved in and the
+    /// order of the respondents within each slot.
+    fn capture(decode: &mut rand::rngs::StdRng, resp: &[Addr]) -> SlotOutcome {
+        let Some(&first) = resp.first() else {
+            return SlotOutcome::Idle;
+        };
+        if decode.random::<f64>() < 1.0 / resp.len() as f64 {
+            SlotOutcome::Single(first)
+        } else {
+            SlotOutcome::Collision
+        }
+    }
+
+    #[test]
+    fn counting_sort_rounds_match_the_naive_oracle() {
+        for seed in 0..8u64 {
+            for population in [0usize, 1, 2, 7, 33, 200, 1000] {
+                // Sparse addresses in a seed-shuffled order, so neither
+                // the address values nor `pending` order are trivial.
+                let mut members: Vec<Addr> = (0..population as Addr).map(|i| 3 * i + 1).collect();
+                let mut shuffle = seeded(seed ^ 0x5F);
+                for i in (1..members.len()).rev() {
+                    members.swap(i, shuffle.random_range(0..=i));
+                }
+                for window in [1usize, 2, 4, 16, 64, 512] {
+                    for use_capture in [false, true] {
+                        let mut fast = AlohaReader::with_max_window(window, 2048);
+                        let mut slow = fast.clone();
+                        let (mut fast_pending, mut slow_pending) =
+                            (members.clone(), members.clone());
+                        let (mut fast_rng, mut slow_rng) = (seeded(seed), seeded(seed));
+                        let (mut fast_dec, mut slow_dec) = (seeded(!seed), seeded(!seed));
+                        for round in 0..40 {
+                            if use_capture {
+                                fast.run_round_with(&mut fast_pending, &mut fast_rng, |r| {
+                                    capture(&mut fast_dec, r)
+                                });
+                                naive_round_with(
+                                    &mut slow,
+                                    &mut slow_pending,
+                                    &mut slow_rng,
+                                    |r| capture(&mut slow_dec, r),
+                                );
+                            } else {
+                                fast.run_round(&mut fast_pending, &mut fast_rng);
+                                naive_round_with(
+                                    &mut slow,
+                                    &mut slow_pending,
+                                    &mut slow_rng,
+                                    classify_slot,
+                                );
+                            }
+                            let at = format!(
+                                "seed {seed}, n {population}, w {window}, capture {use_capture}, round {round}"
+                            );
+                            assert_eq!(fast.identified, slow.identified, "identified: {at}");
+                            assert_eq!(fast_pending, slow_pending, "pending: {at}");
+                            assert_eq!(fast.window(), slow.window(), "window: {at}");
+                            assert_eq!(fast.slots_used, slow.slots_used, "slots: {at}");
+                            assert_eq!(fast.collisions, slow.collisions, "collisions: {at}");
+                            if slow_pending.is_empty() {
+                                break;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn classification() {

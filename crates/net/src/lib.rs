@@ -21,8 +21,9 @@
 //!   no foreign readers and so no interference sinks; faithful at
 //!   N ≲ a few thousand;
 //! * the **ocean tier** ([`Network::build`]) — multi-reader FDM cells,
-//!   closed-form channels, grid-culled co-channel interference ([`grid`])
-//!   and multi-hop relay routes ([`route`]); runs 65k+ nodes in seconds.
+//!   closed-form channels, horizon-culled co-channel interference
+//!   ([`grid`]) and multi-hop relay routes ([`route`]); runs 65k nodes
+//!   in well under a second.
 //!
 //! Placement, the spec types and their digests, the report schemas and
 //! the steady-state models stay per tier: the paper tier samples
@@ -39,15 +40,19 @@
 //!   paper tier's sampled steady state and [`DeploymentReport`];
 //! * [`channel`] — the link-budget constructor, in the linear-power
 //!   units superposition needs;
-//! * [`grid`] — the uniform spatial grid and absorption-derived
-//!   interference horizon (bit-identical to pairwise below the horizon);
+//! * [`grid`] — the absorption-derived interference horizon, the
+//!   per-source contribution every sink uses, and the pairwise and
+//!   spatial-grid aggregation references (bit-identical below the
+//!   horizon);
 //! * [`route`] — VBF and cluster-head relay planning for rim nodes;
 //! * [`scale`] — the closed-form constructor, the ocean steady state and
 //!   [`ScaleReport`].
 //!
-//! Each deployment is single-threaded and deterministic in its spec;
-//! campaigns parallelize *across* deployments through the `vab-svc`
-//! worker pool, which caches each report by content address.
+//! Each deployment is deterministic in its spec at any worker count:
+//! inventory runs its independent interaction classes on scoped workers
+//! ([`network`]), and campaigns parallelize *across* deployments through
+//! the `vab-svc` worker pool, which caches each report by content
+//! address.
 //!
 //! ## Example: run a small deployment end to end
 //!

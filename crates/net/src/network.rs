@@ -12,10 +12,22 @@
 //! steady state lives here too; the ocean tier's expected-value one lives
 //! with its constructor. Both read the one node table.
 //!
-//! Everything here is single-threaded and seed-pure per deployment —
-//! parallelism belongs one layer up (the `vab-svc` worker pool shards
-//! *across* topologies), which is what makes cached and fresh results
-//! byte-identical at any worker count.
+//! Every deployment is seed-pure. Inventory is the one parallel step:
+//! cells interact only through the s-matrix entries some interference
+//! sink wrote (every other entry is exactly `0.0`, and adding it to a
+//! floor changes nothing), so the cells split into *interaction classes*
+//! — the co-channel colours of an ocean plan, singletons when no cell
+//! has sinks, the one cell of the paper tier. Each class runs its own
+//! round loop with its own RNG streams, s-matrix and scratch, cells
+//! ascending as before; classes go to scoped workers and their
+//! discoveries merge back in (round, cell, slot) order. Nothing a class
+//! computes depends on which thread ran it or when, so reports are
+//! bit-identical at any worker count — which is also what keeps cached
+//! and fresh results byte-identical across the `vab-svc` pool, the layer
+//! that shards *across* topologies.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -222,84 +234,105 @@ impl Network {
         }
     }
 
+    /// Partitions the cells into *interaction classes*: the connected
+    /// components of the graph whose edges are the `(victim reader,
+    /// source cell)` pairs of [`Network::sinks`]. A cell's inventory reads
+    /// and writes only s-matrix entries some sink wrote, and every other
+    /// entry stays exactly `0.0`, so cells in different classes never
+    /// affect each other. Classes come ordered by their smallest cell,
+    /// each one ascending.
+    pub(crate) fn interaction_classes(&self) -> Vec<Vec<u32>> {
+        fn root(parent: &mut [u32], mut c: u32) -> u32 {
+            while parent[c as usize] != c {
+                parent[c as usize] = parent[parent[c as usize] as usize];
+                c = parent[c as usize];
+            }
+            c
+        }
+        let r = self.readers.len();
+        let mut parent: Vec<u32> = (0..r as u32).collect();
+        for node in &self.nodes {
+            for &(victim, _) in &self.sinks[node.addr as usize] {
+                let (a, b) = (root(&mut parent, victim), root(&mut parent, node.cell));
+                // The smaller cell becomes the root, so a class's root is
+                // its first cell.
+                parent[a.max(b) as usize] = a.min(b);
+            }
+        }
+        let mut class_of = vec![usize::MAX; r];
+        let mut classes: Vec<Vec<u32>> = Vec::new();
+        for c in 0..r as u32 {
+            let root = root(&mut parent, c) as usize;
+            if root == c as usize {
+                class_of[root] = classes.len();
+                classes.push(Vec::new());
+            }
+            classes[class_of[root]].push(c);
+        }
+        classes
+    }
+
     /// Runs the discovery phase: every cell contends concurrently in
     /// synchronized rounds, with per-cell framed ALOHA, capture on top of
     /// the cross-cell duty-weighted interference floor, and a relay pass
     /// for rim nodes the direct link cannot reach.
+    ///
+    /// Each interaction class (cells linked by interference sinks) runs
+    /// its own round loop; classes share nothing, so they go to
+    /// [`vab_util::threads::threads`] scoped workers through one atomic
+    /// work queue, or run inline when one worker or one class is enough.
+    /// The report is bit-identical at every worker count: `rounds` is the
+    /// largest class's round count and `discovered` is merged back into
+    /// (round, cell, slot) order.
     pub fn run_inventory(&self) -> NetInventoryReport {
         let _t = vab_obs::time_stage("net.inventory");
-        let r = self.readers.len();
         let n = self.nodes.len();
-        struct Cell {
-            reader: AlohaReader,
-            pending: Vec<Addr>,
-            contention: StdRng,
-            decode: StdRng,
+        let classes = self.interaction_classes();
+        let outcomes: Vec<OnceLock<ClassInventory>> =
+            classes.iter().map(|_| OnceLock::new()).collect();
+        let run = |k: usize| {
+            // Worker threads keep their own allocation counts: the child
+            // stage makes each class's allocations land in the profile
+            // whichever thread runs it.
+            let _t = vab_obs::time_stage("net.inventory.class");
+            let _ = outcomes[k].set(self.run_class(&classes[k]));
+        };
+        // Resolving the worker count (it may read cgroup files) and
+        // spawning allocate on this thread by configuration, not by work:
+        // both stay out of the profile, so counts match the inline path.
+        let workers = {
+            let _p = vab_obs::alloc::pause();
+            vab_util::threads::threads().min(classes.len())
+        };
+        if workers <= 1 {
+            (0..classes.len()).for_each(run);
+        } else {
+            let next = AtomicUsize::new(0);
+            let _p = vab_obs::alloc::pause();
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(|| loop {
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        if k >= classes.len() {
+                            break;
+                        }
+                        run(k);
+                    });
+                }
+            });
         }
-        let mut cells: Vec<Cell> = self
-            .cell_members
-            .iter()
-            .zip(&self.cell_seeds)
-            .map(|(members, &(contention, decode))| {
-                let w = members.len().next_power_of_two().clamp(4, self.max_window);
-                Cell {
-                    reader: AlohaReader::with_max_window(w, self.max_window),
-                    pending: members.clone(),
-                    contention: seeded(contention),
-                    decode: seeded(decode),
-                }
-            })
-            .collect();
-        // Pending cross-cell interference energy, bucketed by (victim
-        // reader, source cell): floors are then O(R²) per round and
-        // updates O(1) per discovery, instead of rescanning every node.
-        let mut s_matrix = vec![0.0f64; r * r];
-        for node in &self.nodes {
-            for &(victim, rx) in &self.sinks[node.addr as usize] {
-                s_matrix[victim as usize * r + node.cell as usize] += rx;
-            }
-        }
-        let mut duties = vec![0.0f64; r];
-        let mut powers = Vec::new();
-        let mut discovered: Vec<Addr> = Vec::with_capacity(n);
-        let mut rounds = 0u32;
-        while rounds < self.max_rounds && cells.iter().any(|c| !c.pending.is_empty()) {
-            // Duty factor of each cell this round, snapshotted up front —
-            // a member of cell c transmits in 1 of its w_c slots.
-            for (duty, cell) in duties.iter_mut().zip(&cells) {
-                *duty =
-                    if cell.pending.is_empty() { 0.0 } else { 1.0 / cell.reader.window() as f64 };
-            }
-            for (c, cell) in cells.iter_mut().enumerate() {
-                if cell.pending.is_empty() {
-                    continue;
-                }
-                let mut floor = 0.0;
-                for (src, &duty) in duties.iter().enumerate() {
-                    if src != c {
-                        floor += duty * s_matrix[c * r + src];
-                    }
-                }
-                let noise = self.noise_lin + floor;
-                let Cell { reader, pending, contention, decode } = cell;
-                let before = reader.identified.len();
-                reader.run_round_with(pending, contention, |resp| {
-                    self.slot_outcome(resp, noise, decode, &mut powers)
-                });
-                // Newly discovered nodes stop contending: retire their
-                // energy from every victim reader's pending bucket.
-                let new = &reader.identified[before..];
-                for &a in new {
-                    for &(victim, rx) in &self.sinks[a as usize] {
-                        s_matrix[victim as usize * r + c] -= rx;
-                    }
-                }
-                discovered.extend_from_slice(new);
-            }
-            rounds += 1;
-        }
-        let slots_used = cells.iter().map(|c| c.reader.slots_used).sum();
-        let collisions = cells.iter().map(|c| c.reader.collisions).sum();
+        let outcomes: Vec<ClassInventory> =
+            outcomes.into_iter().map(|o| o.into_inner().expect("every class ran")).collect();
+        // Merge discoveries stably by (round, cell): each cell belongs to
+        // one class, which lists its slots in order, so this is the
+        // single-loop order.
+        let mut found: Vec<(u32, u32, Addr)> =
+            outcomes.iter().flat_map(|o| o.found.iter().copied()).collect();
+        found.sort_by_key(|&(round, cell, _)| (round, cell));
+        let discovered: Vec<Addr> = found.into_iter().map(|(.., a)| a).collect();
+        let rounds = outcomes.iter().map(|o| o.rounds).max().unwrap_or(0);
+        let slots_used = outcomes.iter().map(|o| o.slots_used).sum();
+        let collisions = outcomes.iter().map(|o| o.collisions).sum();
         // Relay pass: an undiscovered rim node is reachable if its
         // planned route ends at a discovered relay and the end-to-end
         // delivery probability is non-negligible.
@@ -338,6 +371,88 @@ impl Network {
         vab_obs::metrics::inc("net.inventories", 1);
         vab_obs::metrics::set("net.last_inventory_coverage_pct", report.coverage() * 100.0);
         report
+    }
+
+    /// Runs one interaction class's round loop over its own k×k s-matrix,
+    /// cells ascending within each round (the Gauss–Seidel order: a cell
+    /// sees the energy earlier cells retired this round).
+    fn run_class(&self, cells: &[u32]) -> ClassInventory {
+        struct Cell {
+            reader: AlohaReader,
+            pending: Vec<Addr>,
+            contention: StdRng,
+            decode: StdRng,
+        }
+        let k = cells.len();
+        let local = |c: u32| cells.binary_search(&c).expect("sinks stay inside their class");
+        let mut states: Vec<Cell> = cells
+            .iter()
+            .map(|&c| {
+                let members = &self.cell_members[c as usize];
+                let (contention, decode) = self.cell_seeds[c as usize];
+                let w = members.len().next_power_of_two().clamp(4, self.max_window);
+                Cell {
+                    reader: AlohaReader::with_max_window(w, self.max_window),
+                    pending: members.clone(),
+                    contention: seeded(contention),
+                    decode: seeded(decode),
+                }
+            })
+            .collect();
+        // Pending cross-cell interference energy, bucketed by (victim
+        // reader, source cell): floors are then O(k²) per round and
+        // updates O(1) per discovery, instead of rescanning every node.
+        // Each entry sums its source cell's members in address order.
+        let mut s_matrix = vec![0.0f64; k * k];
+        for (src, &c) in cells.iter().enumerate() {
+            for &a in &self.cell_members[c as usize] {
+                for &(victim, rx) in &self.sinks[a as usize] {
+                    s_matrix[local(victim) * k + src] += rx;
+                }
+            }
+        }
+        let mut duties = vec![0.0f64; k];
+        let mut powers = Vec::new();
+        let mut out = ClassInventory::default();
+        while out.rounds < self.max_rounds && states.iter().any(|c| !c.pending.is_empty()) {
+            // Duty factor of each cell this round, snapshotted up front —
+            // a member of cell c transmits in 1 of its w_c slots.
+            for (duty, cell) in duties.iter_mut().zip(&states) {
+                *duty =
+                    if cell.pending.is_empty() { 0.0 } else { 1.0 / cell.reader.window() as f64 };
+            }
+            for (c, cell) in states.iter_mut().enumerate() {
+                if cell.pending.is_empty() {
+                    continue;
+                }
+                let mut floor = 0.0;
+                for (src, &duty) in duties.iter().enumerate() {
+                    if src != c {
+                        floor += duty * s_matrix[c * k + src];
+                    }
+                }
+                let noise = self.noise_lin + floor;
+                let Cell { reader, pending, contention, decode } = cell;
+                let before = reader.identified.len();
+                reader.run_round_with(pending, contention, |resp| {
+                    self.slot_outcome(resp, noise, decode, &mut powers)
+                });
+                // Newly discovered nodes stop contending: retire their
+                // energy from every victim reader's pending bucket.
+                let new = &reader.identified[before..];
+                for &a in new {
+                    for &(victim, rx) in &self.sinks[a as usize] {
+                        s_matrix[local(victim) * k + c] -= rx;
+                    }
+                }
+                let round = out.rounds;
+                out.found.extend(new.iter().map(|&a| (round, cells[c], a)));
+            }
+            out.rounds += 1;
+        }
+        out.slots_used = states.iter().map(|c| c.reader.slots_used).sum();
+        out.collisions = states.iter().map(|c| c.reader.collisions).sum();
+        out
     }
 
     /// Runs the paper tier's monitoring phase: a TDMA round schedule over
@@ -387,6 +502,17 @@ impl Network {
         );
         report
     }
+}
+
+/// One interaction class's share of an inventory.
+#[derive(Debug, Default)]
+struct ClassInventory {
+    rounds: u32,
+    slots_used: u64,
+    collisions: u64,
+    /// `(round, cell, addr)` of every discovery, in (round, cell, slot)
+    /// order.
+    found: Vec<(u32, u32, Addr)>,
 }
 
 /// Outcome of the discovery phase.

@@ -143,7 +143,15 @@ pub fn plan_routes(
             .map(|m| RelayRoute { addr: m.addr, relays: Vec::new(), delivery_prob: m.direct_prob })
             .collect(),
         RoutePolicy::Vbf => {
-            members.iter().map(|m| vbf_route(m, members, reader, pipe_radius_m, hop_prob)).collect()
+            // Candidates by (distance to reader, addr), sorted once per
+            // cell: the first valid one on a hop is the max-progress relay.
+            let mut by_range: Vec<(f64, &RouteNode)> =
+                members.iter().map(|m| (m.pos.distance_to(&reader).value(), m)).collect();
+            by_range.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.addr.cmp(&b.1.addr)));
+            members
+                .iter()
+                .map(|m| vbf_route(m, &by_range, reader, pipe_radius_m, hop_prob))
+                .collect()
         }
         RoutePolicy::ClusterHead => cluster_routes(members, seed, hop_prob),
     }
@@ -152,9 +160,15 @@ pub fn plan_routes(
 /// Greedy VBF: hop toward the reader through pipe neighbors until the
 /// current node's direct link clears [`DIRECT_OK_PROB`], the hop budget
 /// runs out, or no neighbor makes progress.
+///
+/// `by_range` holds the cell's members with their distance to the reader,
+/// sorted by (distance, addr). Each hop picks the in-pipe neighbor closest
+/// to the reader (ties to the lowest address), so it scans that order and
+/// takes the first candidate that passes; the first candidate short of
+/// [`MIN_PROGRESS_FRAC`] ends the scan, since every later one is farther.
 fn vbf_route(
     source: &RouteNode,
-    members: &[RouteNode],
+    by_range: &[(f64, &RouteNode)],
     reader: Position,
     pipe_radius_m: f64,
     hop_prob: &dyn Fn(&RouteNode, &RouteNode) -> f64,
@@ -175,9 +189,11 @@ fn vbf_route(
         }
         let remaining = current.pos.distance_to(&reader).value();
         let min_progress = remaining * MIN_PROGRESS_FRAC;
-        // Best in-pipe neighbor by remaining distance; ties to lowest addr.
-        let mut best: Option<(f64, &RouteNode)> = None;
-        for cand in members {
+        let mut next = None;
+        for &(cand_remaining, cand) in by_range {
+            if cand_remaining > remaining - min_progress {
+                break; // too little progress, and so is everyone after
+            }
             if cand.addr == current.addr || relays.contains(&cand.addr) || cand.addr == source.addr
             {
                 continue;
@@ -185,22 +201,13 @@ fn vbf_route(
             if line_distance_m(cand.pos, source.pos, reader) > pipe_radius_m {
                 continue;
             }
-            let cand_remaining = cand.pos.distance_to(&reader).value();
-            if cand_remaining > remaining - min_progress {
-                continue;
-            }
             if hop_prob(&current, cand) < MIN_HOP_PROB {
                 continue; // the hop link doesn't close: not a neighbor
             }
-            let better = match best {
-                None => true,
-                Some((d, b)) => cand_remaining < d || (cand_remaining == d && cand.addr < b.addr),
-            };
-            if better {
-                best = Some((cand_remaining, cand));
-            }
+            next = Some(cand);
+            break;
         }
-        let Some((_, next)) = best else { break };
+        let Some(next) = next else { break };
         delivery *= hop_prob(&current, next);
         relays.push(next.addr);
         current = *next;

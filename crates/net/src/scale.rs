@@ -1,6 +1,6 @@
 //! The closed-form constructor: ocean-scale cell plans with multi-reader
-//! cells, grid-accelerated interference and multi-hop routing for
-//! 10k–100k node networks.
+//! cells, horizon-culled co-channel interference and multi-hop routing
+//! for 10k–100k node networks.
 //!
 //! The link-budget constructor ([`crate::channel`]) derives every node
 //! from a full image-method channel realization — faithful, but far too
@@ -15,10 +15,11 @@
 //!   from the same sonar equation as [`vab_sim::linkbudget::LinkBudget`]
 //!   (source level − illumination loss + modulated gain + log-normal
 //!   fading), evaluated broadside; no per-node image-method realization.
-//! * **Grid-accelerated interference** — cross-cell interference uses the
-//!   [`crate::grid`] spatial index and absorption-derived horizon:
-//!   out-of-horizon sources are culled, in-horizon sums are bit-identical
-//!   to the pairwise reference (the exactness contract).
+//! * **Horizon-culled interference** — each reader scans only the members
+//!   of its co-channel foreign cells and keeps those inside the
+//!   [`crate::grid`] absorption-derived horizon; every sink is the
+//!   pairwise reference's own per-source term, so in-horizon sums are
+//!   bit-identical to it (the exactness contract).
 //! * **FDM reuse plan** — readers draw one of [`REUSE_GRID`]² carrier
 //!   channels from a square reuse pattern (classic cellular planning).
 //!   A backscatter reply is centered on its own reader's carrier, so a
@@ -51,9 +52,7 @@ use vab_util::json::Json;
 use vab_util::rng::{derive_seed, seeded};
 
 use crate::capture::{jain_fairness, CaptureModel};
-use crate::grid::{
-    interference_horizon_m, reply_contribution_lin, PointSource, SpatialGrid, HORIZON_MARGIN_DB,
-};
+use crate::grid::{interference_horizon_m, reply_contribution_lin, PointSource, HORIZON_MARGIN_DB};
 use crate::network::{NetInventoryReport, NetPhy, Network, NodeChannel, PAYLOAD_BITS};
 use crate::route::{plan_routes, RelayRoute, RouteNode, RoutePolicy};
 use crate::topology::{NetEnv, DEPTH_MARGIN_M};
@@ -176,7 +175,7 @@ impl ScaleSpec {
 
 impl Network {
     /// The closed-form constructor: derives the ocean cell plan —
-    /// placement, cells, channels, the interference grid and routes.
+    /// placement, cells, channels, interference sinks and routes.
     pub fn build(spec: &ScaleSpec) -> Self {
         let _t = vab_obs::time_stage("net.build");
         assert!(spec.n_nodes >= 1 && spec.n_readers >= 1, "need nodes and readers");
@@ -261,11 +260,13 @@ impl Network {
         }
         drop(stage);
 
-        // Interference: horizon from the loudest reply, grid over the
-        // node cloud, then per-node sink lists (which co-channel foreign
-        // readers hear this node, and how loudly). Different-channel
-        // cells are out of band at the victim's filter and never enter
-        // the floor. Each sink is the grid oracle's own per-source term.
+        // Interference: horizon from the loudest reply, then per-node sink
+        // lists (which co-channel foreign readers hear this node, and how
+        // loudly). Different-channel cells are out of band at the
+        // victim's filter and never enter the floor, so each reader scans
+        // only the members of its co-channel foreign cells. Each sink is
+        // the pairwise oracle's own per-source term, and `sinks[i]` fills
+        // in ascending reader order.
         let stage = vab_obs::time_stage("net.interference");
         let color = |r: usize| -> usize {
             let (i, j) = (r % g, r / g);
@@ -274,24 +275,24 @@ impl Network {
         let loudest = nodes.iter().map(|n| n.reply_db_at_1m).fold(f64::NEG_INFINITY, f64::max);
         let floor_db = phy.noise_reader_db - HORIZON_MARGIN_DB;
         let horizon_m = interference_horizon_m(&phy.env, phy.carrier, loudest, floor_db);
-        let cell_m = (horizon_m / 2.0).clamp(5.0, 2_000.0);
-        let grid = SpatialGrid::build(&positions, cell_m);
+        let r2 = horizon_m * horizon_m;
         let mut sinks: Vec<Vec<(u32, f64)>> = vec![Vec::new(); spec.n_nodes];
-        let mut scratch = Vec::new();
         for (c, reader) in readers.iter().enumerate() {
-            grid.indices_within(*reader, horizon_m, &mut scratch);
-            for &i in &scratch {
-                let n = &nodes[i as usize];
-                if n.cell as usize == c {
-                    continue; // own-cell members interfere via capture, not the floor
+            for (other, members) in cell_members.iter().enumerate() {
+                if other == c || color(other) != color(c) {
+                    continue; // own cell: capture, not the floor; other channel: filtered
                 }
-                if color(n.cell as usize) != color(c) {
-                    continue; // different FDM channel: filtered out of band
+                for &a in members {
+                    let n = &nodes[a as usize];
+                    let (dx, dy, dz) = (n.pos.x - reader.x, n.pos.y - reader.y, n.pos.z - reader.z);
+                    if dx * dx + dy * dy + dz * dz > r2 {
+                        continue; // past the horizon
+                    }
+                    let src =
+                        PointSource { addr: n.addr, pos: n.pos, level_db_at_1m: n.reply_db_at_1m };
+                    let rx = reply_contribution_lin(&phy.env, phy.carrier, &src, *reader);
+                    sinks[a as usize].push((c as u32, rx));
                 }
-                let src =
-                    PointSource { addr: n.addr, pos: n.pos, level_db_at_1m: n.reply_db_at_1m };
-                let rx = reply_contribution_lin(&phy.env, phy.carrier, &src, *reader);
-                sinks[i as usize].push((c as u32, rx));
             }
         }
         drop(stage);
@@ -607,6 +608,31 @@ mod tests {
         assert_eq!(a.digest(), ScaleSpec::ocean(1024, 9).digest());
         assert_ne!(a.digest(), b.digest());
         assert_ne!(a.digest(), c.digest());
+    }
+
+    #[test]
+    fn interaction_classes_are_singletons_without_sinks_and_colours_with_them() {
+        // Up to 64 readers every FDM colour is used once: no sinks, and
+        // every cell inventories on its own.
+        for n in [256usize, 1296, 4096] {
+            let net = Network::build(&ScaleSpec::ocean(n, 2023));
+            assert!(net.sinks.iter().all(Vec::is_empty), "N = {n}");
+            let singletons: Vec<Vec<u32>> =
+                (0..net.readers.len() as u32).map(|c| vec![c]).collect();
+            assert_eq!(net.interaction_classes(), singletons, "N = {n}");
+        }
+        // 144 readers on the 8 × 8 reuse plan: exactly the 64 colours.
+        let spec = ScaleSpec::ocean(20_736, 2023);
+        let net = Network::build(&spec);
+        let g = (spec.n_readers as f64).sqrt().ceil() as usize;
+        let colour = |c: usize| (c % g % REUSE_GRID) + REUSE_GRID * (c / g % REUSE_GRID);
+        let mut by_colour: Vec<Vec<u32>> = vec![Vec::new(); REUSE_GRID * REUSE_GRID];
+        for c in 0..spec.n_readers {
+            by_colour[colour(c)].push(c as u32);
+        }
+        by_colour.sort();
+        // Classes come ordered by their smallest cell, as sorting does.
+        assert_eq!(net.interaction_classes(), by_colour);
     }
 
     #[test]

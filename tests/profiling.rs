@@ -172,6 +172,51 @@ fn replay_apply_allocates_only_its_output() {
     assert_eq!(cum_allocs, 1, "replay.apply made {cum_allocs} allocations: {counts:?}");
 }
 
+/// Class-parallel inventory keeps the profile complete and
+/// thread-independent: allocation counts are thread-local, so each
+/// interaction class opens its own `net.inventory.class` stage wherever
+/// it runs. The self counts of `net.inventory` and of that child — and
+/// so their sum — are identical whether one worker runs every class
+/// inline, eight workers share them, or the worker count comes from
+/// `VAB_THREADS` or the detected parallelism (`set_jobs(0)`).
+#[test]
+fn inventory_alloc_counts_are_identical_across_worker_counts() {
+    use vab::net::{Network, ScaleSpec};
+    use vab::util::threads::set_jobs;
+    type Counts = (u64, u64, u64, u64, u64);
+    let _g = profile_lock();
+    // 144 readers on the 64-channel reuse plan: 64 interaction classes.
+    let net = Network::build(&ScaleSpec::ocean(20_736, 2023));
+    let was_profiling = vab::obs::alloc::profiling();
+    let profile = |jobs: usize| -> (Vec<u32>, Counts, Counts) {
+        set_jobs(jobs);
+        vab::obs::alloc::enable();
+        vab::obs::alloc::reset();
+        let inventory = net.run_inventory();
+        let counts = stage_counts();
+        vab::obs::alloc::disable();
+        set_jobs(0);
+        (inventory.discovered, counts["net.inventory"], counts["net.inventory.class"])
+    };
+    let (order_1, parent_1, class_1) = profile(1);
+    let wider = [(8, profile(8)), (0, profile(0))];
+    if was_profiling {
+        vab::obs::alloc::enable();
+    }
+    assert_eq!(class_1.0, 64, "one child stage per interaction class: {class_1:?}");
+    assert!(class_1.1 > 0, "the classes' own allocations must be attributed: {class_1:?}");
+    for (jobs, (order, parent, class)) in wider {
+        assert_eq!(order, order_1, "discovery order at set_jobs({jobs})");
+        assert_eq!(
+            (parent.1 + class.1, parent.2 + class.2),
+            (parent_1.1 + class_1.1, parent_1.2 + class_1.2),
+            "net.inventory + net.inventory.class self counts at set_jobs({jobs}) vs 1"
+        );
+        assert_eq!((parent.1, parent.2), (parent_1.1, parent_1.2), "net.inventory at {jobs}");
+        assert_eq!(class, class_1, "net.inventory.class at set_jobs({jobs})");
+    }
+}
+
 /// A profiled metrics snapshot must survive the full surfacing path:
 /// `Snapshot::to_json()` → `MetricsDoc::parse` → `profile::render`,
 /// with self/cumulative attribution intact.
