@@ -287,6 +287,37 @@ mod tests {
         }
     }
 
+    /// The conventional wiring's backscatter factor is a uniform line
+    /// array's Dirichlet kernel: with ψ = 2·k·d·sinθ (the round-trip
+    /// phase step between neighbours), `|Σᵢ e^{jψ·i}| = |sin(Nψ/2)/sin(ψ/2)|`,
+    /// whose ψ → 0 limit is N.
+    #[test]
+    fn conventional_factor_matches_its_dirichlet_kernel() {
+        let c = 1480.0;
+        let k = TAU * F0.value() / c;
+        for n in [2usize, 4, 8, 16] {
+            for g in [ArrayGeometry::half_wavelength(n, F0, c), ArrayGeometry::new(n, Meters(0.03))]
+            {
+                for deg in -80..=80 {
+                    let theta = Degrees(deg as f64);
+                    let psi = 2.0 * k * g.spacing.value() * theta.radians().sin();
+                    let den = (psi / 2.0).sin();
+                    let dirichlet = if den.abs() < 1e-12 {
+                        n as f64
+                    } else {
+                        ((n as f64 * psi / 2.0).sin() / den).abs()
+                    };
+                    let af = conventional_backscatter_factor(&g, theta, F0).abs();
+                    assert!(
+                        approx_eq(af, dirichlet, 1e-9),
+                        "N={n}, d={:?}, θ={deg}°: |AF| {af} vs Dirichlet {dirichlet}",
+                        g.spacing
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn retro_gain_flat_across_angles() {
         // The headline property: gain stays ≈ N across ±60° (only the mild

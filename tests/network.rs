@@ -183,6 +183,52 @@ fn ocean_20k_sinks_routes_and_discovery_order_are_pinned() {
     }
 }
 
+/// Each reader's round-0 duty-cycle interference floor, in closed form:
+/// `Σ_src duty_src · Σ_{a ∈ src} rx(a → reader)` over the foreign cells,
+/// where a cell's round-0 duty is `1/w` for its opening ALOHA window
+/// `w = clamp(next_pow2(members), 4, max_window)`.
+fn round0_floors(net: &Network) -> Vec<f64> {
+    let r = net.readers.len();
+    let mut energy = vec![0.0f64; r * r];
+    for node in &net.nodes {
+        for &(victim, rx) in &net.sinks[node.addr as usize] {
+            energy[victim as usize * r + node.cell as usize] += rx;
+        }
+    }
+    let duty = |c: usize| {
+        let members = net.cell_members[c].len();
+        if members == 0 {
+            0.0
+        } else {
+            1.0 / members.next_power_of_two().clamp(4, net.max_window) as f64
+        }
+    };
+    (0..r)
+        .map(|c| (0..r).filter(|&src| src != c).map(|src| duty(src) * energy[c * r + src]).sum())
+        .collect()
+}
+
+/// With at most 64 readers every FDM colour of the 8 × 8 reuse plan is
+/// used once, so no node has a co-channel foreign reader: every sink list
+/// is empty and every reader's round-0 floor is exactly zero. The first
+/// canonical size past the 64-reader boundary (20,736 nodes, 144 readers)
+/// has sinks and a positive floor, so the pin sits on the boundary.
+#[test]
+fn interference_floors_are_exactly_zero_below_sixty_five_readers() {
+    for n in [256, 1_024, 4_096] {
+        let net = Network::build(&ScaleSpec::ocean(n, 2023));
+        assert!(net.readers.len() <= 64, "ocean({n}) has {} readers", net.readers.len());
+        assert!(net.sinks.iter().all(Vec::is_empty), "ocean({n}) has co-channel sinks");
+        for (c, floor) in round0_floors(&net).into_iter().enumerate() {
+            assert_eq!(floor.to_bits(), 0.0f64.to_bits(), "ocean({n}) reader {c} floor {floor}");
+        }
+    }
+    let net = Network::build(&ScaleSpec::ocean(20_736, 2023));
+    assert_eq!(net.readers.len(), 144);
+    assert!(net.sinks.iter().any(|s| !s.is_empty()), "ocean(20736) must have co-channel sinks");
+    assert!(round0_floors(&net).iter().any(|&f| f > 0.0), "ocean(20736) must have a floor");
+}
+
 /// The production interference path is the oracle's path: when the
 /// horizon covers the whole box, each reader's sinks, summed in ascending
 /// address order, are bit-identical to the pairwise reference over that

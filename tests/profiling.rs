@@ -172,6 +172,35 @@ fn replay_apply_allocates_only_its_output() {
     assert_eq!(cum_allocs, 1, "replay.apply made {cum_allocs} allocations: {counts:?}");
 }
 
+/// One sample-level trial makes exactly 4 allocations while it transports
+/// the waveform and exactly 8 while it strips the carrier, acquires the
+/// preamble and demodulates: the per-call counts behind `gate.json`'s
+/// `f16_engine_validation` pins (80 and 160 over 20 calls). Acquisition's
+/// split re/im scratch buffer is one of the 8, so a scratch that grew per
+/// block or per offset would show here.
+#[test]
+fn sample_level_trial_allocates_a_pinned_count_per_stage() {
+    let _g = profile_lock();
+    let s = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(260.0))
+        .with_link(vab::link::frame::LinkConfig::uncoded());
+    let fe = s.front_end();
+    let mut rng = vab::util::rng::seeded(16);
+    let was_profiling = vab::obs::alloc::profiling();
+    vab::obs::alloc::enable();
+    vab::obs::alloc::reset();
+    let _ = vab::sim::samplelevel::run_sample_trial(&s, &fe, 64, &mut rng);
+    let counts = stage_counts();
+    if !was_profiling {
+        vab::obs::alloc::disable();
+    }
+    let allocs = |stage: &str| {
+        let (calls, self_allocs, _, cum_allocs, _) = counts[stage];
+        (calls, self_allocs, cum_allocs)
+    };
+    assert_eq!(allocs("sim.waveform_transport"), (1, 4, 4), "{counts:?}");
+    assert_eq!(allocs("sim.demod"), (1, 8, 8), "{counts:?}");
+}
+
 /// Class-parallel inventory keeps the profile complete and
 /// thread-independent: allocation counts are thread-local, so each
 /// interaction class opens its own `net.inventory.class` stage wherever
