@@ -845,17 +845,7 @@ pub fn a6_ablation_interleaver(cfg: &ExpConfig) -> CsvTable {
             for trial in 0..trials {
                 let mut rng = seeded(cfg.seed ^ 0xA6 ^ ((trial as u64) << 10) ^ rate as u64);
                 let info = random_bits(&mut rng, n_bits);
-                let channel_bits = {
-                    let mut b = info.clone();
-                    if link.whitening {
-                        b = vab_link::whiten::whiten(&b);
-                    }
-                    b = link.fec.encode(&b);
-                    if let Some(il) = &link.interleaver {
-                        b = il.interleave(&b);
-                    }
-                    b
-                };
+                let channel_bits = link.encode_bits(&info);
                 let m = BackscatterModulator::new(params);
                 let wave = m.switch_waveform(&channel_bits);
                 let mut bb: Vec<C64> =

@@ -133,15 +133,24 @@ impl LinkConfig {
 
     /// Encodes a frame into channel bits ready for the modulator.
     pub fn encode(&self, frame: &Frame) -> Vec<bool> {
-        let mut bits = bytes_to_bits(&frame.to_bytes());
-        if self.whitening {
-            bits = whiten(&bits);
+        self.encode_bits(&bytes_to_bits(&frame.to_bytes()))
+    }
+
+    /// Whitens, FEC-encodes and interleaves raw bits into channel bits:
+    /// one allocation per enabled stage, none for a copy of the input.
+    pub fn encode_bits(&self, bits: &[bool]) -> Vec<bool> {
+        let whitened;
+        let plain = if self.whitening {
+            whitened = whiten(bits);
+            &whitened
+        } else {
+            bits
+        };
+        let coded = self.fec.encode(plain);
+        match &self.interleaver {
+            Some(il) => il.interleave(&coded),
+            None => coded,
         }
-        bits = self.fec.encode(&bits);
-        if let Some(il) = &self.interleaver {
-            bits = il.interleave(&bits);
-        }
-        bits
     }
 
     /// Number of channel bits [`LinkConfig::encode`] produces for a frame

@@ -26,17 +26,16 @@ impl Interleaver {
         self.rows * self.cols
     }
 
-    /// Interleaves; input is padded with `false` to a whole block.
+    /// Interleaves; input is padded with `false` to a whole block. The
+    /// output is the only allocation: it starts as all padding, and each
+    /// input row is scattered into its column positions.
     pub fn interleave(&self, bits: &[bool]) -> Vec<bool> {
         let block = self.block_len();
-        let padded_len = bits.len().div_ceil(block) * block;
-        let mut padded = bits.to_vec();
-        padded.resize(padded_len, false);
-        let mut out = Vec::with_capacity(padded_len);
-        for chunk in padded.chunks(block) {
-            for c in 0..self.cols {
-                for r in 0..self.rows {
-                    out.push(chunk[r * self.cols + c]);
+        let mut out = vec![false; bits.len().div_ceil(block) * block];
+        for (sent, chunk) in out.chunks_exact_mut(block).zip(bits.chunks(block)) {
+            for (r, row) in chunk.chunks(self.cols).enumerate() {
+                for (c, &bit) in row.iter().enumerate() {
+                    sent[c * self.rows + r] = bit;
                 }
             }
         }
@@ -78,6 +77,16 @@ impl Interleaver {
 mod tests {
     use super::*;
     use vab_util::rng::{random_bits, seeded};
+
+    /// Row-fill, column-drain on a 2×3 block, then a padded second block:
+    /// rows `[1 1 0] [0 1 1]` drain as columns `10 11 01`.
+    #[test]
+    fn interleave_drains_the_row_filled_block_by_columns() {
+        let il = Interleaver::new(2, 3);
+        let bits = [true, true, false, false, true, true, true, false];
+        let sent = [true, false, true, true, false, true, true, false, false, false, false, false];
+        assert_eq!(il.interleave(&bits), sent);
+    }
 
     #[test]
     fn roundtrip_exact_block() {

@@ -255,17 +255,7 @@ fn link_budget_trial(
     let p_chan = ber_noncoherent_orthogonal(ecn0);
     // Real codecs, synthetic channel: flip channel bits i.i.d.
     let info = random_bits(rng, bits_per_trial);
-    let mut coded = {
-        let mut b = info.clone();
-        if link.whitening {
-            b = vab_link::whiten::whiten(&b);
-        }
-        b = link.fec.encode(&b);
-        if let Some(il) = &link.interleaver {
-            b = il.interleave(&b);
-        }
-        b
-    };
+    let mut coded = link.encode_bits(&info);
     let decoded = if link.fec == vab_link::fec::Fec::Conv {
         // The reader decodes convolutional codes with *soft* Viterbi. Model
         // the per-channel-bit soft metric as a unit signal in Gaussian

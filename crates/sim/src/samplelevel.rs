@@ -241,17 +241,7 @@ pub fn run_sample_trial_via(
     let budget = LinkBudget::compute_with_front_end(scenario, fe);
     let link = scenario.link_config();
     let info = random_bits(rng, n_info_bits);
-    let channel_bits = {
-        let mut b = info.clone();
-        if link.whitening {
-            b = vab_link::whiten::whiten(&b);
-        }
-        b = link.fec.encode(&b);
-        if let Some(il) = &link.interleaver {
-            b = il.interleave(&b);
-        }
-        b
-    };
+    let channel_bits = link.encode_bits(&info);
     let Some(up) = transport_uplink_via(scenario, fe, &channel_bits, amp_scale, source, rng) else {
         return (n_info_bits, true, budget.ebn0_db); // sync lost: whole packet gone
     };

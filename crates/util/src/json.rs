@@ -82,10 +82,17 @@ pub fn write_json_number(out: &mut String, v: f64) {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so a bound keeps hostile input (a daemon
+/// request line of a million `[`) from overflowing a thread's stack; every
+/// document the workspace writes nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 256;
+
 impl Json {
-    /// Parses one complete JSON value; trailing non-whitespace is an error.
+    /// Parses one complete JSON value; trailing non-whitespace is an error,
+    /// and so is nesting deeper than [`MAX_DEPTH`].
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -224,6 +231,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -261,8 +270,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -271,6 +280,21 @@ impl<'a> Parser<'a> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -504,5 +528,35 @@ mod tests {
             let back = Json::parse(&rendered).expect("reparse").as_f64().expect("num");
             assert_eq!(back.to_bits(), v.to_bits(), "{v} rendered as {rendered}");
         }
+    }
+
+    #[test]
+    fn megabyte_of_nesting_is_an_error_not_a_stack_overflow() {
+        const MIB: usize = 1 << 20;
+        let arrays = "[".repeat(MIB);
+        let err = Json::parse(&arrays).expect_err("unbounded nesting");
+        assert_eq!(err.at, MAX_DEPTH);
+        let objects = "{\"a\":".repeat(MIB / 5);
+        assert!(Json::parse(&objects).is_err());
+        // Closed documents past the limit fail too, at the first level over.
+        let closed = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert_eq!(Json::parse(&closed).expect_err("too deep").at, MAX_DEPTH);
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        let mut doc = "0".to_string();
+        for level in 0..MAX_DEPTH {
+            doc = if level % 2 == 0 { format!("[{doc}]") } else { format!("{{\"k\":{doc}}}") };
+        }
+        let mut v = &Json::parse(&doc).expect("at the limit");
+        for level in (0..MAX_DEPTH).rev() {
+            v = if level % 2 == 0 {
+                &v.as_arr().expect("array")[0]
+            } else {
+                v.get("k").expect("k")
+            };
+        }
+        assert_eq!(v.as_f64(), Some(0.0));
     }
 }

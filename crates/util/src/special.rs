@@ -65,14 +65,26 @@ pub fn q_func(x: f64) -> f64 {
 
 /// Inverse of [`q_func`] by bisection — used to convert a target BER into a
 /// required SNR. Valid for p in (0, 0.5].
+///
+/// The bisection stops at its fixed point: once a step would leave the
+/// bracket unchanged, every later step computes the same midpoint and takes
+/// the same branch, so the result is bit-identical to running all 200 steps.
+/// The bracket stops moving within 83 steps (p = 0.5, where it closes on
+/// zero) and within about 70 for p in [1e-12, 0.5).
 pub fn q_inv(p: f64) -> f64 {
     assert!(p > 0.0 && p <= 0.5, "q_inv domain is (0, 0.5], got {p}");
     let (mut lo, mut hi) = (0.0f64, 40.0f64);
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
         if q_func(mid) > p {
+            if mid == lo {
+                break;
+            }
             lo = mid;
         } else {
+            if mid == hi {
+                break;
+            }
             hi = mid;
         }
     }
@@ -117,6 +129,7 @@ pub fn marcum_q1(a: f64, b: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::approx_eq;
+    use proptest::prelude::*;
 
     #[test]
     fn bessel_i0_known_values() {
@@ -140,6 +153,39 @@ mod tests {
         assert!(approx_eq(q_func(0.0), 0.5, 1e-6));
         assert!(approx_eq(q_func(1.0), 0.158655, 1e-5));
         assert!(approx_eq(q_func(3.0), 1.3499e-3, 1e-4));
+    }
+
+    /// The fixed 200-step bisection that [`q_inv`] short-circuits, kept as
+    /// its bit-for-bit oracle.
+    fn q_inv_reference(p: f64) -> f64 {
+        let (mut lo, mut hi) = (0.0f64, 40.0f64);
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if q_func(mid) > p {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn q_inv_is_bit_identical_to_the_full_bisection(u in 0.0f64..1.0) {
+            // Log-uniform over [1e-12, 0.5]: the link-budget trial's range.
+            let p = (1e-12f64.ln() + u * (0.5f64.ln() - 1e-12f64.ln())).exp().min(0.5);
+            prop_assert_eq!(q_inv(p).to_bits(), q_inv_reference(p).to_bits(), "p = {:e}", p);
+        }
+    }
+
+    #[test]
+    fn q_inv_matches_the_full_bisection_at_the_endpoints() {
+        for p in [1e-12, 0.5, f64::MIN_POSITIVE, 0.5 - f64::EPSILON / 4.0] {
+            assert_eq!(q_inv(p).to_bits(), q_inv_reference(p).to_bits(), "p = {p:e}");
+        }
     }
 
     #[test]

@@ -145,6 +145,43 @@ fn soft_viterbi_makes_at_most_two_allocations_per_call() {
     assert!(cum_allocs <= 2, "fec.viterbi made {cum_allocs} allocations on one 512-bit frame");
 }
 
+/// One link-budget trial on the VAB stack (whitening, convolutional FEC,
+/// 8×16 interleaver, soft Viterbi) makes exactly 12 allocations. Six are
+/// the trial's own: the info bits, the whitened bits and the interleaved
+/// block on the way out, then the soft metrics, their deinterleaved copy
+/// and the de-whitened bits on the way back. The FEC encoder makes one,
+/// the decoder two and the fading draw's channel realization three. The
+/// encode chain copies neither the info bits nor a padded block.
+#[test]
+fn link_budget_trial_allocates_a_pinned_count() {
+    let _g = profile_lock();
+    let s = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(300.0));
+    let cfg = MonteCarloConfig {
+        trials: 8,
+        bits_per_trial: 512,
+        seed: 19,
+        engine: TrialEngine::LinkBudget,
+        threads: 1,
+    };
+    let was_profiling = vab::obs::alloc::profiling();
+    vab::obs::alloc::enable();
+    vab::obs::alloc::reset();
+    let _ = vab::sim::montecarlo::run_point(&s, &cfg);
+    let counts = stage_counts();
+    if !was_profiling {
+        vab::obs::alloc::disable();
+    }
+    // (calls, self, cumulative) over the 8 trials.
+    let allocs = |stage: &str| {
+        let (calls, self_allocs, _, cum_allocs, _) = counts[stage];
+        (calls, self_allocs, cum_allocs)
+    };
+    assert_eq!(allocs("sim.linkbudget_trial"), (8, 8 * 6, 8 * 12), "{counts:?}");
+    assert_eq!(allocs("fec.encode"), (8, 8, 8), "{counts:?}");
+    assert_eq!(allocs("fec.viterbi"), (8, 8 * 2, 8 * 2), "{counts:?}");
+    assert_eq!(allocs("sim.channel_realization"), (8, 8 * 3, 8 * 3), "{counts:?}");
+}
+
 /// A replay channel allocates only its output vector, from the first call
 /// on: one `replay.apply` on a waveform that runs far past the bank's last
 /// snapshot makes exactly one allocation.

@@ -371,3 +371,125 @@ proptest! {
         }
     }
 }
+
+// ---------------- the other disk and wire parsers
+
+/// Bytes a fuzzed document is drawn from: JSON's structural characters,
+/// digits and the letters of its literals, so random input reaches past
+/// the first byte of the parsers.
+const JSON_ALPHABET: &[u8] = b"{}[]\":,.-+eE0123456789 \ntrufalsn\\";
+
+/// A real, complete input of each JSON document parser: `(name, text)`.
+fn document_inputs() -> Vec<(&'static str, String)> {
+    use vab_replay::{bank::generate, BankSpec, WaterSpec};
+    let bank = generate(&BankSpec {
+        water: WaterSpec::River,
+        range_m: 60.0,
+        carrier_hz: 18_500.0,
+        fs: 1600.0,
+        n_snapshots: 2,
+        span_s: 1.0,
+        seed: 7,
+    })
+    .expect("bank");
+    vec![
+        ("slo", include_str!("../crates/bench/slo.json").to_string()),
+        ("metrics", include_str!("fixtures/golden_metrics.json").to_string()),
+        ("bank", bank.to_json()),
+    ]
+}
+
+/// Every JSON-reading parser, by name: the generic one and the four
+/// document readers built on it.
+const PARSERS: [&str; 5] = ["json", "slo", "metrics", "bank", "wire"];
+
+/// Whether the parser called `name` accepts `text`.
+fn parses_as(name: &str, text: &str) -> bool {
+    match name {
+        "json" => vab_util::json::Json::parse(text).is_ok(),
+        "slo" => vab_obsctl::live::SloSpec::parse(text).is_ok(),
+        "metrics" => vab_obsctl::MetricsDoc::parse(text).is_ok(),
+        "bank" => vab_replay::TvirBank::parse(text).is_ok(),
+        "wire" => vab::svc::wire::Request::parse(text).is_ok(),
+        _ => unreachable!("unknown parser {name}"),
+    }
+}
+
+#[test]
+fn document_parsers_reject_every_truncated_prefix() {
+    for (name, text) in document_inputs() {
+        assert!(parses_as(name, &text), "the whole {name} document parses");
+        let body = text.trim_end();
+        for cut in (0..body.len()).filter(|&i| body.is_char_boundary(i)) {
+            for parser in ["json", name] {
+                assert!(
+                    !parses_as(parser, &body[..cut]),
+                    "{parser} took a {cut}-byte {name} prefix"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn trace_parser_flags_every_truncated_prefix_as_a_torn_tail() {
+    use vab_obsctl::Trace;
+    let text = include_str!("fixtures/flame_trace.jsonl");
+    let full = Trace::parse(text);
+    assert!(!full.truncated_tail && full.skipped_lines.is_empty());
+    assert_eq!(full.events.len(), text.lines().count());
+    for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+        let prefix = &text[..cut];
+        let trace = Trace::parse(prefix);
+        // Only the last line can be cut, and a cut line is a torn tail,
+        // never a skipped one.
+        let tail = &prefix[prefix.rfind('\n').map_or(0, |i| i + 1)..];
+        let torn = !tail.is_empty() && text[cut - tail.len()..].lines().next() != Some(tail);
+        assert!(trace.skipped_lines.is_empty(), "{cut}-byte prefix skipped a line");
+        assert_eq!(trace.truncated_tail, torn, "{cut}-byte prefix");
+        assert_eq!(trace.events.len() + torn as usize, prefix.lines().count(), "{cut}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn document_parsers_never_panic_on_random_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..512),
+        picks in prop::collection::vec(any::<prop::sample::Index>(), 0..512),
+    ) {
+        use vab_obsctl::Trace;
+        let json_ish: Vec<u8> =
+            picks.iter().map(|i| JSON_ALPHABET[i.index(JSON_ALPHABET.len())]).collect();
+        for text in [String::from_utf8_lossy(&bytes), String::from_utf8_lossy(&json_ish)] {
+            // Verdicts may go either way; none may panic. The schema-tagged
+            // documents cannot come out of noise.
+            for parser in PARSERS {
+                let accepted = parses_as(parser, &text);
+                if matches!(parser, "slo" | "bank") {
+                    prop_assert!(!accepted, "{} accepted noise", parser);
+                }
+            }
+            let trace = Trace::parse(&text);
+            prop_assert!(trace.events.len() <= text.lines().count());
+        }
+    }
+
+    #[test]
+    fn document_parsers_never_panic_on_corrupted_files(
+        which in 0usize..3,
+        at in any::<prop::sample::Index>(),
+        byte in any::<u8>(),
+    ) {
+        let (_, text) = document_inputs().swap_remove(which);
+        let mut bytes = text.into_bytes();
+        let i = at.index(bytes.len());
+        bytes[i] = byte;
+        let text = String::from_utf8_lossy(&bytes);
+        for parser in PARSERS {
+            parses_as(parser, &text);
+        }
+        vab_obsctl::Trace::parse(&text);
+    }
+}

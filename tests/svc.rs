@@ -306,12 +306,16 @@ fn malformed_frames_get_typed_errors_and_the_connection_survives() {
     let (mut reader, mut stream) = raw_wire(&server);
 
     // Truncated JSON, non-JSON text, JSON of the wrong shape, invalid
-    // UTF-8: each answered with a typed error, connection stays up.
-    let abuse: [&[u8]; 4] = [
+    // UTF-8, and nesting deep enough to overflow a connection thread's
+    // stack if the parser recursed without a bound: each answered with a
+    // typed error, connection stays up.
+    let deep = vec![b'['; 512 * 1024];
+    let abuse: [&[u8]; 5] = [
         b"{\"op\":\"submit\",\"job\":{",
         b"GET / HTTP/1.1",
         b"{\"flavor\":\"wrong\"}",
         b"\xff\xfe{\"op\":\"health\"}",
+        &deep,
     ];
     for frame in abuse {
         send_line(&mut stream, frame);
