@@ -17,7 +17,7 @@
 //!   fading), evaluated broadside; no per-node image-method realization.
 //! * **Horizon-culled interference** — each reader scans only the members
 //!   of its co-channel foreign cells and keeps those inside the
-//!   [`crate::grid`] absorption-derived horizon; every sink is the
+//!   [`crate::interference`] absorption-derived horizon; every sink is the
 //!   pairwise reference's own per-source term, so in-horizon sums are
 //!   bit-identical to it (the exactness contract).
 //! * **FDM reuse plan** — readers draw one of [`REUSE_GRID`]² carrier
@@ -52,7 +52,9 @@ use vab_util::json::Json;
 use vab_util::rng::{derive_seed, seeded};
 
 use crate::capture::{jain_fairness, CaptureModel};
-use crate::grid::{interference_horizon_m, reply_contribution_lin, PointSource, HORIZON_MARGIN_DB};
+use crate::interference::{
+    interference_horizon_m, reply_contribution_lin, PointSource, HORIZON_MARGIN_DB,
+};
 use crate::network::{NetInventoryReport, NetPhy, Network, NodeChannel, PAYLOAD_BITS};
 use crate::route::{plan_routes, RelayRoute, RouteNode, RoutePolicy};
 use crate::topology::{NetEnv, DEPTH_MARGIN_M};
