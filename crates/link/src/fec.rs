@@ -215,7 +215,7 @@ const BRANCH_SIGNS: [[f64; HALF]; 2] = {
 /// The trellis runs as 32 radix-2 butterflies per step. Predecessors
 /// `2j` and `2j+1` feed successors `j` (input 0) and `j + 32` (input 1).
 /// Butterfly `j`'s "same" branch metric is `S0[j]·m0 + S1[j]·m1` with
-/// ±1 signs from [`BRANCH_SIGNS`], and its "flip" branch is the negation.
+/// ±1 signs from `BRANCH_SIGNS`, and its "flip" branch is the negation.
 /// Add-compare-select keeps the odd predecessor only when its candidate
 /// is strictly larger, so ties go to the even one. Path metrics ping-pong
 /// between two stack arrays, two trellis steps per loop iteration (plus

@@ -43,12 +43,12 @@ use vab_obsctl::diff::{self, DiffConfig};
 use vab_obsctl::flame::{self, Weight};
 use vab_obsctl::gate::{self, BenchDoc, Gate};
 use vab_obsctl::history;
-use vab_obsctl::json::Json;
 use vab_obsctl::live::{self, SloSpec};
 use vab_obsctl::profile;
 use vab_obsctl::report;
 use vab_obsctl::trace::{MetricsDoc, Trace};
 use vab_obsctl::waterfall::Waterfall;
+use vab_util::json::Json;
 
 /// Default location of the committed perf reference, relative to the
 /// repo root (where CI and `run_all` execute).

@@ -8,8 +8,8 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use crate::json::{write_json_number, write_json_string};
 use crate::trace::MetricsDoc;
+use vab_util::json::{write_json_number, write_json_string};
 
 /// Thresholds for the comparison.
 #[derive(Debug, Clone, Copy)]
@@ -153,11 +153,16 @@ fn rel_change(a: f64, b: f64) -> f64 {
 /// Compares run A (the reference) against run B (the candidate).
 pub fn diff(a: &MetricsDoc, b: &MetricsDoc, cfg: &DiffConfig) -> DiffReport {
     let mut report = DiffReport::default();
-    let names: BTreeSet<&str> =
-        a.stages.iter().chain(&b.stages).filter(|h| h.count > 0).map(|h| h.name.as_str()).collect();
+    let names: BTreeSet<&str> = a
+        .stages
+        .iter()
+        .chain(&b.stages)
+        .filter(|h| h.hist.count > 0)
+        .map(|h| h.hist.name.as_str())
+        .collect();
     for name in names {
         match (a.stage(name), b.stage(name)) {
-            (Some(ha), Some(hb)) if ha.count > 0 && hb.count > 0 => {
+            (Some(ha), Some(hb)) if ha.hist.count > 0 && hb.hist.count > 0 => {
                 let rel = rel_change(ha.mean(), hb.mean());
                 report.lines.push(DiffLine {
                     name: name.to_string(),
@@ -165,14 +170,14 @@ pub fn diff(a: &MetricsDoc, b: &MetricsDoc, cfg: &DiffConfig) -> DiffReport {
                     a: ha.mean(),
                     b: hb.mean(),
                     rel,
-                    regression: rel > cfg.rel_tol && hb.sum >= cfg.min_stage_s,
+                    regression: rel > cfg.rel_tol && hb.hist.sum >= cfg.min_stage_s,
                 });
                 report.lines.push(DiffLine {
                     name: name.to_string(),
                     metric: "stage total",
-                    a: ha.sum,
-                    b: hb.sum,
-                    rel: rel_change(ha.sum, hb.sum),
+                    a: ha.hist.sum,
+                    b: hb.hist.sum,
+                    rel: rel_change(ha.hist.sum, hb.hist.sum),
                     regression: false,
                 });
             }
@@ -205,6 +210,7 @@ pub fn diff(a: &MetricsDoc, b: &MetricsDoc, cfg: &DiffConfig) -> DiffReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vab_util::json::Json;
 
     fn doc(mean_scale: f64) -> MetricsDoc {
         let sum = 0.02 * mean_scale;
@@ -263,18 +269,18 @@ mod tests {
     #[test]
     fn json_output_parses_and_carries_the_verdict() {
         let r = diff(&doc(1.0), &doc(2.0), &DiffConfig::default());
-        let v = crate::json::Json::parse(&r.to_json()).expect("valid JSON");
+        let v = Json::parse(&r.to_json()).expect("valid JSON");
         assert_eq!(v.u64_field("regressions"), Some(1));
-        let lines = v.get("lines").and_then(crate::json::Json::as_arr).expect("lines");
+        let lines = v.get("lines").and_then(Json::as_arr).expect("lines");
         let mean = lines
             .iter()
             .find(|l| l.str_field("metric") == Some("stage mean"))
             .expect("stage mean line");
         assert_eq!(mean.str_field("name"), Some("sim.linkbudget_trial"));
-        assert_eq!(mean.get("regression").and_then(crate::json::Json::as_bool), Some(true));
+        assert_eq!(mean.get("regression").and_then(Json::as_bool), Some(true));
         // An empty diff still emits valid JSON.
         let empty = DiffReport::default();
-        assert!(crate::json::Json::parse(&empty.to_json()).is_ok());
+        assert!(Json::parse(&empty.to_json()).is_ok());
     }
 
     #[test]

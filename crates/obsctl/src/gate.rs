@@ -33,7 +33,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use crate::json::{write_json_string, Json};
+use vab_util::json::{write_json_string, Json};
 
 /// Reference schema identifier.
 pub const GATE_SCHEMA: &str = "vab-gate/1";

@@ -32,8 +32,8 @@
 //! * [`history`] — lists the `results/BENCH_<sha>.json` trajectory with
 //!   per-mode wall-time deltas.
 //!
-//! Everything stays serde-free: the [`json`] module re-exports the shared
-//! `vab_util::json` parser/serializer, and the crate analyzes only what
+//! Everything stays serde-free: the crate reads and writes JSON through
+//! the shared `vab_util::json` parser/serializer, and analyzes only what
 //! the workspace itself emitted.
 
 pub mod anomaly;
@@ -41,7 +41,6 @@ pub mod diff;
 pub mod flame;
 pub mod gate;
 pub mod history;
-pub mod json;
 pub mod live;
 pub mod profile;
 pub mod report;

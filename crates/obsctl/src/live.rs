@@ -11,7 +11,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use crate::json::Json;
+use vab_util::json::Json;
 
 /// Schema tag a `vab-slo/1` spec must carry.
 pub const SLO_SCHEMA: &str = "vab-slo/1";
@@ -253,8 +253,8 @@ pub fn render_checks(checks: &[SloCheck]) -> (String, usize) {
 /// Renders check results as a JSON document for scripts and CI
 /// assertions; returns `(json, breaches)`.
 pub fn render_checks_json(checks: &[SloCheck]) -> (String, usize) {
-    use crate::json::{write_json_number, write_json_string};
     use std::fmt::Write as _;
+    use vab_util::json::{write_json_number, write_json_string};
     let breaches = checks.iter().filter(|c| !c.pass).count();
     let mut out = String::with_capacity(512);
     out.push_str("{\n  \"checks\": [");

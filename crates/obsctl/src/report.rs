@@ -14,6 +14,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use vab_util::json::Json;
+
 use crate::trace::{MetricsDoc, Trace};
 
 /// Per-trial reconstruction: everything the trace said about one trial.
@@ -56,7 +58,7 @@ pub fn trial_timelines(trace: &Trace) -> Vec<TrialTimeline> {
         }
         if e.name == "deployment_done" {
             t.errors = e.fields.u64_field("errors").or(t.errors);
-            t.success = e.fields.get("success").and_then(crate::json::Json::as_bool).or(t.success);
+            t.success = e.fields.get("success").and_then(Json::as_bool).or(t.success);
             t.range_m = e.fields.f64_field("range_m").or(t.range_m);
         }
     }
@@ -148,8 +150,7 @@ fn render_timelines(out: &mut String, trace: &Trace) {
         let up_ok = sessions
             .iter()
             .filter(|&&i| {
-                trace.events[i].fields.get("uplink_ok").and_then(crate::json::Json::as_bool)
-                    == Some(true)
+                trace.events[i].fields.get("uplink_ok").and_then(Json::as_bool) == Some(true)
             })
             .count();
         let _ = writeln!(
@@ -163,7 +164,7 @@ fn render_timelines(out: &mut String, trace: &Trace) {
 }
 
 fn render_stage_percentiles(out: &mut String, m: &MetricsDoc) {
-    let active: Vec<_> = m.stages.iter().filter(|h| h.count > 0).collect();
+    let active: Vec<_> = m.stages.iter().filter(|h| h.hist.count > 0).collect();
     if active.is_empty() {
         out.push_str("\n(metrics snapshot has no stage observations)\n");
         return;
@@ -181,12 +182,12 @@ fn render_stage_percentiles(out: &mut String, m: &MetricsDoc) {
         let _ = writeln!(
             out,
             "  {:<26} {:>9} {:>11} {:>11} {:>11} {:>9.3} s",
-            h.name,
-            h.count,
+            h.hist.name,
+            h.hist.count,
             us(0.50),
             us(0.95),
             us(0.99),
-            h.sum
+            h.hist.sum
         );
     }
 }
@@ -194,20 +195,20 @@ fn render_stage_percentiles(out: &mut String, m: &MetricsDoc) {
 /// The indented stage tree: stages grouped by their dotted prefix
 /// (`sim`, `fec`, …), each subsystem totalled, children sorted by time.
 fn render_stage_tree(out: &mut String, m: &MetricsDoc) {
-    let active: Vec<_> = m.stages.iter().filter(|h| h.count > 0).collect();
+    let active: Vec<_> = m.stages.iter().filter(|h| h.hist.count > 0).collect();
     if active.is_empty() {
         return;
     }
-    let total: f64 = active.iter().map(|h| h.sum).sum();
+    let total: f64 = active.iter().map(|h| h.hist.sum).sum();
     let mut groups: BTreeMap<&str, Vec<&crate::trace::HistDoc>> = BTreeMap::new();
     for h in &active {
-        let prefix = h.name.split('.').next().unwrap_or(&h.name);
+        let prefix = h.hist.name.split('.').next().unwrap_or(&h.hist.name);
         groups.entry(prefix).or_default().push(h);
     }
     let mut ordered: Vec<(&str, f64, Vec<&crate::trace::HistDoc>)> = groups
         .into_iter()
         .map(|(prefix, hs)| {
-            let sum: f64 = hs.iter().map(|h| h.sum).sum();
+            let sum: f64 = hs.iter().map(|h| h.hist.sum).sum();
             (prefix, sum, hs)
         })
         .collect();
@@ -217,17 +218,18 @@ fn render_stage_tree(out: &mut String, m: &MetricsDoc) {
     for (prefix, sum, mut hs) in ordered {
         let share = if total > 0.0 { 100.0 * sum / total } else { 0.0 };
         let _ = writeln!(out, "    {prefix:<40} {sum:>8.3} s  {share:>5.1}%");
-        hs.sort_by(|a, b| b.sum.total_cmp(&a.sum));
+        hs.sort_by(|a, b| b.hist.sum.total_cmp(&a.hist.sum));
         for h in hs {
             let leaf = h
+                .hist
                 .name
                 .strip_prefix(prefix)
-                .map_or(h.name.as_str(), |s| s.strip_prefix('.').unwrap_or(s));
-            let leaf_share = if total > 0.0 { 100.0 * h.sum / total } else { 0.0 };
+                .map_or(h.hist.name.as_str(), |s| s.strip_prefix('.').unwrap_or(s));
+            let leaf_share = if total > 0.0 { 100.0 * h.hist.sum / total } else { 0.0 };
             let _ = writeln!(
                 out,
                 "      {:<38} {:>8.3} s  {:>5.1}%  ({} calls)",
-                leaf, h.sum, leaf_share, h.count
+                leaf, h.hist.sum, leaf_share, h.hist.count
             );
         }
     }

@@ -9,7 +9,8 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use crate::json::Json;
+use vab_obs::metrics::HistogramSnapshot;
+use vab_util::json::Json;
 
 /// One parsed trace event.
 #[derive(Debug, Clone, PartialEq)]
@@ -177,15 +178,8 @@ fn event_from_json(v: &Json) -> Option<TraceEvent> {
 /// One histogram from a `metrics.json` snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistDoc {
-    /// Instrument name.
-    pub name: String,
-    /// Observation count.
-    pub count: u64,
-    /// Observation sum.
-    pub sum: f64,
-    /// `(upper_bound, cumulative-style bucket count)`; the overflow bucket
-    /// carries `f64::INFINITY` as its bound.
-    pub buckets: Vec<(f64, u64)>,
+    /// Name, count, sum and buckets, in `vab-obs`'s own snapshot form.
+    pub hist: HistogramSnapshot,
     /// Derived quantiles, when the snapshot carries them.
     pub p50: Option<f64>,
     /// 95th percentile.
@@ -197,52 +191,26 @@ pub struct HistDoc {
 impl HistDoc {
     /// Mean seconds (or whatever unit the histogram records) per call.
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
+        if self.hist.count == 0 {
             0.0
         } else {
-            self.sum / self.count as f64
+            self.hist.sum / self.hist.count as f64
         }
     }
 
     /// The `q`-quantile: the snapshot's embedded value when present (p50 /
-    /// p95 / p99), else re-derived from the buckets with the same
-    /// log-interpolation rule `vab-obs` uses — so old snapshots without
-    /// embedded quantiles still report percentiles.
+    /// p95 / p99), else [`HistogramSnapshot::percentile`] over the buckets
+    /// — so old snapshots without embedded quantiles still report
+    /// percentiles.
     pub fn percentile(&self, q: f64) -> Option<f64> {
-        match q {
-            _ if self.count == 0 || !(q > 0.0 && q <= 1.0) => return None,
-            _ if (q - 0.50).abs() < 1e-12 && self.p50.is_some() => return self.p50,
-            _ if (q - 0.95).abs() < 1e-12 && self.p95.is_some() => return self.p95,
-            _ if (q - 0.99).abs() < 1e-12 && self.p99.is_some() => return self.p99,
-            _ => {}
-        }
-        let rank = q * self.count as f64;
-        let mut seen = 0u64;
-        let mut last_finite = None;
-        for (i, &(bound, n)) in self.buckets.iter().enumerate() {
-            if bound.is_finite() {
-                last_finite = Some(bound);
-            }
-            if n == 0 {
-                continue;
-            }
-            let below = seen as f64;
-            seen += n;
-            if (seen as f64) < rank {
-                continue;
-            }
-            if !bound.is_finite() {
-                return last_finite.or(Some(f64::INFINITY));
-            }
-            let lo = if i > 0 { self.buckets[i - 1].0 } else { bound / 10.0 };
-            let frac = ((rank - below) / n as f64).clamp(0.0, 1.0);
-            return Some(if lo > 0.0 && bound > lo {
-                lo * (bound / lo).powf(frac)
-            } else {
-                lo + (bound - lo) * frac
-            });
-        }
-        last_finite.or(Some(f64::INFINITY))
+        let embedded = match q {
+            _ if self.hist.count == 0 => None,
+            _ if (q - 0.50).abs() < 1e-12 => self.p50,
+            _ if (q - 0.95).abs() < 1e-12 => self.p95,
+            _ if (q - 0.99).abs() < 1e-12 => self.p99,
+            _ => None,
+        };
+        embedded.or_else(|| self.hist.percentile(q))
     }
 }
 
@@ -362,25 +330,31 @@ impl MetricsDoc {
 
     /// Stage-histogram lookup.
     pub fn stage(&self, name: &str) -> Option<&HistDoc> {
-        self.stages.iter().find(|h| h.name == name)
+        self.stages.iter().find(|h| h.hist.name == name)
     }
 }
 
 fn hist_from_json(v: &Json) -> Option<HistDoc> {
-    let mut buckets = Vec::new();
-    for b in v.get("buckets").and_then(Json::as_arr)? {
-        let le = match b.get("le") {
-            Some(Json::Num(x)) => *x,
-            Some(Json::Str(s)) if s == "+inf" => f64::INFINITY,
+    let entries = v.get("buckets").and_then(Json::as_arr)?;
+    let (mut bounds, mut buckets) = (Vec::new(), Vec::new());
+    for (i, b) in entries.iter().enumerate() {
+        match b.get("le") {
+            Some(Json::Num(x)) => bounds.push(*x),
+            Some(Json::Str(s)) if s == "+inf" && i + 1 == entries.len() => {}
             _ => return None,
-        };
-        buckets.push((le, b.u64_field("count")?));
+        }
+        buckets.push(b.u64_field("count")?);
     }
+    // A snapshot without an overflow bucket had nothing past its top bound.
+    buckets.resize(bounds.len() + 1, 0);
     Some(HistDoc {
-        name: v.str_field("name")?.to_string(),
-        count: v.u64_field("count")?,
-        sum: v.f64_field("sum").unwrap_or(f64::NAN),
-        buckets,
+        hist: HistogramSnapshot {
+            name: v.str_field("name")?.to_string(),
+            count: v.u64_field("count")?,
+            sum: v.f64_field("sum").unwrap_or(f64::NAN),
+            bounds,
+            buckets,
+        },
         p50: v.f64_field("p50"),
         p95: v.f64_field("p95"),
         p99: v.f64_field("p99"),
@@ -485,9 +459,23 @@ mod tests {
         let doc = MetricsDoc::parse(text).expect("parse");
         assert_eq!(doc.counter("arq.retransmits"), Some(12));
         let st = doc.stage("sim.linkbudget_trial").expect("stage");
-        assert_eq!(st.count, 4);
+        assert_eq!(st.hist.count, 4);
         assert_eq!(st.p95, Some(0.009));
-        assert_eq!(st.buckets.last().map(|b| b.0), Some(f64::INFINITY));
+        assert_eq!(st.hist.bounds, [0.001, 0.01]);
+        assert_eq!(st.hist.buckets, [0, 3, 1]);
         assert!((st.mean() - 0.005).abs() < 1e-12);
+        // Embedded quantiles win; anything else comes from the buckets.
+        assert_eq!(st.percentile(0.95), Some(0.009));
+        assert_eq!(st.percentile(0.5), Some(0.004));
+        let p25 = st.percentile(0.25).expect("p25");
+        assert!((p25 - 0.001 * 10f64.powf(1.0 / 3.0)).abs() < 1e-15, "p25 {p25}");
+        assert_eq!(st.percentile(0.9), Some(0.01), "overflow clamps to the top bound");
+    }
+
+    #[test]
+    fn an_inner_infinite_bucket_is_malformed() {
+        let text = r#"{"stages":[{"name":"s","count":1,"sum":1.0,
+            "buckets":[{"le":"+inf","count":1},{"le":0.01,"count":0}]}]}"#;
+        assert!(MetricsDoc::parse(text).is_err());
     }
 }

@@ -14,6 +14,8 @@
 
 use std::collections::BTreeMap;
 
+use vab_util::json::Json;
+
 use crate::trace::Trace;
 
 /// One reconstructed span.
@@ -48,7 +50,7 @@ pub struct Waterfall {
     pub spans: BTreeMap<u64, Span>,
 }
 
-fn hex_field(fields: &crate::json::Json, key: &str) -> Option<u64> {
+fn hex_field(fields: &Json, key: &str) -> Option<u64> {
     u64::from_str_radix(fields.str_field(key)?, 16).ok()
 }
 

@@ -271,11 +271,11 @@ pub enum JobSpec {
         seed: u64,
     },
     /// One ocean-scale cellular deployment (`vab-net` scale tier):
-    /// multi-reader cells, grid-accelerated interference and multi-hop
-    /// relay routing at the canonical ocean density. The spec maps onto
-    /// `vab_net::ScaleSpec::ocean` with the routing policy overridden, so
-    /// geometry and reader count stay pure functions of `n_nodes` and the
-    /// job stays cacheable by content address.
+    /// multi-reader cells, horizon-culled co-channel interference and
+    /// multi-hop relay routing at the canonical ocean density. The spec
+    /// maps onto `vab_net::ScaleSpec::ocean` with the routing policy
+    /// overridden, so geometry and reader count stay pure functions of
+    /// `n_nodes` and the job stays cacheable by content address.
     NetScale {
         /// Deployed node count (1 ..= 1,048,576).
         n_nodes: usize,

@@ -67,8 +67,3 @@ pub const ENGINE_VERSION: &str = "vab-engine/1";
 
 /// Schema tag embedded in native (non-figure) result payloads.
 pub const RESULT_SCHEMA: &str = "vab-svc-result/1";
-
-/// FNV-1a 64-bit digest — the content address of a canonical job spec.
-/// Re-exported from `vab_util::hash` (the shared primitive also used by
-/// `vab-net` topology digests); kept at this path for compatibility.
-pub use vab_util::hash::fnv1a64;

@@ -312,14 +312,13 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let val = self.value()?;
-            if !fields.iter().any(|(k, _)| *k == key) {
-                fields.push((key, val));
-            }
+            fields.push((key, val));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
+                    drop_repeated_keys(&mut fields);
                     return Ok(Json::Obj(fields));
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
@@ -437,9 +436,52 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Drops every field whose key an earlier field already has, keeping
+/// source order (the first duplicate wins). Sorting field indices by
+/// (key, index) makes this O(n log n): one hostile request line of
+/// 100,000 keys must not cost billions of string compares.
+fn drop_repeated_keys(fields: &mut Vec<(String, Json)>) {
+    let mut order: Vec<usize> = (0..fields.len()).collect();
+    order.sort_unstable_by(|&a, &b| fields[a].0.cmp(&fields[b].0).then(a.cmp(&b)));
+    // A field repeats its sorted predecessor's key unless it heads its key
+    // group (the lowest index, the one kept). Compact the repeats' indices
+    // to the front of `order`; writes trail the reads, so each comparison
+    // still sees unmoved entries.
+    let mut repeats = 0;
+    for i in 1..order.len() {
+        if fields[order[i]].0 == fields[order[i - 1]].0 {
+            order[repeats] = order[i];
+            repeats += 1;
+        }
+    }
+    order.truncate(repeats);
+    order.sort_unstable();
+    let (mut index, mut next) = (0, 0);
+    fields.retain(|_| {
+        let repeated = order.get(next) == Some(&index);
+        next += usize::from(repeated);
+        index += 1;
+        !repeated
+    });
+}
+
+/// The linear scan [`drop_repeated_keys`] replaced: O(n²), kept as the
+/// oracle its proptest compares against.
+#[cfg(test)]
+fn drop_repeated_keys_by_scan(fields: Vec<(String, Json)>) -> Vec<(String, Json)> {
+    let mut kept: Vec<(String, Json)> = Vec::new();
+    for (key, val) in fields {
+        if !kept.iter().any(|(k, _)| *k == key) {
+            kept.push((key, val));
+        }
+    }
+    kept
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_the_workspace_emitters_shapes() {
@@ -558,5 +600,50 @@ mod tests {
             };
         }
         assert_eq!(v.as_f64(), Some(0.0));
+    }
+
+    #[test]
+    fn a_hundred_thousand_key_object_parses() {
+        // Every key twice, the second copy with another value: the first
+        // must win and source order must survive.
+        let n = 100_000;
+        let mut doc = String::from("{");
+        for pass in 0..2 {
+            for i in 0..n {
+                if pass + i > 0 {
+                    doc.push(',');
+                }
+                doc.push_str(&format!("\"k{i}\":{}", pass * n + i));
+            }
+        }
+        doc.push('}');
+        let v = Json::parse(&doc).expect("parse");
+        let fields = v.as_obj().expect("object");
+        assert_eq!(fields.len(), n);
+        for (i, (k, val)) in fields.iter().enumerate() {
+            assert_eq!(k, &format!("k{i}"));
+            assert_eq!(val.as_f64(), Some(i as f64));
+        }
+    }
+
+    proptest! {
+        // Objects drawn from a small key alphabet repeat keys often; the
+        // parsed fields must equal the linear scan's, values and order.
+        #[test]
+        fn repeated_keys_resolve_like_the_linear_scan(
+            keys in prop::collection::vec(0u32..12, 0..48),
+        ) {
+            let fields: Vec<(String, Json)> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, k)| (format!("k{k}"), Json::Num(i as f64)))
+                .collect();
+            let want = drop_repeated_keys_by_scan(fields.clone());
+            let mut got = fields.clone();
+            drop_repeated_keys(&mut got);
+            prop_assert_eq!(&got, &want);
+            let parsed = Json::parse(&Json::Obj(fields).render()).expect("parse");
+            prop_assert_eq!(parsed, Json::Obj(want));
+        }
     }
 }

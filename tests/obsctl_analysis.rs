@@ -85,7 +85,7 @@ fn all_four_anomaly_classes_are_detected() {
 #[test]
 fn metrics_snapshot_quantiles_are_ordered() {
     let m = MetricsDoc::load(&fixture("golden_metrics.json")).expect("metrics parse");
-    let active: Vec<_> = m.stages.iter().filter(|h| h.count > 0).collect();
+    let active: Vec<_> = m.stages.iter().filter(|h| h.hist.count > 0).collect();
     assert!(!active.is_empty(), "fixture has no stage observations");
     for h in active {
         let (p50, p95, p99) = (
@@ -93,8 +93,8 @@ fn metrics_snapshot_quantiles_are_ordered() {
             h.percentile(0.95).expect("p95"),
             h.percentile(0.99).expect("p99"),
         );
-        assert!(p50 <= p95 && p95 <= p99, "{}: {p50} {p95} {p99}", h.name);
-        assert!(p50 > 0.0, "{}: degenerate p50", h.name);
+        assert!(p50 <= p95 && p95 <= p99, "{}: {p50} {p95} {p99}", h.hist.name);
+        assert!(p50 > 0.0, "{}: degenerate p50", h.hist.name);
     }
 }
 
