@@ -287,6 +287,36 @@ mod tests {
         }
     }
 
+    /// The Van Atta gain oracle. Every pair's two routes arrive in phase at
+    /// the retro angle (the partner sits at the mirror position), so
+    /// `|AF(θ → θ)| = N · line_loss · pattern(θ)²` for `N` elements, with
+    /// the defaults' −0.25 dB line loss and `cos^0.35 θ` element pattern
+    /// written out here rather than read from the model. At broadside that
+    /// is `20·log10(N) − 0.25` dB. Both hold to 1e-9 relative, far inside
+    /// the 1.2e-3 a 0.01 dB line-loss change moves the gain.
+    #[test]
+    fn retro_gain_matches_the_in_phase_pair_sum() {
+        let line_loss = 10f64.powf(-0.25 / 20.0);
+        let rel = |got: f64, want: f64| ((got - want) / want).abs();
+        for pairs in 1..=16usize {
+            let a = arr(pairs);
+            let n = (2 * pairs) as f64;
+            for deg in -80..=80 {
+                let theta = Degrees(deg as f64);
+                let pattern = theta.radians().cos().powf(0.35);
+                let want = n * line_loss * pattern * pattern;
+                let got = a.retro_gain(theta, F0);
+                assert!(rel(got, want) <= 1e-9, "{pairs} pairs, θ={deg}°: {got} vs {want}");
+            }
+            let db = a.retro_gain_db(Degrees(0.0), F0);
+            let want_db = 20.0 * n.log10() - 0.25;
+            assert!(
+                rel(db, want_db) <= 1e-9,
+                "{pairs} pairs at broadside: {db} dB vs {want_db} dB"
+            );
+        }
+    }
+
     /// The conventional wiring's backscatter factor is a uniform line
     /// array's Dirichlet kernel: with ψ = 2·k·d·sinθ (the round-trip
     /// phase step between neighbours), `|Σᵢ e^{jψ·i}| = |sin(Nψ/2)/sin(ψ/2)|`,

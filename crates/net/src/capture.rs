@@ -10,6 +10,8 @@
 //! capture effect real readers exhibit: a strong near node can punch
 //! through a weak far one.
 
+use vab_util::db::db_to_lin_pow;
+
 /// Default capture threshold, dB. At ≥ 6 dB SINR the strongest reply is
 /// at least four times everything else combined, so at most one reply
 /// can be above threshold in any slot — capture is naturally exclusive.
@@ -22,20 +24,65 @@ pub fn sinr_db(signal_lin: f64, interference_lin: f64, noise_lin: f64) -> f64 {
     10.0 * (signal_lin / (noise_lin + interference_lin)).log10()
 }
 
+/// Half-width of the relative band around the linear threshold inside
+/// which [`CaptureModel`] falls back to the dB comparison. It is about
+/// 10⁶ times wider than the rounding error of `10·log10`, so outside the
+/// band the linear comparison decides exactly what the dB one would.
+const LINEAR_BAND_REL: f64 = 1e-9;
+
 /// The SINR-threshold capture rule.
+///
+/// The rule is `10·log10(sinr) ≥ threshold_db`. Inventory applies it to
+/// every occupied slot (millions per ocean deployment), so the model
+/// compares the linear SINR with the linear threshold instead, and takes
+/// the `log10` only inside a ±1e-9 relative band around it, where the two
+/// comparisons could round differently. The band edges are derived once,
+/// when the model is built, from the one private `threshold_db`, so they
+/// cannot drift from it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CaptureModel {
-    /// Minimum SINR for a reply to capture the hydrophone, dB.
-    pub threshold_db: f64,
+    threshold_db: f64,
+    /// SINRs below this do not capture (the band's lower edge).
+    below: f64,
+    /// SINRs above this capture (the band's upper edge).
+    above: f64,
 }
 
 impl Default for CaptureModel {
     fn default() -> Self {
-        Self { threshold_db: DEFAULT_CAPTURE_THRESHOLD_DB }
+        Self::new(DEFAULT_CAPTURE_THRESHOLD_DB)
     }
 }
 
 impl CaptureModel {
+    /// A capture rule with a minimum SINR of `threshold_db`.
+    pub fn new(threshold_db: f64) -> Self {
+        let threshold_lin = db_to_lin_pow(threshold_db);
+        Self {
+            threshold_db,
+            below: threshold_lin * (1.0 - LINEAR_BAND_REL),
+            above: threshold_lin * (1.0 + LINEAR_BAND_REL),
+        }
+    }
+
+    /// Minimum SINR for a reply to capture the hydrophone, dB.
+    pub fn threshold_db(&self) -> f64 {
+        self.threshold_db
+    }
+
+    /// Whether a reply at linear SINR `sinr_lin` captures: the same
+    /// decision as `10·log10(sinr_lin) ≥ threshold_db`, which is taken
+    /// only inside the band (and for NaN, which fails both edges).
+    pub fn clears(&self, sinr_lin: f64) -> bool {
+        if sinr_lin > self.above {
+            true
+        } else if sinr_lin < self.below {
+            false
+        } else {
+            10.0 * sinr_lin.log10() >= self.threshold_db
+        }
+    }
+
     /// Picks the capture candidate among `respondents` (pairs of address
     /// and linear received power) against `noise_lin`.
     ///
@@ -51,11 +98,7 @@ impl CaptureModel {
         let total: f64 = respondents.iter().map(|&(_, p)| p).sum();
         let (addr, p) = respondents.iter().copied().max_by(|a, b| a.1.total_cmp(&b.1))?;
         let sinr_lin = p / (noise_lin + (total - p));
-        if 10.0 * sinr_lin.log10() >= self.threshold_db {
-            Some((addr, sinr_lin))
-        } else {
-            None
-        }
+        self.clears(sinr_lin).then_some((addr, sinr_lin))
     }
 }
 
@@ -77,6 +120,68 @@ pub fn jain_fairness(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The dB capture test the linear one replaces: the oracle.
+    fn clears_db(m: &CaptureModel, sinr_lin: f64) -> bool {
+        10.0 * sinr_lin.log10() >= m.threshold_db()
+    }
+
+    /// `x` moved by `k` units in the last place (positive `x` only).
+    fn ulps(x: f64, k: i64) -> f64 {
+        f64::from_bits((x.to_bits() as i64 + k) as u64)
+    }
+
+    #[test]
+    fn linear_test_matches_the_db_test_around_many_thresholds() {
+        // Every threshold on a 0.01 dB grid over ±40 dB, probed at the
+        // linear threshold, ±1…64 ULPs of it and both band edges from
+        // either side. A linear test without the band disagrees with the
+        // dB test a few ULPs from some of these thresholds.
+        for step in -4000..=4000 {
+            let m = CaptureModel::new(step as f64 * 0.01);
+            let t = db_to_lin_pow(m.threshold_db());
+            let mut probes = vec![t, m.below, m.above];
+            for k in 1..=64 {
+                probes.extend([ulps(t, k), ulps(t, -k)]);
+            }
+            for edge in [m.below, m.above] {
+                probes.extend([ulps(edge, 1), ulps(edge, -1)]);
+            }
+            for x in probes {
+                assert_eq!(
+                    m.clears(x),
+                    clears_db(&m, x),
+                    "threshold {} dB, sinr {x:e}",
+                    m.threshold_db()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_sinrs_decide_like_the_db_test() {
+        let m = CaptureModel::default();
+        for x in [0.0, -1.0, f64::INFINITY, f64::NAN, f64::MIN_POSITIVE, f64::MAX] {
+            assert_eq!(m.clears(x), clears_db(&m, x), "sinr {x:e}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn linear_test_matches_the_db_test(
+            threshold_db in -60.0f64..60.0,
+            k in -1000i64..1000,
+            rel in -1e-6f64..1e-6,
+            random_db in -80.0f64..80.0,
+        ) {
+            let m = CaptureModel::new(threshold_db);
+            let t = db_to_lin_pow(threshold_db);
+            for x in [t, ulps(t, k), t * (1.0 + rel), m.below, m.above, db_to_lin_pow(random_db)] {
+                prop_assert_eq!(m.clears(x), clears_db(&m, x));
+            }
+        }
+    }
 
     #[test]
     fn empty_slot_has_no_candidate() {

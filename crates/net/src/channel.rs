@@ -112,7 +112,8 @@ impl Network {
             cell_members: vec![(0..nodes.len() as Addr).collect()],
             routes,
             horizon_m: 0.0,
-            sinks: vec![Vec::new(); nodes.len()],
+            sink_offsets: vec![0; nodes.len() + 1],
+            sinks: Vec::new(),
             max_range_m: topology.max_range_m,
             capture: CaptureModel::default(),
             cell_seeds: vec![(

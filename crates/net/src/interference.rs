@@ -1,5 +1,5 @@
-//! Co-channel interference: the absorption-derived *interference horizon*,
-//! the per-source contribution every sink uses, and the pairwise oracle.
+//! Co-channel interference: the absorption-derived *interference horizon*
+//! and the pairwise oracle the production sinks are checked against.
 //!
 //! Summing every concurrent transmitter's contribution at a receiver is
 //! O(N) per query and O(N²) per network sweep, and at ocean scale most of
@@ -12,11 +12,14 @@
 //! only co-channel sources inside it.
 //!
 //! **Exactness contract**: production sinks equal
-//! [`pairwise_interference_lin`]. Both evaluate the *same* per-source
-//! contribution ([`reply_contribution_lin`]) and sum in ascending address
-//! order, so a reader's sink total is bit-identical to the oracle over its
-//! in-horizon co-channel sources — floating-point summation order and
-//! all. `tests/network.rs` pins this with and without culling, and the
+//! [`pairwise_interference_lin`]. The oracle sums
+//! [`reply_contribution_lin`] — `env.transmission_loss` in full — over the
+//! sources in ascending address order. Production computes the same term
+//! through `NetPhy::tl_db`, the same spreading-plus-absorption loss with
+//! the absorption evaluated once per plan, so a reader's sink total, summed
+//! in ascending address order, is bit-identical to the oracle over its
+//! in-horizon co-channel sources — floating-point summation order and all.
+//! `tests/network.rs` pins this with and without culling, and the
 //! 20,736-node sink digest pins the production values themselves.
 
 use vab_acoustics::environment::Environment;
@@ -46,10 +49,8 @@ pub struct PointSource {
 }
 
 /// Linear received power of `src` at `at` under spreading + absorption
-/// (`env.transmission_loss`), with the standard 1 m reference clamp.
-///
-/// Production sinks and the pairwise oracle both call exactly this
-/// function, so their per-source terms are bitwise identical.
+/// (`env.transmission_loss`), with the standard 1 m reference clamp: the
+/// oracle's per-source term.
 pub fn reply_contribution_lin(env: &Environment, f: Hertz, src: &PointSource, at: Position) -> f64 {
     let d = src.pos.distance_to(&at).value().max(1.0);
     db_to_lin_pow(src.level_db_at_1m - env.transmission_loss(f, Meters(d)).value())
@@ -89,20 +90,16 @@ pub fn interference_horizon_m(
 }
 
 /// The pairwise oracle: total linear interference power at `at` from
-/// every source (skipping `exclude`), summed in slice order. Callers keep
-/// sources sorted by ascending address so the sum order is canonical.
+/// every source, summed in slice order. Callers keep sources sorted by
+/// ascending address so the sum order is canonical.
 pub fn pairwise_interference_lin(
     env: &Environment,
     f: Hertz,
     sources: &[PointSource],
     at: Position,
-    exclude: Option<vab_mac::Addr>,
 ) -> f64 {
     let mut total = 0.0;
     for src in sources {
-        if Some(src.addr) == exclude {
-            continue;
-        }
         total += reply_contribution_lin(env, f, src, at);
     }
     total

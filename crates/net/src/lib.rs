@@ -34,15 +34,15 @@
 //!
 //! * [`topology`] — seed-pure node placement in a deployment volume,
 //!   with a content-addressed spec digest for per-topology caching;
-//! * [`capture`] — the SINR capture rule and Jain's fairness index;
+//! * [`capture`] — the SINR capture rule (a linear test, exact to the dB
+//!   one) and Jain's fairness index;
 //! * [`network`] — the engine: node table, slot resolver, inventory
 //!   (framed ALOHA via [`vab_mac::AlohaReader::run_round_with`]) and the
 //!   paper tier's sampled steady state and [`DeploymentReport`];
 //! * [`channel`] — the link-budget constructor, in the linear-power
 //!   units superposition needs;
-//! * [`interference`] — the absorption-derived interference horizon,
-//!   the per-source contribution every sink uses, and the pairwise
-//!   oracle production sinks are bit-identical to;
+//! * [`interference`] — the absorption-derived interference horizon
+//!   and the pairwise oracle production sinks are bit-identical to;
 //! * [`route`] — VBF and cluster-head relay planning for rim nodes;
 //! * [`scale`] — the closed-form constructor, the ocean steady state and
 //!   [`ScaleReport`].

@@ -33,6 +33,7 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 use vab_acoustics::environment::Environment;
 use vab_acoustics::geometry::Position;
+use vab_acoustics::spreading::transmission_loss;
 use vab_link::frame::LinkConfig;
 use vab_mac::aloha::{AlohaReader, SlotOutcome};
 use vab_mac::tdma::TdmaSchedule;
@@ -90,6 +91,9 @@ pub struct NetPhy {
     pub noise_hop_db: f64,
     /// Sound speed, m/s.
     pub sound_speed: f64,
+    /// Absorption at the carrier, dB/km: `env.absorption_db_per_km(carrier)`,
+    /// evaluated once per plan rather than once per loss.
+    absorption_db_per_km: f64,
 }
 
 impl NetPhy {
@@ -114,13 +118,16 @@ impl NetPhy {
             noise_reader_db: power_db_sum([ambient, si]) + bits_db,
             noise_hop_db: ambient + bits_db,
             sound_speed: s.env.sound_speed(),
+            absorption_db_per_km: s.env.absorption_db_per_km(carrier),
             env: s.env,
         }
     }
 
-    /// One-way transmission loss over `d` metres (1 m reference clamp).
+    /// One-way transmission loss over `d` metres (1 m reference clamp):
+    /// `env.transmission_loss(carrier, d)`, bit for bit, with the
+    /// Francois–Garrison absorption taken from the plan.
     pub fn tl_db(&self, d: f64) -> f64 {
-        self.env.transmission_loss(self.carrier, Meters(d.max(1.0))).value()
+        transmission_loss(self.env.spreading, self.absorption_db_per_km, Meters(d.max(1.0))).value()
     }
 
     /// Wall-clock duration of one slot: the reply frame plus the
@@ -181,10 +188,12 @@ pub struct Network {
     /// Interference horizon used to cull cross-cell interferers, metres
     /// (0 for a one-reader plan, which has no cross-cell interference).
     pub horizon_m: f64,
-    /// Per-node cross-cell interference sinks: for every co-channel
-    /// foreign reader within [`Network::horizon_m`] of the node, `(reader
-    /// index, linear received power at that reader)`.
-    pub sinks: Vec<Vec<(u32, f64)>>,
+    /// Cross-cell interference sinks, node-major (CSR): node `a`'s are
+    /// `sinks[sink_offsets[a]..sink_offsets[a + 1]]`, read through
+    /// [`Network::sinks_of`].
+    pub(crate) sink_offsets: Vec<usize>,
+    /// The flat sink array `sink_offsets` indexes.
+    pub(crate) sinks: Vec<(u32, f64)>,
     /// Largest node–reader separation, metres (sizes TDMA guards).
     pub max_range_m: f64,
     /// Reader noise power, linear.
@@ -206,6 +215,14 @@ pub struct Network {
 pub type ScaleNetwork = Network;
 
 impl Network {
+    /// Node `addr`'s cross-cell interference sinks: for every co-channel
+    /// foreign reader within [`Network::horizon_m`] of the node, readers
+    /// ascending, `(reader index, linear received power at that reader)`.
+    pub fn sinks_of(&self, addr: Addr) -> &[(u32, f64)] {
+        let a = addr as usize;
+        &self.sinks[self.sink_offsets[a]..self.sink_offsets[a + 1]]
+    }
+
     /// Resolves one contention slot physically: the respondents' received
     /// powers superpose at their reader, the strongest reply captures iff
     /// its SINR over `noise_lin` (noise plus the cross-cell floor) clears
@@ -213,10 +230,15 @@ impl Network {
     /// on the frame-success probability at its SINR). Respondents present
     /// but nothing decoded is a collision — the reader hears energy
     /// without a frame, exactly the signal the ALOHA window controller
-    /// keys on. `powers` is scratch space, reused across slots.
+    /// keys on.
+    ///
+    /// Respondents are indices into `table`, an interaction class's dense
+    /// `(address, rx_reader_lin)` rows, and a `Single` names the winner's
+    /// index. `powers` is scratch space, reused across slots.
     pub fn slot_outcome(
         &self,
         respondents: &[Addr],
+        table: &[(Addr, f64)],
         noise_lin: f64,
         decode: &mut StdRng,
         powers: &mut Vec<(Addr, f64)>,
@@ -225,7 +247,7 @@ impl Network {
             return SlotOutcome::Idle;
         }
         powers.clear();
-        powers.extend(respondents.iter().map(|&a| (a, self.nodes[a as usize].rx_reader_lin)));
+        powers.extend(respondents.iter().map(|&i| (i, table[i as usize].1)));
         match self.capture.capture_candidate(powers, noise_lin) {
             Some((addr, sinr_lin)) if decode.random::<f64>() < self.phy.frame_success(sinr_lin) => {
                 SlotOutcome::Single(addr)
@@ -236,7 +258,7 @@ impl Network {
 
     /// Partitions the cells into *interaction classes*: the connected
     /// components of the graph whose edges are the `(victim reader,
-    /// source cell)` pairs of [`Network::sinks`]. A cell's inventory reads
+    /// source cell)` pairs of [`Network::sinks_of`]. A cell's inventory reads
     /// and writes only s-matrix entries some sink wrote, and every other
     /// entry stays exactly `0.0`, so cells in different classes never
     /// affect each other. Classes come ordered by their smallest cell,
@@ -252,7 +274,7 @@ impl Network {
         let r = self.readers.len();
         let mut parent: Vec<u32> = (0..r as u32).collect();
         for node in &self.nodes {
-            for &(victim, _) in &self.sinks[node.addr as usize] {
+            for &(victim, _) in self.sinks_of(node.addr) {
                 let (a, b) = (root(&mut parent, victim), root(&mut parent, node.cell));
                 // The smaller cell becomes the root, so a class's root is
                 // its first cell.
@@ -385,15 +407,25 @@ impl Network {
         }
         let k = cells.len();
         let local = |c: u32| cells.binary_search(&c).expect("sinks stay inside their class");
+        // The class's members as dense `(address, rx_reader_lin)` rows,
+        // cells ascending and each cell's members in order. Rounds run on
+        // row indices: `AlohaReader` treats addresses as opaque tokens and
+        // draws slots in `pending` order, and each cell's rows keep its
+        // members' order, so every draw and decision is the one the
+        // addresses themselves would get.
+        let n_rows = cells.iter().map(|&c| self.cell_members[c as usize].len()).sum();
+        let mut table: Vec<(Addr, f64)> = Vec::with_capacity(n_rows);
         let mut states: Vec<Cell> = cells
             .iter()
             .map(|&c| {
                 let members = &self.cell_members[c as usize];
                 let (contention, decode) = self.cell_seeds[c as usize];
                 let w = members.len().next_power_of_two().clamp(4, self.max_window);
+                let first = table.len() as Addr;
+                table.extend(members.iter().map(|&a| (a, self.nodes[a as usize].rx_reader_lin)));
                 Cell {
                     reader: AlohaReader::with_max_window(w, self.max_window),
-                    pending: members.clone(),
+                    pending: (first..table.len() as Addr).collect(),
                     contention: seeded(contention),
                     decode: seeded(decode),
                 }
@@ -406,7 +438,7 @@ impl Network {
         let mut s_matrix = vec![0.0f64; k * k];
         for (src, &c) in cells.iter().enumerate() {
             for &a in &self.cell_members[c as usize] {
-                for &(victim, rx) in &self.sinks[a as usize] {
+                for &(victim, rx) in self.sinks_of(a) {
                     s_matrix[local(victim) * k + src] += rx;
                 }
             }
@@ -435,18 +467,18 @@ impl Network {
                 let Cell { reader, pending, contention, decode } = cell;
                 let before = reader.identified.len();
                 reader.run_round_with(pending, contention, |resp| {
-                    self.slot_outcome(resp, noise, decode, &mut powers)
+                    self.slot_outcome(resp, &table, noise, decode, &mut powers)
                 });
                 // Newly discovered nodes stop contending: retire their
                 // energy from every victim reader's pending bucket.
                 let new = &reader.identified[before..];
-                for &a in new {
-                    for &(victim, rx) in &self.sinks[a as usize] {
+                for &i in new {
+                    for &(victim, rx) in self.sinks_of(table[i as usize].0) {
                         s_matrix[local(victim) * k + c] -= rx;
                     }
                 }
                 let round = out.rounds;
-                out.found.extend(new.iter().map(|&a| (round, cells[c], a)));
+                out.found.extend(new.iter().map(|&i| (round, cells[c], table[i as usize].0)));
             }
             out.rounds += 1;
         }
@@ -690,8 +722,9 @@ mod tests {
         let strongest = net.nodes.iter().max_by(by_power).unwrap();
         let weakest = net.nodes.iter().min_by(by_power).unwrap();
         let mut rng = seeded(1);
+        let table: Vec<(Addr, f64)> = net.nodes.iter().map(|n| (n.addr, n.rx_reader_lin)).collect();
         let respondents = [strongest.addr, weakest.addr];
-        match net.slot_outcome(&respondents, net.noise_lin, &mut rng, &mut Vec::new()) {
+        match net.slot_outcome(&respondents, &table, net.noise_lin, &mut rng, &mut Vec::new()) {
             SlotOutcome::Single(a) => assert_eq!(a, strongest.addr),
             SlotOutcome::Collision => {} // capture below threshold is legal
             SlotOutcome::Idle => panic!("occupied slot cannot be idle"),
@@ -712,7 +745,7 @@ mod tests {
         let net = Network::build_link_budget(&NetworkSpec::river(16, 4));
         assert_eq!(net.readers.len(), 1);
         assert_eq!(net.cell_members, vec![(0..16).collect::<Vec<Addr>>()]);
-        assert!(net.sinks.iter().all(Vec::is_empty));
+        assert!(net.sinks.is_empty());
         assert!(net.routes.iter().all(|r| r.relays.is_empty()));
         let inv = net.run_inventory();
         assert!(inv.relayed.is_empty());

@@ -10,16 +10,18 @@
 //! ([`crate::network`]) the paper tier uses:
 //!
 //! * **Cells** — `⌈N¼⌉²` readers on a uniform grid partition the nodes by
-//!   nearest reader; cells inventory concurrently (spatial reuse).
+//!   nearest reader (looked up in the 3 × 3 block of the reader grid
+//!   around the node); cells inventory concurrently (spatial reuse).
 //! * **Closed-form channels** — each node's backscatter reply level comes
 //!   from the same sonar equation as [`vab_sim::linkbudget::LinkBudget`]
 //!   (source level − illumination loss + modulated gain + log-normal
 //!   fading), evaluated broadside; no per-node image-method realization.
-//! * **Horizon-culled interference** — each reader scans only the members
-//!   of its co-channel foreign cells and keeps those inside the
-//!   [`crate::interference`] absorption-derived horizon; every sink is the
-//!   pairwise reference's own per-source term, so in-horizon sums are
-//!   bit-identical to it (the exactness contract).
+//! * **Horizon-culled interference** — each node walks only its cell's
+//!   co-channel foreign readers and keeps those inside the
+//!   [`crate::interference`] absorption-derived horizon, in one node-major
+//!   sink table; every sink equals the pairwise reference's per-source
+//!   term, so in-horizon sums are bit-identical to it (the exactness
+//!   contract).
 //! * **FDM reuse plan** — readers draw one of [`REUSE_GRID`]² carrier
 //!   channels from a square reuse pattern (classic cellular planning).
 //!   A backscatter reply is centered on its own reader's carrier, so a
@@ -52,9 +54,7 @@ use vab_util::json::Json;
 use vab_util::rng::{derive_seed, seeded};
 
 use crate::capture::{jain_fairness, CaptureModel};
-use crate::interference::{
-    interference_horizon_m, reply_contribution_lin, PointSource, HORIZON_MARGIN_DB,
-};
+use crate::interference::{interference_horizon_m, HORIZON_MARGIN_DB};
 use crate::network::{NetInventoryReport, NetPhy, Network, NodeChannel, PAYLOAD_BITS};
 use crate::route::{plan_routes, RelayRoute, RouteNode, RoutePolicy};
 use crate::topology::{NetEnv, DEPTH_MARGIN_M};
@@ -213,22 +213,10 @@ impl Network {
             })
             .collect();
 
-        // Cells: nearest reader (linear scan — O(N·R) once, dwarfed by
-        // the interference precompute).
+        // Cells: nearest reader, looked up around the node's grid cell.
         let mut cell_members: Vec<Vec<Addr>> = vec![Vec::new(); spec.n_readers];
-        let cells: Vec<u32> = positions
-            .iter()
-            .map(|p| {
-                let mut best = (0u32, f64::INFINITY);
-                for (c, r) in readers.iter().enumerate() {
-                    let d = p.distance_to(r).value();
-                    if d < best.1 {
-                        best = (c as u32, d);
-                    }
-                }
-                best.0
-            })
-            .collect();
+        let cells: Vec<u32> =
+            positions.iter().map(|p| nearest_reader(&readers, g, spec.x_m, spec.y_m, p)).collect();
 
         // Channels: closed-form sonar equation + log-normal fading,
         // per-address fading streams (order- and thread-independent).
@@ -243,9 +231,9 @@ impl Network {
             let d = pos.distance_to(&readers[cell as usize]).value();
             let mut frng = seeded(derive_seed(fading_master, addr as u64));
             let fading_db = FADING_SIGMA_DB * gaussian(&mut frng);
-            let reply_db_at_1m =
-                phy.source_level_db - phy.tl_db(d) + phy.modulated_gain_db + fading_db;
-            let rx_db = reply_db_at_1m - phy.tl_db(d);
+            let tl_db = phy.tl_db(d);
+            let reply_db_at_1m = phy.source_level_db - tl_db + phy.modulated_gain_db + fading_db;
+            let rx_db = reply_db_at_1m - tl_db;
             let rx_reader_lin = db_to_lin_pow(rx_db);
             let direct_success = phy.frame_success(rx_reader_lin / noise_lin);
             cell_members[cell as usize].push(addr);
@@ -262,40 +250,51 @@ impl Network {
         }
         drop(stage);
 
-        // Interference: horizon from the loudest reply, then per-node sink
-        // lists (which co-channel foreign readers hear this node, and how
-        // loudly). Different-channel cells are out of band at the
-        // victim's filter and never enter the floor, so each reader scans
-        // only the members of its co-channel foreign cells. Each sink is
-        // the pairwise oracle's own per-source term, and `sinks[i]` fills
-        // in ascending reader order.
+        // Interference: horizon from the loudest reply, then the sink
+        // table, node-major: which co-channel foreign readers hear each
+        // node, and how loudly. Different-channel cells are out of band at
+        // the victim's filter and never enter the floor. A reader's FDM
+        // colour is its grid position mod `REUSE_GRID`, so a node's
+        // co-channel readers sit every `REUSE_GRID` columns and rows from
+        // its own cell's residue, and walking them row by row visits them
+        // in ascending index (a partial last row ends the walk). Each sink
+        // equals the pairwise oracle's per-source term.
         let stage = vab_obs::time_stage("net.interference");
-        let color = |r: usize| -> usize {
-            let (i, j) = (r % g, r / g);
-            (i % REUSE_GRID) + REUSE_GRID * (j % REUSE_GRID)
-        };
         let loudest = nodes.iter().map(|n| n.reply_db_at_1m).fold(f64::NEG_INFINITY, f64::max);
         let floor_db = phy.noise_reader_db - HORIZON_MARGIN_DB;
         let horizon_m = interference_horizon_m(&phy.env, phy.carrier, loudest, floor_db);
         let r2 = horizon_m * horizon_m;
-        let mut sinks: Vec<Vec<(u32, f64)>> = vec![Vec::new(); spec.n_nodes];
-        for (c, reader) in readers.iter().enumerate() {
-            for (other, members) in cell_members.iter().enumerate() {
-                if other == c || color(other) != color(c) {
-                    continue; // own cell: capture, not the floor; other channel: filtered
-                }
-                for &a in members {
-                    let n = &nodes[a as usize];
-                    let (dx, dy, dz) = (n.pos.x - reader.x, n.pos.y - reader.y, n.pos.z - reader.z);
-                    if dx * dx + dy * dy + dz * dz > r2 {
-                        continue; // past the horizon
-                    }
-                    let src =
-                        PointSource { addr: n.addr, pos: n.pos, level_db_at_1m: n.reply_db_at_1m };
-                    let rx = reply_contribution_lin(&phy.env, phy.carrier, &src, *reader);
-                    sinks[a as usize].push((c as u32, rx));
-                }
-            }
+        let readers_ref = &readers;
+        // `(reader, squared distance)` of every co-channel foreign reader
+        // within the horizon of `n`, ascending.
+        let heard_by = |n: &NodeChannel| {
+            let (own, pos) = (n.cell as usize, n.pos);
+            let column = own % g % REUSE_GRID;
+            (own / g % REUSE_GRID..g)
+                .step_by(REUSE_GRID)
+                .flat_map(move |j| (column..g).step_by(REUSE_GRID).map(move |i| j * g + i))
+                .take_while(|&r| r < spec.n_readers)
+                .filter(move |&r| r != own) // own cell: capture, not the floor
+                .filter_map(move |r| {
+                    let reader = &readers_ref[r];
+                    let (dx, dy, dz) = (pos.x - reader.x, pos.y - reader.y, pos.z - reader.z);
+                    let d2 = dx * dx + dy * dy + dz * dz;
+                    (d2 <= r2).then_some((r as u32, d2)) // else past the horizon
+                })
+        };
+        // Count first, so the flat array is allocated once at its size.
+        let mut sink_offsets = Vec::with_capacity(spec.n_nodes + 1);
+        sink_offsets.push(0);
+        for n in &nodes {
+            sink_offsets.push(sink_offsets[sink_offsets.len() - 1] + heard_by(n).count());
+        }
+        let mut sinks = Vec::with_capacity(sink_offsets[spec.n_nodes]);
+        for n in &nodes {
+            // `d2.sqrt()` is `n.pos.distance_to(reader)`, the same sum.
+            sinks.extend(
+                heard_by(n)
+                    .map(|(r, d2)| (r, db_to_lin_pow(n.reply_db_at_1m - phy.tl_db(d2.sqrt())))),
+            );
         }
         drop(stage);
 
@@ -349,6 +348,7 @@ impl Network {
             cell_members,
             routes,
             horizon_m,
+            sink_offsets,
             sinks,
             max_range_m,
             noise_lin,
@@ -412,7 +412,7 @@ impl Network {
                 continue;
             }
             let duty = 1.0 / n_slots[n.cell as usize] as f64;
-            for &(victim, rx) in &self.sinks[a] {
+            for &(victim, rx) in self.sinks_of(n.addr) {
                 floors[victim as usize] += rx * duty;
             }
         }
@@ -458,6 +458,42 @@ impl Network {
             mean_hops: if served > 0 { hops_sum as f64 / served as f64 } else { 0.0 },
         }
     }
+}
+
+/// Index of the reader nearest `p`, the first one on ties: what a scan of
+/// every reader with a strict `<` returns. Readers sit row-major on a
+/// `g × g` grid over the `x_m × y_m` box (reader `r` at column `r % g`,
+/// row `r / g`), so only the 3 × 3 block of grid positions around `p`'s
+/// grid cell is scanned, in ascending index: any reader outside the block
+/// has a counterpart inside it that is at least one pitch closer on one
+/// axis and no farther on the other (`DESIGN.md` gives the argument).
+/// When a block position has no reader (a partial last row), the
+/// argument has no counterpart to point at, and every reader is scanned.
+fn nearest_reader(readers: &[Position], g: usize, x_m: f64, y_m: f64, p: &Position) -> u32 {
+    let cell = |v: f64, extent: f64| ((v / extent * g as f64) as usize).min(g - 1);
+    let (ci, cj) = (cell(p.x, x_m), cell(p.y, y_m));
+    let (i0, i1) = (ci.saturating_sub(1), (ci + 1).min(g - 1));
+    let (j0, j1) = (cj.saturating_sub(1), (cj + 1).min(g - 1));
+    if j1 * g + i1 >= readers.len() {
+        return nearest_among(readers, p, 0..readers.len());
+    }
+    nearest_among(readers, p, (j0..=j1).flat_map(|j| (i0..=i1).map(move |i| j * g + i)))
+}
+
+/// The first of the `candidates` (reader indices, ascending) nearest `p`.
+fn nearest_among(
+    readers: &[Position],
+    p: &Position,
+    candidates: impl Iterator<Item = usize>,
+) -> u32 {
+    let mut best = (0u32, f64::INFINITY);
+    for c in candidates {
+        let d = p.distance_to(&readers[c]).value();
+        if d < best.1 {
+            best = (c as u32, d);
+        }
+    }
+    best.0
 }
 
 /// Standard normal draw (Box–Muller; two uniform draws per sample).
@@ -618,7 +654,7 @@ mod tests {
         // every cell inventories on its own.
         for n in [256usize, 1296, 4096] {
             let net = Network::build(&ScaleSpec::ocean(n, 2023));
-            assert!(net.sinks.iter().all(Vec::is_empty), "N = {n}");
+            assert!(net.sinks.is_empty(), "N = {n}");
             let singletons: Vec<Vec<u32>> =
                 (0..net.readers.len() as u32).map(|c| vec![c]).collect();
             assert_eq!(net.interaction_classes(), singletons, "N = {n}");
@@ -635,6 +671,64 @@ mod tests {
         by_colour.sort();
         // Classes come ordered by their smallest cell, as sorting does.
         assert_eq!(net.interaction_classes(), by_colour);
+    }
+
+    /// The nearest-reader oracle: every reader in index order with a
+    /// strict `<`, the scan [`nearest_reader`] replaces.
+    fn nearest_by_full_scan(readers: &[Position], p: &Position) -> u32 {
+        let mut best = (0u32, f64::INFINITY);
+        for (c, r) in readers.iter().enumerate() {
+            let d = p.distance_to(r).value();
+            if d < best.1 {
+                best = (c as u32, d);
+            }
+        }
+        best.0
+    }
+
+    #[test]
+    fn grid_lookup_matches_the_full_reader_scan() {
+        let mut rng = seeded(0x6E1D);
+        for n_readers in [1usize, 2, 10, 250, 256] {
+            for (x_m, y_m) in [(4_000.0, 4_000.0), (6_000.0, 1_500.0), (300.0, 2_700.0)] {
+                let spec = ScaleSpec { n_nodes: 1, n_readers, x_m, y_m, ..ScaleSpec::ocean(1, 5) };
+                let readers = Network::build(&spec).readers;
+                let g = (n_readers as f64).sqrt().ceil() as usize;
+                let z = readers[0].z;
+                let mut probes = Vec::new();
+                // Cell edges (the tie lines between reader columns and
+                // rows), one ULP either side of them, and the box corners.
+                for k in 0..=g {
+                    for l in 0..=g {
+                        let (x, y) = (k as f64 * x_m / g as f64, l as f64 * y_m / g as f64);
+                        for (dx, dy) in [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)] {
+                            let nudge =
+                                |v: f64, d: i64| f64::from_bits((v.to_bits() as i64 + d) as u64);
+                            probes.push(Position::new(
+                                nudge(x, dx).max(0.0),
+                                nudge(y, dy).max(0.0),
+                                z,
+                            ));
+                        }
+                    }
+                }
+                for (x, y) in [(0.0, 0.0), (x_m, 0.0), (0.0, y_m), (x_m, y_m)] {
+                    probes.push(Position::new(x, y, z));
+                }
+                // Uniform positions over the box and the water column.
+                for _ in 0..2_000 {
+                    let (x, y) = (rng.random::<f64>() * x_m, rng.random::<f64>() * y_m);
+                    probes.push(Position::new(x, y, z + rng.random::<f64>() * 90.0));
+                }
+                for p in &probes {
+                    assert_eq!(
+                        nearest_reader(&readers, g, x_m, y_m, p),
+                        nearest_by_full_scan(&readers, p),
+                        "{n_readers} readers over {x_m} × {y_m} m, node at {p:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
