@@ -17,4 +17,3 @@ pub mod report;
 pub mod serve;
 
 pub use experiments::ExpConfig;
-pub use perf::BenchSnapshot;

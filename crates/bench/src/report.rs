@@ -22,9 +22,9 @@ use std::time::Instant;
 
 use vab_obs::metrics::Snapshot;
 use vab_obs::ObsMode;
+use vab_obsctl::perf::BenchSnapshot;
 
 use crate::experiments::{self, ExpConfig, ExperimentFn};
-use crate::perf::BenchSnapshot;
 
 const USAGE: &str = "usage: run_all [--quick] [--only <name>[,<name>...]] [--jobs <n>] \
                      [--json <path>] [--serve <addr>]";
@@ -212,7 +212,7 @@ pub fn run_all_main() {
         mode.label(),
         if profiling { "on" } else { "off" }
     );
-    let mut perf = BenchSnapshot::new(&cfg, args.quick);
+    let mut perf = crate::perf::snapshot(&cfg, args.quick);
     for &(name, run) in &args.figures {
         let before = recording().then(Snapshot::capture);
         let fig_started = Instant::now();

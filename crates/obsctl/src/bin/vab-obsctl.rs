@@ -4,11 +4,9 @@
 //! ```text
 //! vab-obsctl report     <trace.jsonl> [metrics.json]
 //! vab-obsctl anomalies  <trace.jsonl> [--context N]
-//! vab-obsctl diff       <metrics-a.json> <metrics-b.json> [--rel-tol X] [--json]
 //! vab-obsctl gate       <BENCH_<sha>.json> [--baseline <path>] [--write]
 //! vab-obsctl profile    <metrics.json> [--top N]
 //! vab-obsctl flame      <trace.jsonl> [--weight time|bytes|allocs] [--job <digest>]
-//! vab-obsctl bench      history [<results-dir>] [--mode quick|full]
 //! vab-obsctl tail       --addr HOST:PORT [--once] [--json]
 //!                       [--interval-ms N] [--count N]
 //! vab-obsctl trace      --job <digest> <trace.jsonl> [more.jsonl ...] [--set]
@@ -23,14 +21,15 @@
 //!
 //! The profiling plane: `profile` renders the per-stage allocation table
 //! from a `VAB_PROFILE=1` metrics snapshot; `flame` folds the span tree
-//! into collapsed stacks for any flamegraph renderer; `bench history`
-//! lists the `results/BENCH_<sha>.json` trajectory.
+//! into collapsed stacks for any flamegraph renderer.
 //!
 //! `gate` checks a `run_all` perf snapshot against the committed
 //! `crates/bench/gate.json`: wall-time shares when the run was traced,
 //! exact per-stage allocation counts when it was profiled (see
 //! [`vab_obsctl::gate`]). `--write` re-pins the planes the snapshot
-//! carries and keeps the other.
+//! carries and keeps the other. It is also the two-run comparison:
+//! `gate A.json --write --baseline ref.json`, then `gate B.json --baseline
+//! ref.json`.
 //!
 //! Exit codes: `0` clean, `1` regression / threshold breach, `2` usage or
 //! input error.
@@ -39,11 +38,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use vab_obsctl::anomaly::{self, AnomalyConfig};
-use vab_obsctl::diff::{self, DiffConfig};
 use vab_obsctl::flame::{self, Weight};
-use vab_obsctl::gate::{self, BenchDoc, Gate};
-use vab_obsctl::history;
+use vab_obsctl::gate::{self, Gate};
 use vab_obsctl::live::{self, SloSpec};
+use vab_obsctl::perf::BenchSnapshot;
 use vab_obsctl::profile;
 use vab_obsctl::report;
 use vab_obsctl::trace::{MetricsDoc, Trace};
@@ -54,19 +52,14 @@ use vab_util::json::Json;
 /// repo root (where CI and `run_all` execute).
 const DEFAULT_GATE: &str = "crates/bench/gate.json";
 
-/// Default directory `run_all` writes `BENCH_<sha>.json` snapshots into.
-const DEFAULT_RESULTS_DIR: &str = "results";
-
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  \
          vab-obsctl report     <trace.jsonl> [metrics.json]\n  \
          vab-obsctl anomalies  <trace.jsonl> [--context N]\n  \
-         vab-obsctl diff       <metrics-a.json> <metrics-b.json> [--rel-tol X] [--json]\n  \
          vab-obsctl gate       <BENCH.json> [--baseline <path>] [--write]\n  \
          vab-obsctl profile    <metrics.json> [--top N]\n  \
          vab-obsctl flame      <trace.jsonl> [--weight time|bytes|allocs] [--job <digest>]\n  \
-         vab-obsctl bench      history [<results-dir>] [--mode quick|full]\n  \
          vab-obsctl tail       --addr HOST:PORT [--once] [--json] [--interval-ms N] [--count N]\n  \
          vab-obsctl trace      --job <digest> <trace.jsonl> [more.jsonl ...] [--set]\n  \
          vab-obsctl slo        --spec <slo.json> (--addr HOST:PORT | --sample <file>) [--json]"
@@ -164,41 +157,6 @@ fn cmd_anomalies(mut args: Vec<String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_diff(mut args: Vec<String>) -> ExitCode {
-    let mut cfg = DiffConfig::default();
-    match take_flag_value(&mut args, "--rel-tol") {
-        Ok(Some(x)) => match x.parse() {
-            Ok(x) => cfg.rel_tol = x,
-            Err(_) => return fail("--rel-tol needs a number"),
-        },
-        Ok(None) => {}
-        Err(e) => return fail(&e),
-    }
-    let json = take_flag(&mut args, "--json");
-    if args.len() != 2 {
-        return usage();
-    }
-    let a = match MetricsDoc::load(Path::new(&args[0])) {
-        Ok(m) => m,
-        Err(e) => return fail(&e),
-    };
-    let b = match MetricsDoc::load(Path::new(&args[1])) {
-        Ok(m) => m,
-        Err(e) => return fail(&e),
-    };
-    let report = diff::diff(&a, &b, &cfg);
-    if json {
-        print!("{}", report.to_json());
-    } else {
-        print!("{}", report.render());
-    }
-    if report.regressions() > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
 fn cmd_gate(mut args: Vec<String>) -> ExitCode {
     let gate_path = match take_flag_value(&mut args, "--baseline") {
         Ok(p) => PathBuf::from(p.as_deref().unwrap_or(DEFAULT_GATE)),
@@ -208,7 +166,10 @@ fn cmd_gate(mut args: Vec<String>) -> ExitCode {
     if args.len() != 1 {
         return usage();
     }
-    let doc = match BenchDoc::load(Path::new(&args[0])) {
+    let doc = match std::fs::read_to_string(&args[0])
+        .map_err(|e| format!("cannot read {}: {e}", args[0]))
+        .and_then(|t| BenchSnapshot::parse(&t).map_err(|e| format!("{}: {e}", args[0])))
+    {
         Ok(d) => d,
         Err(e) => return fail(&e),
     };
@@ -316,30 +277,6 @@ fn cmd_flame(mut args: Vec<String>) -> ExitCode {
             for line in lines {
                 println!("{line}");
             }
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(&e),
-    }
-}
-
-fn cmd_bench(mut args: Vec<String>) -> ExitCode {
-    // Subcommand namespace: today only `bench history`.
-    if args.first().map(String::as_str) != Some("history") {
-        return usage();
-    }
-    args.remove(0);
-    let mode = match take_flag_value(&mut args, "--mode") {
-        Ok(m) => m,
-        Err(e) => return fail(&e),
-    };
-    let dir = match args.len() {
-        0 => PathBuf::from(DEFAULT_RESULTS_DIR),
-        1 => PathBuf::from(args.remove(0)),
-        _ => return usage(),
-    };
-    match history::scan(&dir) {
-        Ok((entries, skipped)) => {
-            print!("{}", history::render(&entries, &skipped, mode.as_deref()));
             ExitCode::SUCCESS
         }
         Err(e) => fail(&e),
@@ -515,11 +452,9 @@ fn main() -> ExitCode {
     match cmd.as_str() {
         "report" => cmd_report(argv),
         "anomalies" => cmd_anomalies(argv),
-        "diff" => cmd_diff(argv),
         "gate" => cmd_gate(argv),
         "profile" => cmd_profile(argv),
         "flame" => cmd_flame(argv),
-        "bench" => cmd_bench(argv),
         "tail" => cmd_tail(argv),
         "trace" => cmd_trace(argv),
         "slo" => cmd_slo(argv),

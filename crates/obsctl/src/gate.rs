@@ -35,35 +35,10 @@ use std::path::Path;
 
 use vab_util::json::{write_json_string, Json};
 
+use crate::perf::{BenchSnapshot, FigurePerf};
+
 /// Reference schema identifier.
 pub const GATE_SCHEMA: &str = "vab-gate/1";
-
-/// A parsed `BENCH_<sha>.json` snapshot.
-#[derive(Debug, Clone, Default)]
-pub struct BenchDoc {
-    /// Git revision tag of the run.
-    pub sha: String,
-    /// `quick` or `full`.
-    pub mode: String,
-    /// Sum of per-figure wall times.
-    pub total_wall_s: f64,
-    /// Per-figure records.
-    pub figures: Vec<FigDoc>,
-}
-
-/// One figure's record inside a bench snapshot.
-#[derive(Debug, Clone)]
-pub struct FigDoc {
-    /// Figure name.
-    pub name: String,
-    /// Wall-clock seconds.
-    pub wall_s: f64,
-    /// Per-stage `(name, count, sum_s)` deltas.
-    pub stages: Vec<(String, u64, f64)>,
-    /// Per-stage allocation footprints (`alloc_count > 0` entries only;
-    /// empty when the run had no allocation profile).
-    pub alloc: Vec<AllocPin>,
-}
 
 /// One stage's allocation footprint: a snapshot record, or a pin.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,83 +53,39 @@ pub struct AllocPin {
     pub alloc_bytes: u64,
 }
 
-impl BenchDoc {
-    /// Parses the JSON text of a `BENCH_<sha>.json` file.
-    pub fn parse(text: &str) -> Result<BenchDoc, String> {
-        let v = Json::parse(text).map_err(|e| e.to_string())?;
-        let schema = v.str_field("schema").unwrap_or("");
-        if schema != crate::PERF_SCHEMA {
-            return Err(format!(
-                "unsupported perf snapshot schema {schema:?} (expected {:?})",
-                crate::PERF_SCHEMA
-            ));
-        }
-        let mut doc = BenchDoc {
-            sha: v.str_field("sha").unwrap_or("unknown").to_string(),
-            mode: v.str_field("mode").unwrap_or("unknown").to_string(),
-            total_wall_s: v.f64_field("total_wall_s").unwrap_or(0.0),
-            figures: Vec::new(),
-        };
-        for f in v.get("figures").and_then(Json::as_arr).unwrap_or(&[]) {
-            let name = f.str_field("name").ok_or("figure without name")?.to_string();
-            let mut stages = Vec::new();
-            let mut alloc = Vec::new();
-            for s in f.get("stages").and_then(Json::as_arr).unwrap_or(&[]) {
-                let sname = s.str_field("name").ok_or("stage without name")?.to_string();
-                let count = s.u64_field("count").unwrap_or(0);
-                stages.push((sname.clone(), count, s.f64_field("sum_s").unwrap_or(0.0)));
-                let alloc_count = s.u64_field("alloc_count").unwrap_or(0);
-                if alloc_count > 0 {
-                    alloc.push(AllocPin {
-                        name: sname,
-                        calls: count,
-                        alloc_count,
-                        alloc_bytes: s.u64_field("alloc_bytes").unwrap_or(0),
-                    });
-                }
-            }
-            doc.figures.push(FigDoc {
-                name,
-                wall_s: f.f64_field("wall_s").unwrap_or(0.0),
-                stages,
-                alloc,
-            });
-        }
-        Ok(doc)
+/// Aggregated per-stage `(count, sum_s)` across all figures.
+fn stage_totals(doc: &BenchSnapshot) -> Vec<(String, u64, f64)> {
+    let mut map: std::collections::BTreeMap<&str, (u64, f64)> = Default::default();
+    for s in doc.figures.iter().flat_map(|f| &f.stages) {
+        let e = map.entry(&s.name).or_insert((0, 0.0));
+        e.0 += s.count;
+        e.1 += s.sum_s;
     }
+    map.into_iter().map(|(n, (c, s))| (n.to_string(), c, s)).collect()
+}
 
-    /// Loads and parses `path`.
-    pub fn load(path: &Path) -> Result<BenchDoc, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        BenchDoc::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
+/// A figure's allocation footprints: its stages with `alloc_count > 0`.
+fn alloc_pins(f: &FigurePerf) -> impl Iterator<Item = AllocPin> + '_ {
+    f.stages.iter().filter(|s| s.alloc_count > 0).map(|s| AllocPin {
+        name: s.name.clone(),
+        calls: s.count,
+        alloc_count: s.alloc_count,
+        alloc_bytes: s.alloc_bytes,
+    })
+}
 
-    /// Aggregated per-stage `(count, sum_s)` across all figures.
-    pub fn stage_totals(&self) -> Vec<(String, u64, f64)> {
-        let mut map: std::collections::BTreeMap<&str, (u64, f64)> = Default::default();
-        for f in &self.figures {
-            for (name, count, sum) in &f.stages {
-                let e = map.entry(name).or_insert((0, 0.0));
-                e.0 += count;
-                e.1 += sum;
-            }
-        }
-        map.into_iter().map(|(n, (c, s))| (n.to_string(), c, s)).collect()
-    }
-
-    /// Which planes the snapshot carries: `(timing, alloc)`. Errors when
-    /// it carries neither — such a run cannot be gated or pinned.
-    pub fn planes(&self) -> Result<(bool, bool), String> {
-        let timing = self.figures.iter().flat_map(|f| &f.stages).any(|s| s.2 > 0.0);
-        let alloc = self.figures.iter().any(|f| !f.alloc.is_empty());
-        if timing || alloc {
-            Ok((timing, alloc))
-        } else {
-            Err("snapshot carries neither stage timings nor allocation counts; re-run \
-                 run_all with VAB_OBS=jsonl (timing) or VAB_PROFILE=1 (allocations)"
-                .into())
-        }
+/// Which planes the snapshot carries: `(timing, alloc)`. Errors when it
+/// carries neither — such a run cannot be gated or pinned.
+fn planes(doc: &BenchSnapshot) -> Result<(bool, bool), String> {
+    let stages = || doc.figures.iter().flat_map(|f| &f.stages);
+    let timing = stages().any(|s| s.sum_s > 0.0);
+    let alloc = stages().any(|s| s.alloc_count > 0);
+    if timing || alloc {
+        Ok((timing, alloc))
+    } else {
+        Err("snapshot carries neither stage timings nor allocation counts; re-run \
+             run_all with VAB_OBS=jsonl (timing) or VAB_PROFILE=1 (allocations)"
+            .into())
     }
 }
 
@@ -281,12 +212,12 @@ impl Gate {
     /// The `--write` path: re-pins the planes `doc` carries from it and
     /// keeps the other plane as it was. Returns which planes were
     /// refreshed, `(timing, alloc)`.
-    pub fn refresh(&mut self, doc: &BenchDoc) -> Result<(bool, bool), String> {
-        let (timing, alloc) = doc.planes()?;
+    pub fn refresh(&mut self, doc: &BenchSnapshot) -> Result<(bool, bool), String> {
+        let (timing, alloc) = planes(doc)?;
         self.mode = doc.mode.clone();
         if timing {
-            let total = doc.total_wall_s.max(1e-12);
-            self.total_wall_s = doc.total_wall_s;
+            self.total_wall_s = doc.total_wall_s();
+            let total = self.total_wall_s.max(1e-12);
             for f in &mut self.figures {
                 f.share = None;
                 f.wall_s = 0.0;
@@ -296,7 +227,7 @@ impl Gate {
                 f.share = Some(d.wall_s / total);
                 f.wall_s = d.wall_s;
             }
-            let totals = doc.stage_totals();
+            let totals = stage_totals(doc);
             let stage_sum: f64 = totals.iter().map(|(_, _, s)| s).sum::<f64>().max(1e-12);
             self.stages = totals
                 .into_iter()
@@ -311,10 +242,12 @@ impl Gate {
             for f in &mut self.figures {
                 f.alloc.clear();
             }
-            for d in doc.figures.iter().filter(|d| !d.alloc.is_empty()) {
-                let f = self.figure_mut(&d.name);
-                f.alloc = d.alloc.clone();
-                f.alloc.sort_by(|a, b| a.name.cmp(&b.name));
+            for d in &doc.figures {
+                let mut pins: Vec<AllocPin> = alloc_pins(d).collect();
+                if !pins.is_empty() {
+                    pins.sort_by(|a, b| a.name.cmp(&b.name));
+                    self.figure_mut(&d.name).alloc = pins;
+                }
             }
         }
         self.figures.retain(|f| f.share.is_some() || !f.alloc.is_empty());
@@ -488,8 +421,8 @@ impl GateReport {
 /// Checks `doc` against `gate` on the planes the snapshot carries.
 /// Errors (input errors, not regressions) when the snapshot carries
 /// neither plane or shares no figure with the reference.
-pub fn check(doc: &BenchDoc, gate: &Gate) -> Result<GateReport, String> {
-    let (timing, alloc) = doc.planes()?;
+pub fn check(doc: &BenchSnapshot, gate: &Gate) -> Result<GateReport, String> {
+    let (timing, alloc) = planes(doc)?;
     if !doc.figures.iter().any(|f| gate.figure(&f.name).is_some()) {
         let names: Vec<&str> = doc.figures.iter().map(|f| f.name.as_str()).collect();
         return Err(format!(
@@ -508,7 +441,7 @@ pub fn check(doc: &BenchDoc, gate: &Gate) -> Result<GateReport, String> {
 }
 
 /// Timing plane: figure wall shares and fleet-wide stage time shares.
-fn check_shares(doc: &BenchDoc, gate: &Gate, report: &mut GateReport) {
+fn check_shares(doc: &BenchSnapshot, gate: &Gate, report: &mut GateReport) {
     let line = |name: &str, kind: &'static str, base: f64, current: f64| ShareLine {
         name: name.to_string(),
         kind,
@@ -516,7 +449,7 @@ fn check_shares(doc: &BenchDoc, gate: &Gate, report: &mut GateReport) {
         current,
         regression: base >= gate.min_share && current > base * (1.0 + gate.tolerance),
     };
-    let total = doc.total_wall_s.max(1e-12);
+    let total = doc.total_wall_s().max(1e-12);
     for pin in &gate.figures {
         let Some(base) = pin.share else { continue };
         match doc.figures.iter().find(|f| f.name == pin.name) {
@@ -524,7 +457,7 @@ fn check_shares(doc: &BenchDoc, gate: &Gate, report: &mut GateReport) {
             Some(f) => report.shares.push(line(&pin.name, "figure", base, f.wall_s / total)),
         }
     }
-    let totals = doc.stage_totals();
+    let totals = stage_totals(doc);
     let stage_sum: f64 = totals.iter().map(|(_, _, s)| s).sum::<f64>().max(1e-12);
     for pin in &gate.stages {
         match totals.iter().find(|(n, _, _)| *n == pin.name) {
@@ -537,21 +470,21 @@ fn check_shares(doc: &BenchDoc, gate: &Gate, report: &mut GateReport) {
 }
 
 /// Allocation plane: exact per-figure per-stage counts.
-fn check_allocs(doc: &BenchDoc, gate: &Gate, report: &mut GateReport) {
+fn check_allocs(doc: &BenchSnapshot, gate: &Gate, report: &mut GateReport) {
     for pinned in gate.figures.iter().filter(|f| !f.alloc.is_empty()) {
         let Some(cur) = doc.figures.iter().find(|f| f.name == pinned.name) else {
             report.missing.push(format!("{}/*", pinned.name));
             continue;
         };
         for pin in &pinned.alloc {
-            if !cur.alloc.iter().any(|a| a.name == pin.name) {
+            if !cur.stages.iter().any(|s| s.alloc_count > 0 && s.name == pin.name) {
                 report.missing.push(format!("{}/{}", pinned.name, pin.name));
             }
         }
     }
     for cur in &doc.figures {
         let pins = gate.figure(&cur.name).map_or(&[][..], |f| &f.alloc);
-        for a in &cur.alloc {
+        for a in alloc_pins(cur) {
             let pin = pins.iter().find(|p| p.name == a.name);
             report.allocs.push(AllocLine {
                 name: format!("{}/{}", cur.name, a.name),
@@ -593,8 +526,8 @@ mod tests {
         )
     }
 
-    fn doc(f7_wall: f64, trial_sum: f64, trial_allocs: u64) -> BenchDoc {
-        BenchDoc::parse(&bench_json(f7_wall, trial_sum, trial_allocs)).expect("doc")
+    fn doc(f7_wall: f64, trial_sum: f64, trial_allocs: u64) -> BenchSnapshot {
+        BenchSnapshot::parse(&bench_json(f7_wall, trial_sum, trial_allocs)).expect("doc")
     }
 
     /// A reference pinned from a snapshot carrying both planes.
@@ -635,7 +568,7 @@ mod tests {
     fn missing_entries_warn_but_do_not_gate() {
         let gate = pinned(0.5);
         // A single-figure `--only` run against the full reference.
-        let single = BenchDoc::parse(
+        let single = BenchSnapshot::parse(
             r#"{"schema": "vab-bench-perf/1", "sha": "abc", "mode": "quick",
   "trials": 25, "bits": 256, "seed": 2023, "total_wall_s": 0.5,
   "figures": [{"name": "t2_power_budget", "wall_s": 0.5, "rows": 8, "stages": [
@@ -719,7 +652,7 @@ mod tests {
         assert!(err.contains("VAB_PROFILE=1"), "{err}");
         assert!(Gate::default().refresh(&bare).is_err(), "nothing to pin either");
 
-        let disjoint = BenchDoc::parse(
+        let disjoint = BenchSnapshot::parse(
             r#"{"schema": "vab-bench-perf/1", "sha": "788a53d", "mode": "quick",
   "figures": [{"name": "FR1", "wall_s": 4.5, "rows": 6, "stages": [
     {"name": "replay.apply", "count": 20, "sum_s": 2.2, "alloc_count": 63, "alloc_bytes": 2947584}]}]}"#,
@@ -731,7 +664,7 @@ mod tests {
 
     #[test]
     fn wrong_schema_is_rejected() {
-        assert!(BenchDoc::parse(r#"{"schema": "nope/9"}"#).is_err());
+        assert!(BenchSnapshot::parse(r#"{"schema": "nope/9"}"#).is_err());
         assert!(Gate::parse(r#"{"schema": "nope/9"}"#).is_err());
         assert!(Gate::parse(r#"{"schema": "vab-bench-baseline/1"}"#).is_err());
     }

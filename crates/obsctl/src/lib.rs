@@ -10,14 +10,16 @@
 //! * [`anomaly`] — BER spikes, ARQ retransmit storms, brownout cascades
 //!   and silence/re-inventory bursts, each with a ±N-event context
 //!   window.
-//! * [`diff`] — two-run metrics/stage comparison with configurable
-//!   relative thresholds; regressions drive a non-zero exit.
+//! * [`perf`] — the `BENCH_<sha>.json` perf snapshot `run_all` writes:
+//!   one type that renders and parses the file.
 //! * [`gate`] — gates `BENCH_<sha>.json` perf snapshots against the
 //!   committed `crates/bench/gate.json`: wall-time shares with a
 //!   tolerance, so a slow channel realization or Viterbi decode cannot
 //!   ship silently, and per-figure per-stage allocation counts pinned
 //!   *exactly* (counts are work-derived and deterministic, so any drift
-//!   is a behavior change).
+//!   is a behavior change). It is the workspace's one snapshot
+//!   comparison: two runs compare as `gate --write --baseline ref.json
+//!   A.json` then `gate --baseline ref.json B.json`.
 //! * [`waterfall`] — reconstructs one job's cross-process span tree
 //!   (client submit → wire → queue → execute → cache persist) from
 //!   merged daemon+client JSONL traces, with skew-immune critical-path
@@ -29,26 +31,19 @@
 //!   allocs and bytes) from `VAB_PROFILE=1` metrics snapshots.
 //! * [`flame`] — collapsed-stack flamegraph folding of the span tree,
 //!   weighted by time or by allocations.
-//! * [`history`] — lists the `results/BENCH_<sha>.json` trajectory with
-//!   per-mode wall-time deltas.
 //!
 //! Everything stays serde-free: the crate reads and writes JSON through
 //! the shared `vab_util::json` parser/serializer, and analyzes only what
 //! the workspace itself emitted.
 
 pub mod anomaly;
-pub mod diff;
 pub mod flame;
 pub mod gate;
-pub mod history;
 pub mod live;
+pub mod perf;
 pub mod profile;
 pub mod report;
 pub mod trace;
 pub mod waterfall;
-
-/// The `BENCH_<sha>.json` schema this analyzer understands (written by
-/// `vab_bench::perf`).
-pub const PERF_SCHEMA: &str = "vab-bench-perf/1";
 
 pub use trace::{MetricsDoc, Trace, TraceEvent};

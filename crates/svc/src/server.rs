@@ -31,7 +31,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use vab_fault::{SvcFaultPlan, WireFault};
@@ -98,6 +98,10 @@ pub struct WireFaultTotals {
 struct Shared {
     pool: WorkerPool,
     stop: AtomicBool,
+    /// Wakes the telemetry sampler the moment a stop is requested, so
+    /// shutdown never waits out its cadence.
+    stop_lock: Mutex<()>,
+    stop_wake: Condvar,
     /// Write halves of live connections, so shutdown can force EOF on
     /// handlers blocked in `read_until` waiting for a client that never
     /// hangs up.
@@ -146,6 +150,8 @@ impl Server {
         let shared = Arc::new(Shared {
             pool,
             stop: AtomicBool::new(false),
+            stop_lock: Mutex::new(()),
+            stop_wake: Condvar::new(),
             conns: Mutex::new(Vec::new()),
             max_line_bytes: cfg.max_line_bytes.max(64),
             request_budget: cfg.request_budget,
@@ -237,28 +243,30 @@ impl Server {
     }
 }
 
-/// Flips the stop flag and pokes the accept loop awake with a throwaway
-/// self-connection (the portable way to interrupt a blocking `accept`).
+/// Flips the stop flag, wakes the sampler, and pokes the accept loop
+/// awake with a throwaway self-connection (the portable way to interrupt
+/// a blocking `accept`).
 fn request_stop(shared: &Shared, addr: std::net::SocketAddr) {
     if shared.stop.swap(true, Ordering::AcqRel) {
         return;
     }
+    // Taking the lock orders this notify after any sampler that saw the
+    // flag clear has started waiting, so the wake-up cannot be lost.
+    drop(shared.stop_lock.lock().unwrap_or_else(|e| e.into_inner()));
+    shared.stop_wake.notify_all();
     if let Ok(stream) = TcpStream::connect_timeout(&addr, Duration::from_millis(500)) {
         drop(stream);
     }
 }
 
 /// Background telemetry sampler: one ring entry per interval until
-/// shutdown. Sleeps in short steps so a long cadence never delays exit.
+/// shutdown. Waits on `stop_wake`, so a stop ends the wait at once.
 fn sampler_loop(shared: &Arc<Shared>, interval: Duration) {
-    while !shared.stop.load(Ordering::Acquire) {
+    let running = || !shared.stop.load(Ordering::Acquire);
+    while running() {
         shared.telemetry.record(&shared.pool, shared.malformed.load(Ordering::Relaxed));
-        let mut slept = Duration::ZERO;
-        while slept < interval && !shared.stop.load(Ordering::Acquire) {
-            let step = Duration::from_millis(50).min(interval - slept);
-            std::thread::sleep(step);
-            slept += step;
-        }
+        let guard = shared.stop_lock.lock().unwrap_or_else(|e| e.into_inner());
+        let _ = shared.stop_wake.wait_timeout_while(guard, interval, |_| running());
     }
 }
 

@@ -12,9 +12,7 @@
 //! cargo run --release --example gen_golden_trace [out_dir]
 //! ```
 //!
-//! Writes `golden_trace.jsonl`, `golden_metrics.json` and
-//! `regressed_metrics.json` (the same snapshot with every stage sum
-//! doubled — the diff test's injected 2× regression).
+//! Writes `golden_trace.jsonl` and `golden_metrics.json`.
 
 use std::sync::Arc;
 
@@ -116,15 +114,6 @@ fn main() {
     let snap = vab::obs::metrics::Snapshot::capture();
     snap.write_json(&out.join("golden_metrics.json")).expect("write golden metrics");
 
-    // The doctored snapshot: identical shape, every stage's total time
-    // doubled — mean per call 2x, which `vab-obsctl diff` must flag.
-    let mut slow = snap.clone();
-    for h in &mut slow.stages {
-        h.sum *= 2.0;
-    }
-    std::fs::write(out.join("regressed_metrics.json"), slow.to_json())
-        .expect("write regressed metrics");
-
     let lines = std::fs::read_to_string(&trace_path).expect("trace").lines().count();
-    println!("wrote {} ({lines} events) + metrics snapshots to {}", trace_path.display(), out_dir);
+    println!("wrote {} ({lines} events) + metrics snapshot to {}", trace_path.display(), out_dir);
 }

@@ -4,6 +4,7 @@
 //! the PR promises — fault activations, rate changes, ARQ retries,
 //! brownouts — plus a metrics snapshot with per-stage timing.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use vab::fault::{FaultConfig, FaultPlan};
@@ -12,6 +13,7 @@ use vab::sim::baseline::SystemKind;
 use vab::sim::campaign::{run_campaign, CampaignConfig};
 use vab::sim::montecarlo::{run_point_faulted, MonteCarloConfig, TrialEngine};
 use vab::sim::scenario::Scenario;
+use vab::util::json::Json;
 use vab::util::units::Meters;
 use vab_bench::experiments::{f19_fault_sweep, ExpConfig};
 
@@ -95,24 +97,27 @@ fn faulted_workload_trace_has_all_event_families_and_stage_metrics() {
     vab::obs::disable();
 
     let trace = std::fs::read_to_string(&path).expect("trace");
-    let mut parsed = 0usize;
-    for line in trace.lines() {
-        assert!(
-            line.starts_with("{\"seq\":") && line.ends_with('}'),
-            "malformed JSONL line: {line}"
-        );
-        for key in ["\"t_us\":", "\"target\":", "\"event\":", "\"fields\":"] {
-            assert!(line.contains(key), "line missing {key}: {line}");
+    let mut kinds: BTreeMap<(String, String), usize> = BTreeMap::new();
+    for (n, line) in trace.lines().enumerate() {
+        let e = Json::parse(line).unwrap_or_else(|err| panic!("line {}: {err}: {line}", n + 1));
+        for key in ["seq", "t_us", "target", "event", "fields"] {
+            assert!(e.get(key).is_some(), "line {} missing {key:?}: {line}", n + 1);
         }
-        parsed += 1;
+        let kind = |key| e.str_field(key).unwrap_or_default().to_string();
+        *kinds.entry((kind("target"), kind("event"))).or_default() += 1;
     }
+    let parsed: usize = kinds.values().sum();
     assert!(parsed > 200, "expected a substantial trace, got {parsed} lines");
-    for event in
-        ["\"fault_activated\"", "\"rate_change\"", "\"retransmit\"", "\"brownout_truncated_reply\""]
-    {
-        assert!(trace.contains(event), "trace lacks {event}");
+    for (target, event) in [
+        ("fault.plan", "fault_activated"),
+        ("mac.rate_adapt", "rate_change"),
+        ("link.arq", "retransmit"),
+        ("sim.montecarlo", "brownout_truncated_reply"),
+    ] {
+        let kind = (target.to_string(), event.to_string());
+        assert!(kinds.contains_key(&kind), "trace lacks {target}/{event}");
     }
-    assert!(trace.contains("\"deployment_done\""), "campaign events missing");
+    assert!(kinds.keys().any(|(_, event)| event == "deployment_done"), "campaign events missing");
 
     let snap = vab::obs::metrics::Snapshot::capture();
     assert!(

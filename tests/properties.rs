@@ -277,7 +277,7 @@ const GATE_JSON: &str = include_str!("../crates/bench/gate.json");
 
 /// A perf snapshot exactly as `run_all` renders it, both planes populated.
 fn rendered_snapshot() -> String {
-    use vab_bench::perf::{BenchSnapshot, FigurePerf, StagePerf};
+    use vab_obsctl::perf::{BenchSnapshot, FigurePerf, StagePerf};
     let stage = |name: &str, sum_s: f64, alloc_count: u64| StagePerf {
         name: name.into(),
         count: 40,
@@ -320,10 +320,16 @@ fn gate_inputs() -> Vec<(bool, String)> {
 
 #[test]
 fn gate_parsers_reject_every_truncated_prefix() {
-    use vab_obsctl::gate::{BenchDoc, Gate};
+    use vab_obsctl::gate::Gate;
+    use vab_obsctl::perf::BenchSnapshot;
     for (is_gate, text) in gate_inputs() {
-        let parse =
-            |t: &str| if is_gate { Gate::parse(t).map(drop) } else { BenchDoc::parse(t).map(drop) };
+        let parse = |t: &str| {
+            if is_gate {
+                Gate::parse(t).map(drop)
+            } else {
+                BenchSnapshot::parse(t).map(drop)
+            }
+        };
         assert!(parse(&text).is_ok(), "the whole file parses");
         let body = text.trim_end();
         for cut in (0..body.len()).filter(|&i| body.is_char_boundary(i)) {
@@ -331,7 +337,7 @@ fn gate_parsers_reject_every_truncated_prefix() {
         }
     }
     // Each parser refuses the other's file.
-    assert!(BenchDoc::parse(GATE_JSON).is_err());
+    assert!(BenchSnapshot::parse(GATE_JSON).is_err());
     assert!(Gate::parse(&rendered_snapshot()).is_err());
 }
 
@@ -340,9 +346,10 @@ proptest! {
 
     #[test]
     fn gate_parsers_reject_random_bytes(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
-        use vab_obsctl::gate::{BenchDoc, Gate};
+        use vab_obsctl::gate::Gate;
+        use vab_obsctl::perf::BenchSnapshot;
         let text = String::from_utf8_lossy(&bytes);
-        prop_assert!(BenchDoc::parse(&text).is_err());
+        prop_assert!(BenchSnapshot::parse(&text).is_err());
         prop_assert!(Gate::parse(&text).is_err());
     }
 
@@ -352,7 +359,8 @@ proptest! {
         at in any::<prop::sample::Index>(),
         byte in any::<u8>(),
     ) {
-        use vab_obsctl::gate::{check, BenchDoc, Gate};
+        use vab_obsctl::gate::{check, Gate};
+        use vab_obsctl::perf::BenchSnapshot;
         let (_, text) = gate_inputs().swap_remove(which);
         let mut bytes = text.into_bytes();
         let i = at.index(bytes.len());
@@ -361,14 +369,102 @@ proptest! {
         // Either parser may accept or refuse a one-byte corruption; neither
         // may panic, and neither may the checks over what they accept.
         let reference = Gate::parse(GATE_JSON).expect("committed gate");
-        if let Ok(doc) = BenchDoc::parse(&text) {
+        if let Ok(doc) = BenchSnapshot::parse(&text) {
             let _ = check(&doc, &reference);
             let _ = reference.clone().refresh(&doc);
         }
         if let Ok(gate) = Gate::parse(&text) {
             let _ = gate.to_json();
-            let _ = BenchDoc::parse(&rendered_snapshot()).map(|doc| check(&doc, &gate));
+            let _ = BenchSnapshot::parse(&rendered_snapshot()).map(|doc| check(&doc, &gate));
         }
+    }
+}
+
+/// Characters a snapshot name is drawn from: identifier characters plus
+/// every class JSON must escape (quote, backslash, control bytes) and
+/// multi-byte UTF-8.
+const NAME_CHARS: &[char] = &[
+    'a', 'Z', '7', '.', '_', '/', '"', '\\', '\n', '\t', '\r', '\u{0}', '\u{1}', '\u{1f}',
+    '\u{7f}', 'é', '€', '𝄞',
+];
+
+/// Draws snapshot fields from a proptest's raw words and floats, cycling
+/// through each.
+struct SnapshotDraw {
+    words: Vec<u64>,
+    floats: Vec<f64>,
+    at: usize,
+}
+
+impl SnapshotDraw {
+    fn word(&mut self) -> u64 {
+        self.at += 1;
+        self.words[self.at % self.words.len()]
+    }
+
+    /// A count: the snapshot's integers are JSON numbers (`f64`), exact
+    /// below 2^53 like every document the workspace writes.
+    fn int(&mut self) -> u64 {
+        self.word() >> 11
+    }
+
+    /// A non-integral float, an integral one, or zero.
+    fn float(&mut self) -> f64 {
+        let w = self.word();
+        match w % 3 {
+            0 => self.floats[self.at % self.floats.len()],
+            1 => (w >> 11) as f64,
+            _ => 0.0,
+        }
+    }
+
+    /// Up to seven characters of [`NAME_CHARS`], possibly none.
+    fn name(&mut self) -> String {
+        let w = self.word();
+        (0..w % 8)
+            .map(|i| NAME_CHARS[((w >> (3 + 5 * i)) % NAME_CHARS.len() as u64) as usize])
+            .collect()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn bench_snapshot_round_trips_through_its_json(
+        words in prop::collection::vec(any::<u64>(), 1..64),
+        floats in prop::collection::vec(any::<f64>(), 1..16),
+        n_figures in 0usize..4,
+    ) {
+        use vab_obsctl::perf::{BenchSnapshot, FigurePerf, StagePerf};
+        let mut d = SnapshotDraw { words, floats, at: 0 };
+        let mut figures = Vec::new();
+        for _ in 0..n_figures {
+            let (name, wall_s, rows) = (d.name(), d.float(), d.int() as usize);
+            let stages = (0..d.word() % 4)
+                .map(|_| StagePerf {
+                    name: d.name(),
+                    count: d.int(),
+                    sum_s: d.float(),
+                    p50_s: d.float(),
+                    p95_s: d.float(),
+                    p99_s: d.float(),
+                    alloc_count: d.int(),
+                    alloc_bytes: d.int(),
+                })
+                .collect();
+            figures.push(FigurePerf { name, wall_s, rows, stages });
+        }
+        let snap = BenchSnapshot {
+            sha: d.name(),
+            mode: d.name(),
+            trials: d.int() as usize,
+            bits: d.int() as usize,
+            seed: d.int(),
+            figures,
+        };
+        let json = snap.to_json();
+        prop_assert_eq!(BenchSnapshot::parse(&json), Ok(snap), "{}", json);
     }
 }
 
