@@ -128,8 +128,9 @@ fn finish(mode: &ObsMode) {
     if let Some(summary) = snap.stage_summary() {
         eprint!("{summary}");
     }
-    if let Some(summary) = snap.alloc_summary() {
-        eprint!("{summary}");
+    // The same offender table as `vab-obsctl profile --top 15`.
+    if let Ok(table) = vab_obsctl::profile::render(&snap, 15) {
+        eprint!("{table}");
     }
     let path = Path::new("results/metrics.json");
     match snap.write_json(path) {

@@ -4,8 +4,15 @@
 //! key=value fields — so emitting allocates nothing on the caller side
 //! beyond what the values themselves need. Sinks render it however they
 //! like; [`Event::to_json_line`] is the canonical JSONL form.
+//!
+//! This line writer is the one JSON writer kept outside
+//! `vab_util::json::Json`: it streams borrowed fields on the traced hot
+//! path without building a tree, and its number form (`1.0` for floats,
+//! `"NaN"` for non-finite ones) is the trace format. Strings escape
+//! through the shared `vab_util::json::write_json_string`.
 
 use std::fmt::Write as _;
+use vab_util::json::write_json_string;
 
 /// A typed field value.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,26 +109,6 @@ impl Value {
             Value::Owned(s) => write_json_string(out, s),
         }
     }
-}
-
-/// Appends `s` to `out` as a JSON string literal, escaping quotes,
-/// backslashes and all control characters (RFC 8259).
-pub fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// One structured event, borrowed for the duration of the sink call.

@@ -1,9 +1,10 @@
 //! # vab-obs — observability for the VAB stack
 //!
 //! Structured event tracing, a metrics registry, and profiling hooks in one
-//! zero-dependency crate, sitting at the very bottom of the workspace so
-//! every layer (DSP, link, MAC, energy, simulation, bench harness) can emit
-//! without new edges in the dependency graph.
+//! crate whose only dependency is `vab-util` (FNV-1a for span ids, the JSON
+//! codec for `metrics.json`). It sits just above `vab-util` at the bottom
+//! of the workspace, so every layer (DSP, link, MAC, energy, simulation,
+//! bench harness) can emit without new edges in the dependency graph.
 //!
 //! ## Design constraints
 //!
@@ -29,8 +30,9 @@
 //!    ([`TraceContext`]) and drop-guard scopes ([`SpanScope`]) whose
 //!    durations feed the stage histograms.
 //! 2. **Metrics** ([`metrics`]): named counters (saturating), gauges and
-//!    fixed-bucket histograms, snapshotted at campaign end into a
-//!    machine-readable JSON report next to the CSVs.
+//!    fixed-bucket histograms, snapshotted at campaign end into
+//!    `metrics.json` next to the CSVs; [`metrics::Snapshot`] writes and
+//!    reads that file.
 //! 3. **Profiling** ([`time_stage`]): scoped wall-clock timers around the
 //!    hot paths (channel realization, sample-level DSP, FEC, demod),
 //!    aggregated into per-stage latency histograms.

@@ -5,15 +5,18 @@
 //! never blocks other threads. Call sites on hot paths should cache the
 //! returned [`Arc`] instead of re-resolving the name per event.
 //!
-//! [`Snapshot::capture`] freezes everything into plain data that renders to
-//! JSON (hand-rolled — the crate stays dependency-free) for the
-//! machine-readable report written next to the campaign CSVs.
+//! [`Snapshot::capture`] freezes everything into plain data. That one type
+//! is `metrics.json`, the machine-readable report written next to the
+//! campaign CSVs: [`Snapshot::to_json`] renders it through
+//! `vab_util::json`, and [`Snapshot::parse`] reads it back for
+//! `vab-obsctl`.
 
-use crate::event::write_json_string;
+use crate::alloc::{AllocStageSnapshot, AllocTotals};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use vab_util::json::Json;
 
 /// Monotone saturating counter (stops at `u64::MAX` instead of wrapping).
 #[derive(Debug, Default)]
@@ -266,9 +269,9 @@ pub struct Snapshot {
     pub stages: Vec<HistogramSnapshot>,
     /// Process-wide allocator totals (`None` unless allocation profiling
     /// recorded anything — see [`crate::alloc`]).
-    pub alloc_totals: Option<crate::alloc::AllocTotals>,
+    pub alloc_totals: Option<AllocTotals>,
     /// Per-stage allocation counters (empty unless profiling recorded).
-    pub alloc_stages: Vec<crate::alloc::AllocStageSnapshot>,
+    pub alloc_stages: Vec<AllocStageSnapshot>,
 }
 
 fn freeze(map: &BTreeMap<&'static str, Arc<Histogram>>) -> Vec<HistogramSnapshot> {
@@ -290,7 +293,7 @@ impl Snapshot {
         let _p = crate::alloc::pause();
         let totals = crate::alloc::totals();
         let (alloc_totals, alloc_stages) =
-            if crate::alloc::profiling() || totals != crate::alloc::AllocTotals::default() {
+            if crate::alloc::profiling() || totals != AllocTotals::default() {
                 (Some(totals), crate::alloc::snapshot_stages())
             } else {
                 (None, Vec::new())
@@ -306,100 +309,123 @@ impl Snapshot {
         }
     }
 
-    /// Renders the snapshot as a JSON object (pretty, stable key order).
+    /// Renders `metrics.json` through [`Json::render_pretty`]: counters
+    /// and gauges as objects keyed by name; histograms and stages as
+    /// arrays of `{name, count, sum, buckets: [{le, count}, …]}`, the
+    /// overflow bucket's `le` being `"+inf"`; and an `alloc` section only
+    /// when the snapshot carries an allocation profile. Quantiles are not
+    /// written: readers derive them from the buckets with
+    /// [`HistogramSnapshot::percentile`]. Integers are exact below 2^53; a
+    /// non-finite float renders as `null` and reads back as NaN.
     pub fn to_json(&self) -> String {
-        fn json_f64(out: &mut String, v: f64) {
-            if v.is_finite() {
-                let _ = write!(out, "{v:?}");
-            } else {
-                write_json_string(out, &format!("{v}"));
-            }
-        }
-        fn hist_json(out: &mut String, h: &HistogramSnapshot, indent: &str) {
-            let _ = write!(out, "{indent}{{\"name\":");
-            write_json_string(out, &h.name);
-            let _ = write!(out, ",\"count\":{},\"sum\":", h.count);
-            json_f64(out, h.sum);
-            // Derived quantiles (log-bucket interpolation) so consumers of
-            // the snapshot never have to re-walk the raw buckets.
-            if let Some((p50, p95, p99)) = h.quantile_trio() {
-                for (key, v) in [("p50", p50), ("p95", p95), ("p99", p99)] {
-                    let _ = write!(out, ",\"{key}\":");
-                    json_f64(out, v);
-                }
-            }
-            out.push_str(",\"buckets\":[");
-            for (i, count) in h.buckets.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("{\"le\":");
-                match h.bounds.get(i) {
-                    Some(b) => json_f64(out, *b),
-                    None => out.push_str("\"+inf\""),
-                }
-                let _ = write!(out, ",\"count\":{count}}}");
-            }
-            out.push_str("]}");
-        }
-
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-            write_json_string(&mut out, name);
-            let _ = write!(out, ": {v}");
-        }
-        out.push_str(if self.counters.is_empty() { "},\n" } else { "\n  },\n" });
-        out.push_str("  \"gauges\": {");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-            write_json_string(&mut out, name);
-            out.push_str(": ");
-            json_f64(&mut out, *v);
-        }
-        out.push_str(if self.gauges.is_empty() { "},\n" } else { "\n  },\n" });
-        let has_alloc = self.alloc_totals.is_some();
-        for (key, hists, last) in
-            [("histograms", &self.histograms, false), ("stages", &self.stages, !has_alloc)]
-        {
-            let _ = write!(out, "  \"{key}\": [");
-            for (i, h) in hists.iter().enumerate() {
-                out.push_str(if i > 0 { ",\n" } else { "\n" });
-                hist_json(&mut out, h, "    ");
-            }
-            out.push_str(if hists.is_empty() { "]" } else { "\n  ]" });
-            out.push_str(if last { "\n" } else { ",\n" });
-        }
+        let int = |v: u64| Json::Num(v as f64);
+        let hist = |h: &HistogramSnapshot| {
+            let buckets = h.buckets.iter().enumerate().map(|(i, &n)| {
+                let le =
+                    h.bounds.get(i).map_or_else(|| Json::Str("+inf".into()), |&b| Json::Num(b));
+                Json::obj([("le", le), ("count", int(n))])
+            });
+            Json::obj([
+                ("name", Json::Str(h.name.clone())),
+                ("count", int(h.count)),
+                ("sum", Json::Num(h.sum)),
+                ("buckets", Json::Arr(buckets.collect())),
+            ])
+        };
+        let counters = self.counters.iter().map(|(n, v)| (n.clone(), int(*v)));
+        let gauges = self.gauges.iter().map(|(n, v)| (n.clone(), Json::Num(*v)));
+        let mut doc = vec![
+            ("counters", Json::Obj(counters.collect())),
+            ("gauges", Json::Obj(gauges.collect())),
+            ("histograms", Json::Arr(self.histograms.iter().map(hist).collect())),
+            ("stages", Json::Arr(self.stages.iter().map(hist).collect())),
+        ];
         if let Some(t) = &self.alloc_totals {
-            let _ = write!(
-                out,
-                "  \"alloc\": {{\n    \"allocs\": {},\n    \"frees\": {},\n    \
-                 \"bytes_allocated\": {},\n    \"bytes_freed\": {},\n    \
-                 \"live_bytes\": {},\n    \"peak_live_bytes\": {},\n    \"stages\": [",
-                t.allocs,
-                t.frees,
-                t.bytes_allocated,
-                t.bytes_freed,
-                t.live_bytes,
-                t.peak_live_bytes
-            );
-            for (i, s) in self.alloc_stages.iter().enumerate() {
-                out.push_str(if i > 0 { ",\n      " } else { "\n      " });
-                out.push_str("{\"name\":");
-                write_json_string(&mut out, &s.name);
-                let _ = write!(
-                    out,
-                    ",\"calls\":{},\"self_allocs\":{},\"self_bytes\":{},\
-                     \"cum_allocs\":{},\"cum_bytes\":{}}}",
-                    s.calls, s.self_allocs, s.self_bytes, s.cum_allocs, s.cum_bytes
-                );
-            }
-            out.push_str(if self.alloc_stages.is_empty() { "]" } else { "\n    ]" });
-            out.push_str("\n  }\n");
+            let stage = |s: &AllocStageSnapshot| {
+                Json::obj([
+                    ("name", Json::Str(s.name.clone())),
+                    ("calls", int(s.calls)),
+                    ("self_allocs", int(s.self_allocs)),
+                    ("self_bytes", int(s.self_bytes)),
+                    ("cum_allocs", int(s.cum_allocs)),
+                    ("cum_bytes", int(s.cum_bytes)),
+                ])
+            };
+            doc.push((
+                "alloc",
+                Json::obj([
+                    ("allocs", int(t.allocs)),
+                    ("frees", int(t.frees)),
+                    ("bytes_allocated", int(t.bytes_allocated)),
+                    ("bytes_freed", int(t.bytes_freed)),
+                    ("live_bytes", int(t.live_bytes)),
+                    ("peak_live_bytes", int(t.peak_live_bytes)),
+                    ("stages", Json::Arr(self.alloc_stages.iter().map(stage).collect())),
+                ]),
+            ));
         }
-        out.push('}');
+        let mut out = Json::obj(doc).render_pretty();
+        out.push('\n');
         out
+    }
+
+    /// Parses a `metrics.json` snapshot, the inverse of
+    /// [`Snapshot::to_json`]. Lenient where older writers differ: absent
+    /// sections read as empty, absent numbers as 0 (NaN for floats),
+    /// embedded `p50`/`p95`/`p99` fields are ignored and a histogram
+    /// without an overflow bucket had nothing past its top bound. A
+    /// histogram with a missing name, count or bucket count, or with a
+    /// `"+inf"` bound before its last bucket, is an error.
+    pub fn parse(text: &str) -> Result<Snapshot, String> {
+        let v = Json::parse(text).map_err(|e| e.to_string())?;
+        let members = |key: &str| v.get(key).and_then(Json::as_obj).unwrap_or(&[]);
+        let mut snap = Snapshot {
+            counters: members("counters")
+                .iter()
+                .map(|(n, c)| (n.clone(), c.as_u64().unwrap_or(0)))
+                .collect(),
+            gauges: members("gauges")
+                .iter()
+                .map(|(n, g)| (n.clone(), g.as_f64().unwrap_or(f64::NAN)))
+                .collect(),
+            ..Snapshot::default()
+        };
+        for (key, dst) in [("histograms", &mut snap.histograms), ("stages", &mut snap.stages)] {
+            for h in v.get(key).and_then(Json::as_arr).unwrap_or(&[]) {
+                let parsed = histogram_from_json(h)
+                    .ok_or_else(|| format!("malformed histogram entry in {key:?}"))?;
+                dst.push(parsed);
+            }
+        }
+        if let Some(alloc) = v.get("alloc") {
+            let int = |o: &Json, key: &str| o.u64_field(key).unwrap_or(0);
+            snap.alloc_totals = Some(AllocTotals {
+                allocs: int(alloc, "allocs"),
+                frees: int(alloc, "frees"),
+                bytes_allocated: int(alloc, "bytes_allocated"),
+                bytes_freed: int(alloc, "bytes_freed"),
+                live_bytes: int(alloc, "live_bytes"),
+                peak_live_bytes: int(alloc, "peak_live_bytes"),
+            });
+            for s in alloc.get("stages").and_then(Json::as_arr).unwrap_or(&[]) {
+                snap.alloc_stages.push(AllocStageSnapshot {
+                    name: s.str_field("name").ok_or("alloc stage without name")?.to_string(),
+                    calls: int(s, "calls"),
+                    self_allocs: int(s, "self_allocs"),
+                    self_bytes: int(s, "self_bytes"),
+                    cum_allocs: int(s, "cum_allocs"),
+                    cum_bytes: int(s, "cum_bytes"),
+                });
+            }
+        }
+        Ok(snap)
+    }
+
+    /// Loads and parses the snapshot at `path`.
+    pub fn load(path: &std::path::Path) -> Result<Snapshot, String> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        Snapshot::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 
     /// Writes the JSON snapshot to `path` (creating parent directories).
@@ -432,26 +458,28 @@ impl Snapshot {
         }
         Some(out)
     }
+}
 
-    /// Human-readable per-stage allocation breakdown (self-attributed),
-    /// or `None` when no allocation profile was captured.
-    pub fn alloc_summary(&self) -> Option<String> {
-        let totals = self.alloc_totals.as_ref()?;
-        let mut out = format!(
-            "allocation profile: {} allocs / {} frees, {} bytes allocated, peak live {} bytes\n",
-            totals.allocs, totals.frees, totals.bytes_allocated, totals.peak_live_bytes
-        );
-        let active: Vec<_> = self.alloc_stages.iter().filter(|s| s.cum_allocs > 0).collect();
-        for s in &active {
-            let per_call = if s.calls > 0 { s.self_allocs as f64 / s.calls as f64 } else { 0.0 };
-            let _ = writeln!(
-                out,
-                "  {:<24} {:>10} calls  {:>12} self allocs  {:>14} self bytes  {:>8.1} allocs/call",
-                s.name, s.calls, s.self_allocs, s.self_bytes, per_call
-            );
+/// One histogram entry of `metrics.json`; `None` when malformed.
+fn histogram_from_json(v: &Json) -> Option<HistogramSnapshot> {
+    let entries = v.get("buckets").and_then(Json::as_arr)?;
+    let (mut bounds, mut buckets) = (Vec::new(), Vec::new());
+    for (i, b) in entries.iter().enumerate() {
+        match b.get("le") {
+            Some(Json::Num(x)) => bounds.push(*x),
+            Some(Json::Str(s)) if s == "+inf" && i + 1 == entries.len() => {}
+            _ => return None,
         }
-        Some(out)
+        buckets.push(b.u64_field("count")?);
     }
+    buckets.resize(bounds.len() + 1, 0);
+    Some(HistogramSnapshot {
+        name: v.str_field("name")?.to_string(),
+        count: v.u64_field("count")?,
+        sum: v.f64_field("sum").unwrap_or(f64::NAN),
+        bounds,
+        buckets,
+    })
 }
 
 #[cfg(test)]
@@ -540,17 +568,14 @@ mod tests {
         stage("pr2.stage_demod").observe(0.002);
         let snap = Snapshot::capture();
         let json = snap.to_json();
-        assert!(json.contains("\"pr2.trials\": 10"), "json: {json}");
-        assert!(json.contains("\"pr2.level\": 1.5"), "json: {json}");
-        assert!(json.contains("\"name\":\"pr2.lat\""), "json: {json}");
-        assert!(json.contains("\"le\":\"+inf\""), "json: {json}");
-        assert!(json.contains("\"name\":\"pr2.stage_demod\""), "json: {json}");
-        // Balanced braces/brackets as a cheap structural sanity check.
-        let balance = |open: char, close: char| {
-            json.chars().filter(|&c| c == open).count()
-                == json.chars().filter(|&c| c == close).count()
-        };
-        assert!(balance('{', '}') && balance('[', ']'));
+        let back = Snapshot::parse(&json).expect("snapshot parses");
+        assert_eq!(back, snap, "json: {json}");
+        assert_eq!(back.counters, [("pr2.trials".to_string(), 10)]);
+        assert_eq!(back.gauges, [("pr2.level".to_string(), 1.5)]);
+        assert_eq!(back.histograms[0].name, "pr2.lat");
+        assert_eq!(back.histograms[0].buckets, [0, 1, 0], "overflow bucket survives");
+        assert_eq!(back.stages[0].name, "pr2.stage_demod");
+        assert_eq!(Snapshot::capture().to_json(), json, "rendering is stable");
         let summary = snap.stage_summary().expect("stage summary");
         assert!(summary.contains("pr2.stage_demod"), "summary: {summary}");
         reset();
@@ -666,14 +691,15 @@ mod tests {
 
     #[test]
     fn snapshot_json_carries_quantiles() {
+        // Quantiles travel as the buckets they are derived from.
         let _g = guard();
         reset();
         stage("pr3.q_stage").observe(0.002);
         let snap = Snapshot::capture();
-        let json = snap.to_json();
-        assert!(json.contains("\"p50\":"), "json: {json}");
-        assert!(json.contains("\"p95\":"), "json: {json}");
-        assert!(json.contains("\"p99\":"), "json: {json}");
+        let back = Snapshot::parse(&snap.to_json()).expect("snapshot parses");
+        let trio = back.stages[0].quantile_trio().expect("trio");
+        assert_eq!(Some(trio), snap.stages[0].quantile_trio());
+        assert!(trio.0 > 1e-3 && trio.2 <= 3.16e-3, "{trio:?}");
         reset();
     }
 
@@ -697,18 +723,44 @@ mod tests {
         let stage = snap.alloc_stages.iter().find(|s| s.name == "pr8.alloc_stage").expect("stage");
         assert!(stage.self_allocs >= 1 && stage.self_bytes >= 256);
         let json = snap.to_json();
-        assert!(json.contains("\"alloc\": {"), "json: {json}");
-        assert!(json.contains("\"peak_live_bytes\""), "json: {json}");
-        assert!(json.contains("\"name\":\"pr8.alloc_stage\""), "json: {json}");
-        let balance = |open: char, close: char| {
-            json.chars().filter(|&c| c == open).count()
-                == json.chars().filter(|&c| c == close).count()
-        };
-        assert!(balance('{', '}') && balance('[', ']'));
-        let summary = snap.alloc_summary().expect("alloc summary");
-        assert!(summary.contains("pr8.alloc_stage"), "summary: {summary}");
+        let back = Snapshot::parse(&json).expect("snapshot parses");
+        assert_eq!(back, snap, "json: {json}");
+        assert_eq!(back.alloc_totals.map(|t| t.peak_live_bytes), Some(totals.peak_live_bytes));
+        assert!(back.alloc_stages.iter().any(|s| s.name == "pr8.alloc_stage"), "json: {json}");
         crate::alloc::reset();
         reset();
+    }
+
+    #[test]
+    fn parses_the_older_layout_with_embedded_quantiles() {
+        let text = r#"{
+  "counters": {"arq.retransmits": 12, "mc.trials": 150},
+  "gauges": {"x": 1.5},
+  "histograms": [],
+  "stages": [
+    {"name":"sim.linkbudget_trial","count":4,"sum":0.02,"p50":0.004,"p95":0.009,"p99":0.0099,"buckets":[{"le":0.001,"count":0},{"le":0.01,"count":3},{"le":"+inf","count":1}]}
+  ]
+}"#;
+        let snap = Snapshot::parse(text).expect("parse");
+        assert_eq!(snap.counters[0], ("arq.retransmits".to_string(), 12));
+        assert!(snap.alloc_totals.is_none());
+        let st = &snap.stages[0];
+        assert_eq!((st.name.as_str(), st.count, st.sum), ("sim.linkbudget_trial", 4, 0.02));
+        assert_eq!(st.bounds, [0.001, 0.01]);
+        assert_eq!(st.buckets, [0, 3, 1]);
+        // The embedded p50 (0.004) is not read: quantiles come from the buckets.
+        let p50 = st.percentile(0.5).expect("p50");
+        assert!((p50 - 0.001 * 10f64.powf(2.0 / 3.0)).abs() < 1e-15, "p50 {p50}");
+        let p25 = st.percentile(0.25).expect("p25");
+        assert!((p25 - 0.001 * 10f64.powf(1.0 / 3.0)).abs() < 1e-15, "p25 {p25}");
+        assert_eq!(st.percentile(0.9), Some(0.01), "overflow clamps to the top bound");
+    }
+
+    #[test]
+    fn an_inner_infinite_bucket_is_malformed() {
+        let text = r#"{"stages":[{"name":"s","count":1,"sum":1.0,
+            "buckets":[{"le":"+inf","count":1},{"le":0.01,"count":0}]}]}"#;
+        assert!(Snapshot::parse(text).is_err());
     }
 
     #[test]
@@ -717,7 +769,7 @@ mod tests {
         reset();
         let snap = Snapshot::capture();
         assert!(snap.stage_summary().is_none());
-        assert!(snap.to_json().contains("\"counters\": {}"));
+        assert_eq!(Snapshot::parse(&snap.to_json()), Ok(Snapshot::default()));
         reset();
     }
 }

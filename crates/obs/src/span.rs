@@ -24,24 +24,12 @@
 use crate::Value;
 use crate::{alloc, metrics};
 use std::time::{Duration, Instant};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over `bytes`, folded from `state`. Local so the crate stays
-/// dependency-free (`vab-obs` sits below `vab-util` in the workspace).
-fn fnv1a64_fold(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= u64::from(b);
-        state = state.wrapping_mul(FNV_PRIME);
-    }
-    state
-}
+use vab_util::hash::{fnv1a64, fnv1a64_fold};
 
 /// Derives a child span id from its coordinates. Zero is reserved for
 /// "no parent", so a (vanishingly unlikely) zero hash remaps to one.
 fn derive_span_id(trace_id: u64, parent_span_id: u64, name: &str, ordinal: u64) -> u64 {
-    let mut h = fnv1a64_fold(FNV_OFFSET, &trace_id.to_le_bytes());
+    let mut h = fnv1a64(&trace_id.to_le_bytes());
     h = fnv1a64_fold(h, &parent_span_id.to_le_bytes());
     h = fnv1a64_fold(h, name.as_bytes());
     h = fnv1a64_fold(h, &ordinal.to_le_bytes());
@@ -256,6 +244,19 @@ mod tests {
         assert_ne!(a.span_id, root.child("svc.handle", 0).span_id, "name disambiguates");
         assert_eq!(a.parent_span_id, root.span_id);
         assert_eq!(a.trace_id, 0xabcd);
+    }
+
+    #[test]
+    fn span_ids_are_pinned() {
+        // Ids travel on the wire and key merged traces: the derivation
+        // must never move.
+        let root = TraceContext::root(0xabcd, "job");
+        let got = [
+            root.child("svc.submit", 0).span_id,
+            root.child("svc.submit", 1).span_id,
+            TraceContext::root(u64::MAX, "fig.f7").child("sim.linkbudget_trial", 42).span_id,
+        ];
+        assert_eq!(got, [0xc7ea_2ea7_147f_f69b, 0xa8ef_679e_0990_ac7a, 0xe8b0_86dd_d614_9227]);
     }
 
     #[test]

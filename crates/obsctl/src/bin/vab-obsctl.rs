@@ -37,6 +37,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use vab_obs::metrics::Snapshot;
 use vab_obsctl::anomaly::{self, AnomalyConfig};
 use vab_obsctl::flame::{self, Weight};
 use vab_obsctl::gate::{self, Gate};
@@ -44,7 +45,7 @@ use vab_obsctl::live::{self, SloSpec};
 use vab_obsctl::perf::BenchSnapshot;
 use vab_obsctl::profile;
 use vab_obsctl::report;
-use vab_obsctl::trace::{MetricsDoc, Trace};
+use vab_obsctl::trace::Trace;
 use vab_obsctl::waterfall::Waterfall;
 use vab_util::json::Json;
 
@@ -126,7 +127,7 @@ fn cmd_report(mut args: Vec<String>) -> ExitCode {
     };
     let metrics = match args.pop() {
         None => None,
-        Some(path) => match MetricsDoc::load(Path::new(&path)) {
+        Some(path) => match Snapshot::load(Path::new(&path)) {
             Ok(m) => Some(m),
             Err(e) => return fail(&e),
         },
@@ -235,7 +236,7 @@ fn cmd_profile(mut args: Vec<String>) -> ExitCode {
     if args.len() != 1 {
         return usage();
     }
-    let doc = match MetricsDoc::load(Path::new(&args[0])) {
+    let doc = match Snapshot::load(Path::new(&args[0])) {
         Ok(m) => m,
         Err(e) => return fail(&e),
     };

@@ -33,7 +33,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use vab_util::json::{write_json_string, Json};
+use vab_util::json::Json;
 
 use crate::perf::{BenchSnapshot, FigurePerf};
 
@@ -254,46 +254,49 @@ impl Gate {
         Ok((timing, alloc))
     }
 
-    /// Renders the reference as committed JSON (stable order, pretty).
+    /// Renders the reference as committed JSON through
+    /// [`Json::render_pretty`]: one line per stage share and per
+    /// allocation pin. Shares and `wall_s` are rounded to six decimals and
+    /// `mean_us` to three, so a re-pin diffs only where a pin moved.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(8192);
-        let _ = write!(out, "{{\n  \"schema\": \"{GATE_SCHEMA}\",\n  \"mode\": ");
-        write_json_string(&mut out, &self.mode);
-        let _ = write!(
-            out,
-            ",\n  \"tolerance\": {:?},\n  \"min_share\": {:?},\n  \"total_wall_s\": {:?},\n  \"figures\": {{",
-            self.tolerance, self.min_share, self.total_wall_s
-        );
-        for (i, f) in self.figures.iter().enumerate() {
-            out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-            write_json_string(&mut out, &f.name);
-            out.push_str(": {");
+        // Rounded through the decimal text, so each pin is exactly the
+        // `f64` that a `{:.6}` (or `{:.3}`) rendering reads back as.
+        let round = |v: f64, places: usize| Json::Num(format!("{v:.places$}").parse().unwrap_or(v));
+        let int = |v: u64| Json::Num(v as f64);
+        let figure = |f: &FigurePin| {
+            let mut fields = Vec::new();
             if let Some(share) = f.share {
-                let _ = write!(out, "\"share\": {share:.6}, \"wall_s\": {:.6}", f.wall_s);
+                fields.push(("share", round(share, 6)));
+                fields.push(("wall_s", round(f.wall_s, 6)));
             }
             if !f.alloc.is_empty() {
-                out.push_str(if f.share.is_some() { ", \"alloc\": {" } else { "\"alloc\": {" });
-                for (j, s) in f.alloc.iter().enumerate() {
-                    out.push_str(if j > 0 { ",\n      " } else { "\n      " });
-                    write_json_string(&mut out, &s.name);
-                    let _ = write!(
-                        out,
-                        ": {{\"calls\": {}, \"alloc_count\": {}, \"alloc_bytes\": {}}}",
-                        s.calls, s.alloc_count, s.alloc_bytes
-                    );
-                }
-                out.push_str("\n    }");
+                let pins = f.alloc.iter().map(|s| {
+                    let pin = Json::obj([
+                        ("calls", int(s.calls)),
+                        ("alloc_count", int(s.alloc_count)),
+                        ("alloc_bytes", int(s.alloc_bytes)),
+                    ]);
+                    (s.name.clone(), pin)
+                });
+                fields.push(("alloc", Json::Obj(pins.collect())));
             }
-            out.push('}');
-        }
-        out.push_str(if self.figures.is_empty() { "},\n" } else { "\n  },\n" });
-        out.push_str("  \"stages\": {");
-        for (i, s) in self.stages.iter().enumerate() {
-            out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-            write_json_string(&mut out, &s.name);
-            let _ = write!(out, ": {{\"share\": {:.6}, \"mean_us\": {:.3}}}", s.share, s.mean_us);
-        }
-        out.push_str(if self.stages.is_empty() { "}\n}\n" } else { "\n  }\n}\n" });
+            (f.name.clone(), Json::obj(fields))
+        };
+        let stage = |s: &StageShare| {
+            let share = Json::obj([("share", round(s.share, 6)), ("mean_us", round(s.mean_us, 3))]);
+            (s.name.clone(), share)
+        };
+        let mut out = Json::obj([
+            ("schema", Json::Str(GATE_SCHEMA.into())),
+            ("mode", Json::Str(self.mode.clone())),
+            ("tolerance", Json::Num(self.tolerance)),
+            ("min_share", Json::Num(self.min_share)),
+            ("total_wall_s", Json::Num(self.total_wall_s)),
+            ("figures", Json::Obj(self.figures.iter().map(figure).collect())),
+            ("stages", Json::Obj(self.stages.iter().map(stage).collect())),
+        ])
+        .render_pretty();
+        out.push('\n');
         out
     }
 }

@@ -46,4 +46,4 @@ pub mod report;
 pub mod trace;
 pub mod waterfall;
 
-pub use trace::{MetricsDoc, Trace, TraceEvent};
+pub use trace::{Trace, TraceEvent};

@@ -253,26 +253,22 @@ pub fn render_checks(checks: &[SloCheck]) -> (String, usize) {
 /// Renders check results as a JSON document for scripts and CI
 /// assertions; returns `(json, breaches)`.
 pub fn render_checks_json(checks: &[SloCheck]) -> (String, usize) {
-    use std::fmt::Write as _;
-    use vab_util::json::{write_json_number, write_json_string};
     let breaches = checks.iter().filter(|c| !c.pass).count();
-    let mut out = String::with_capacity(512);
-    out.push_str("{\n  \"checks\": [");
-    for (i, c) in checks.iter().enumerate() {
-        out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-        out.push_str("{\"objective\": ");
-        write_json_string(&mut out, &c.objective);
-        out.push_str(", \"measured\": ");
-        match c.measured {
-            Some(m) => write_json_number(&mut out, m),
-            None => out.push_str("null"),
-        }
-        out.push_str(", \"bound\": ");
-        write_json_number(&mut out, c.bound);
-        let _ = write!(out, ", \"pass\": {}}}", c.pass);
-    }
-    out.push_str(if checks.is_empty() { "],\n" } else { "\n  ],\n" });
-    let _ = writeln!(out, "  \"objectives\": {},\n  \"breaches\": {breaches}\n}}", checks.len());
+    let check = |c: &SloCheck| {
+        Json::obj([
+            ("objective", Json::Str(c.objective.clone())),
+            ("measured", c.measured.map_or(Json::Null, Json::Num)),
+            ("bound", Json::Num(c.bound)),
+            ("pass", Json::Bool(c.pass)),
+        ])
+    };
+    let mut out = Json::obj([
+        ("checks", Json::Arr(checks.iter().map(check).collect())),
+        ("objectives", Json::Num(checks.len() as f64)),
+        ("breaches", Json::Num(breaches as f64)),
+    ])
+    .render_pretty();
+    out.push('\n');
     (out, breaches)
 }
 
@@ -455,6 +451,8 @@ mod tests {
         // A no-data check serializes measured as null.
         let checks = check(&spec(), &sample(900.0, None, 0.9));
         let (json, _) = render_checks_json(&checks);
-        assert!(json.contains("\"measured\": null"), "{json}");
+        let v = Json::parse(&json).expect("valid JSON");
+        let arr = v.get("checks").and_then(Json::as_arr).expect("checks");
+        assert!(arr.iter().any(|c| c.get("measured") == Some(&Json::Null)), "{json}");
     }
 }

@@ -10,7 +10,8 @@
 
 use std::fmt::Write as _;
 
-use crate::trace::{AllocStageDoc, MetricsDoc};
+use vab_obs::alloc::AllocStageSnapshot;
+use vab_obs::metrics::Snapshot;
 
 /// Human-readable byte count (base-1024 units, one decimal).
 pub fn human_bytes(n: u64) -> String {
@@ -31,7 +32,7 @@ pub fn human_bytes(n: u64) -> String {
 /// Renders the allocation profile of `doc`, listing at most `top`
 /// stages (0 = all). Errors when the snapshot carries no `alloc`
 /// section — the run was not profiled.
-pub fn render(doc: &MetricsDoc, top: usize) -> Result<String, String> {
+pub fn render(doc: &Snapshot, top: usize) -> Result<String, String> {
     let totals = doc
         .alloc_totals
         .as_ref()
@@ -45,7 +46,7 @@ pub fn render(doc: &MetricsDoc, top: usize) -> Result<String, String> {
         human_bytes(totals.bytes_allocated),
         human_bytes(totals.peak_live_bytes),
     );
-    let mut stages: Vec<&AllocStageDoc> =
+    let mut stages: Vec<&AllocStageSnapshot> =
         doc.alloc_stages.iter().filter(|s| s.cum_allocs > 0 || s.calls > 0).collect();
     if stages.is_empty() {
         out.push_str("no stage recorded any allocation\n");
@@ -78,8 +79,8 @@ pub fn render(doc: &MetricsDoc, top: usize) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    fn doc() -> MetricsDoc {
-        MetricsDoc::parse(
+    fn doc() -> Snapshot {
+        Snapshot::parse(
             r#"{
   "counters": {}, "gauges": {}, "histograms": [], "stages": [],
   "alloc": {
@@ -115,7 +116,7 @@ mod tests {
 
     #[test]
     fn unprofiled_snapshot_is_an_error() {
-        let doc = MetricsDoc::parse(r#"{"counters":{},"gauges":{},"histograms":[],"stages":[]}"#)
+        let doc = Snapshot::parse(r#"{"counters":{},"gauges":{},"histograms":[],"stages":[]}"#)
             .expect("parse");
         assert!(render(&doc, 0).is_err());
     }

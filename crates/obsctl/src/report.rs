@@ -14,9 +14,10 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use vab_obs::metrics::{HistogramSnapshot, Snapshot};
 use vab_util::json::Json;
 
-use crate::trace::{MetricsDoc, Trace};
+use crate::trace::Trace;
 
 /// Per-trial reconstruction: everything the trace said about one trial.
 #[derive(Debug, Clone, Default)]
@@ -66,7 +67,7 @@ pub fn trial_timelines(trace: &Trace) -> Vec<TrialTimeline> {
 }
 
 /// Renders the full report.
-pub fn render(trace: &Trace, metrics: Option<&MetricsDoc>) -> String {
+pub fn render(trace: &Trace, metrics: Option<&Snapshot>) -> String {
     let mut out = String::with_capacity(4096);
     render_overview(&mut out, trace);
     render_timelines(&mut out, trace);
@@ -163,8 +164,8 @@ fn render_timelines(out: &mut String, trace: &Trace) {
     }
 }
 
-fn render_stage_percentiles(out: &mut String, m: &MetricsDoc) {
-    let active: Vec<_> = m.stages.iter().filter(|h| h.hist.count > 0).collect();
+fn render_stage_percentiles(out: &mut String, m: &Snapshot) {
+    let active: Vec<_> = m.stages.iter().filter(|h| h.count > 0).collect();
     if active.is_empty() {
         out.push_str("\n(metrics snapshot has no stage observations)\n");
         return;
@@ -182,33 +183,33 @@ fn render_stage_percentiles(out: &mut String, m: &MetricsDoc) {
         let _ = writeln!(
             out,
             "  {:<26} {:>9} {:>11} {:>11} {:>11} {:>9.3} s",
-            h.hist.name,
-            h.hist.count,
+            h.name,
+            h.count,
             us(0.50),
             us(0.95),
             us(0.99),
-            h.hist.sum
+            h.sum
         );
     }
 }
 
 /// The indented stage tree: stages grouped by their dotted prefix
 /// (`sim`, `fec`, …), each subsystem totalled, children sorted by time.
-fn render_stage_tree(out: &mut String, m: &MetricsDoc) {
-    let active: Vec<_> = m.stages.iter().filter(|h| h.hist.count > 0).collect();
+fn render_stage_tree(out: &mut String, m: &Snapshot) {
+    let active: Vec<_> = m.stages.iter().filter(|h| h.count > 0).collect();
     if active.is_empty() {
         return;
     }
-    let total: f64 = active.iter().map(|h| h.hist.sum).sum();
-    let mut groups: BTreeMap<&str, Vec<&crate::trace::HistDoc>> = BTreeMap::new();
+    let total: f64 = active.iter().map(|h| h.sum).sum();
+    let mut groups: BTreeMap<&str, Vec<&HistogramSnapshot>> = BTreeMap::new();
     for h in &active {
-        let prefix = h.hist.name.split('.').next().unwrap_or(&h.hist.name);
+        let prefix = h.name.split('.').next().unwrap_or(&h.name);
         groups.entry(prefix).or_default().push(h);
     }
-    let mut ordered: Vec<(&str, f64, Vec<&crate::trace::HistDoc>)> = groups
+    let mut ordered: Vec<(&str, f64, Vec<&HistogramSnapshot>)> = groups
         .into_iter()
         .map(|(prefix, hs)| {
-            let sum: f64 = hs.iter().map(|h| h.hist.sum).sum();
+            let sum: f64 = hs.iter().map(|h| h.sum).sum();
             (prefix, sum, hs)
         })
         .collect();
@@ -218,24 +219,23 @@ fn render_stage_tree(out: &mut String, m: &MetricsDoc) {
     for (prefix, sum, mut hs) in ordered {
         let share = if total > 0.0 { 100.0 * sum / total } else { 0.0 };
         let _ = writeln!(out, "    {prefix:<40} {sum:>8.3} s  {share:>5.1}%");
-        hs.sort_by(|a, b| b.hist.sum.total_cmp(&a.hist.sum));
+        hs.sort_by(|a, b| b.sum.total_cmp(&a.sum));
         for h in hs {
             let leaf = h
-                .hist
                 .name
                 .strip_prefix(prefix)
-                .map_or(h.hist.name.as_str(), |s| s.strip_prefix('.').unwrap_or(s));
-            let leaf_share = if total > 0.0 { 100.0 * h.hist.sum / total } else { 0.0 };
+                .map_or(h.name.as_str(), |s| s.strip_prefix('.').unwrap_or(s));
+            let leaf_share = if total > 0.0 { 100.0 * h.sum / total } else { 0.0 };
             let _ = writeln!(
                 out,
                 "      {:<38} {:>8.3} s  {:>5.1}%  ({} calls)",
-                leaf, h.hist.sum, leaf_share, h.hist.count
+                leaf, h.sum, leaf_share, h.count
             );
         }
     }
 }
 
-fn render_counters(out: &mut String, m: &MetricsDoc) {
+fn render_counters(out: &mut String, m: &Snapshot) {
     let nonzero: Vec<_> = m.counters.iter().filter(|(_, v)| *v > 0).collect();
     if nonzero.is_empty() {
         return;
@@ -281,7 +281,7 @@ mod tests {
     #[test]
     fn report_renders_all_sections() {
         let trace = Trace::parse(&trace_text());
-        let metrics = MetricsDoc::parse(
+        let metrics = Snapshot::parse(
             r#"{"counters":{"arq.retransmits":3},"gauges":{},"histograms":[],
                 "stages":[{"name":"sim.linkbudget_trial","count":4,"sum":0.02,
                 "buckets":[{"le":0.001,"count":0},{"le":0.01,"count":3},{"le":"+inf","count":1}]},

@@ -1,4 +1,5 @@
-//! Loading `trace.jsonl` event streams and `metrics.json` snapshots.
+//! Loading `trace.jsonl` event streams. (`metrics.json` snapshots load
+//! through `vab_obs::metrics::Snapshot::load`.)
 //!
 //! The JSONL sink shards its buffers per thread, so on-disk line order is
 //! *not* sequence order: [`Trace::load`] re-sorts by `seq` after parsing.
@@ -9,7 +10,6 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use vab_obs::metrics::HistogramSnapshot;
 use vab_util::json::Json;
 
 /// One parsed trace event.
@@ -175,192 +175,6 @@ fn event_from_json(v: &Json) -> Option<TraceEvent> {
     })
 }
 
-/// One histogram from a `metrics.json` snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistDoc {
-    /// Name, count, sum and buckets, in `vab-obs`'s own snapshot form.
-    pub hist: HistogramSnapshot,
-    /// Derived quantiles, when the snapshot carries them.
-    pub p50: Option<f64>,
-    /// 95th percentile.
-    pub p95: Option<f64>,
-    /// 99th percentile.
-    pub p99: Option<f64>,
-}
-
-impl HistDoc {
-    /// Mean seconds (or whatever unit the histogram records) per call.
-    pub fn mean(&self) -> f64 {
-        if self.hist.count == 0 {
-            0.0
-        } else {
-            self.hist.sum / self.hist.count as f64
-        }
-    }
-
-    /// The `q`-quantile: the snapshot's embedded value when present (p50 /
-    /// p95 / p99), else [`HistogramSnapshot::percentile`] over the buckets
-    /// — so old snapshots without embedded quantiles still report
-    /// percentiles.
-    pub fn percentile(&self, q: f64) -> Option<f64> {
-        let embedded = match q {
-            _ if self.hist.count == 0 => None,
-            _ if (q - 0.50).abs() < 1e-12 => self.p50,
-            _ if (q - 0.95).abs() < 1e-12 => self.p95,
-            _ if (q - 0.99).abs() < 1e-12 => self.p99,
-            _ => None,
-        };
-        embedded.or_else(|| self.hist.percentile(q))
-    }
-}
-
-/// Process-wide allocator totals from a snapshot's `alloc` section.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AllocTotalsDoc {
-    /// Allocation calls counted.
-    pub allocs: u64,
-    /// Deallocation calls counted.
-    pub frees: u64,
-    /// Bytes requested across counted allocations.
-    pub bytes_allocated: u64,
-    /// Bytes released across counted frees.
-    pub bytes_freed: u64,
-    /// Live bytes at snapshot time.
-    pub live_bytes: u64,
-    /// High-water mark of live bytes (peak-RSS proxy).
-    pub peak_live_bytes: u64,
-}
-
-/// One stage's allocation counters from a snapshot's `alloc` section.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AllocStageDoc {
-    /// Stage name (shared with the latency histogram).
-    pub name: String,
-    /// Stage invocations recorded.
-    pub calls: u64,
-    /// Allocations attributed to the stage alone.
-    pub self_allocs: u64,
-    /// Bytes attributed to the stage alone.
-    pub self_bytes: u64,
-    /// Allocations inside the stage, children included.
-    pub cum_allocs: u64,
-    /// Bytes inside the stage, children included.
-    pub cum_bytes: u64,
-}
-
-/// A parsed `metrics.json` snapshot.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsDoc {
-    /// Counter values by name.
-    pub counters: Vec<(String, u64)>,
-    /// Gauge values by name.
-    pub gauges: Vec<(String, f64)>,
-    /// General histograms.
-    pub histograms: Vec<HistDoc>,
-    /// Per-stage wall-clock histograms (seconds).
-    pub stages: Vec<HistDoc>,
-    /// Allocator totals (`None` when the run had no allocation profile).
-    pub alloc_totals: Option<AllocTotalsDoc>,
-    /// Per-stage allocation counters (empty without a profile).
-    pub alloc_stages: Vec<AllocStageDoc>,
-}
-
-impl MetricsDoc {
-    /// Parses the JSON text of a snapshot.
-    pub fn parse(text: &str) -> Result<MetricsDoc, String> {
-        let v = Json::parse(text).map_err(|e| e.to_string())?;
-        let mut doc = MetricsDoc::default();
-        if let Some(counters) = v.get("counters").and_then(Json::as_obj) {
-            for (name, val) in counters {
-                doc.counters.push((name.clone(), val.as_u64().unwrap_or(0)));
-            }
-        }
-        if let Some(gauges) = v.get("gauges").and_then(Json::as_obj) {
-            for (name, val) in gauges {
-                doc.gauges.push((name.clone(), val.as_f64().unwrap_or(f64::NAN)));
-            }
-        }
-        for (key, dst) in [("histograms", 0usize), ("stages", 1)] {
-            if let Some(hists) = v.get(key).and_then(Json::as_arr) {
-                for h in hists {
-                    let parsed = hist_from_json(h)
-                        .ok_or_else(|| format!("malformed histogram entry in {key:?}"))?;
-                    if dst == 0 {
-                        doc.histograms.push(parsed);
-                    } else {
-                        doc.stages.push(parsed);
-                    }
-                }
-            }
-        }
-        if let Some(alloc) = v.get("alloc") {
-            doc.alloc_totals = Some(AllocTotalsDoc {
-                allocs: alloc.u64_field("allocs").unwrap_or(0),
-                frees: alloc.u64_field("frees").unwrap_or(0),
-                bytes_allocated: alloc.u64_field("bytes_allocated").unwrap_or(0),
-                bytes_freed: alloc.u64_field("bytes_freed").unwrap_or(0),
-                live_bytes: alloc.u64_field("live_bytes").unwrap_or(0),
-                peak_live_bytes: alloc.u64_field("peak_live_bytes").unwrap_or(0),
-            });
-            for s in alloc.get("stages").and_then(Json::as_arr).unwrap_or(&[]) {
-                doc.alloc_stages.push(AllocStageDoc {
-                    name: s.str_field("name").ok_or("alloc stage without name")?.to_string(),
-                    calls: s.u64_field("calls").unwrap_or(0),
-                    self_allocs: s.u64_field("self_allocs").unwrap_or(0),
-                    self_bytes: s.u64_field("self_bytes").unwrap_or(0),
-                    cum_allocs: s.u64_field("cum_allocs").unwrap_or(0),
-                    cum_bytes: s.u64_field("cum_bytes").unwrap_or(0),
-                });
-            }
-        }
-        Ok(doc)
-    }
-
-    /// Loads and parses `path`.
-    pub fn load(path: &Path) -> Result<MetricsDoc, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        MetricsDoc::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
-
-    /// Counter lookup.
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    }
-
-    /// Stage-histogram lookup.
-    pub fn stage(&self, name: &str) -> Option<&HistDoc> {
-        self.stages.iter().find(|h| h.hist.name == name)
-    }
-}
-
-fn hist_from_json(v: &Json) -> Option<HistDoc> {
-    let entries = v.get("buckets").and_then(Json::as_arr)?;
-    let (mut bounds, mut buckets) = (Vec::new(), Vec::new());
-    for (i, b) in entries.iter().enumerate() {
-        match b.get("le") {
-            Some(Json::Num(x)) => bounds.push(*x),
-            Some(Json::Str(s)) if s == "+inf" && i + 1 == entries.len() => {}
-            _ => return None,
-        }
-        buckets.push(b.u64_field("count")?);
-    }
-    // A snapshot without an overflow bucket had nothing past its top bound.
-    buckets.resize(bounds.len() + 1, 0);
-    Some(HistDoc {
-        hist: HistogramSnapshot {
-            name: v.str_field("name")?.to_string(),
-            count: v.u64_field("count")?,
-            sum: v.f64_field("sum").unwrap_or(f64::NAN),
-            bounds,
-            buckets,
-        },
-        p50: v.f64_field("p50"),
-        p95: v.f64_field("p95"),
-        p99: v.f64_field("p99"),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,38 +258,5 @@ mod tests {
         assert_eq!(ab.events[1].source, "daemon");
         // Source survives family queries untouched.
         assert_eq!(ab.family_indices("svc.client", "span_end").len(), 1);
-    }
-
-    #[test]
-    fn metrics_doc_parses_the_snapshot_shape() {
-        let text = r#"{
-  "counters": {"arq.retransmits": 12, "mc.trials": 150},
-  "gauges": {"x": 1.5},
-  "histograms": [],
-  "stages": [
-    {"name":"sim.linkbudget_trial","count":4,"sum":0.02,"p50":0.004,"p95":0.009,"p99":0.0099,"buckets":[{"le":0.001,"count":0},{"le":0.01,"count":3},{"le":"+inf","count":1}]}
-  ]
-}"#;
-        let doc = MetricsDoc::parse(text).expect("parse");
-        assert_eq!(doc.counter("arq.retransmits"), Some(12));
-        let st = doc.stage("sim.linkbudget_trial").expect("stage");
-        assert_eq!(st.hist.count, 4);
-        assert_eq!(st.p95, Some(0.009));
-        assert_eq!(st.hist.bounds, [0.001, 0.01]);
-        assert_eq!(st.hist.buckets, [0, 3, 1]);
-        assert!((st.mean() - 0.005).abs() < 1e-12);
-        // Embedded quantiles win; anything else comes from the buckets.
-        assert_eq!(st.percentile(0.95), Some(0.009));
-        assert_eq!(st.percentile(0.5), Some(0.004));
-        let p25 = st.percentile(0.25).expect("p25");
-        assert!((p25 - 0.001 * 10f64.powf(1.0 / 3.0)).abs() < 1e-15, "p25 {p25}");
-        assert_eq!(st.percentile(0.9), Some(0.01), "overflow clamps to the top bound");
-    }
-
-    #[test]
-    fn an_inner_infinite_bucket_is_malformed() {
-        let text = r#"{"stages":[{"name":"s","count":1,"sum":1.0,
-            "buckets":[{"le":"+inf","count":1},{"le":0.01,"count":0}]}]}"#;
-        assert!(MetricsDoc::parse(text).is_err());
     }
 }

@@ -338,10 +338,15 @@ fn slo_emits_machine_readable_json() {
         "--json",
     ]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
+    // Stdout is one JSON document (no human summary mixed in), and its
+    // verdict agrees with the exit status.
     let text = stdout(&out);
-    assert!(text.contains("\"breaches\": 0"), "{text}");
-    assert!(text.contains("\"objective\":"), "{text}");
-    assert!(!text.contains("slo: "), "human summary must not leak into JSON: {text}");
+    let doc = vab_util::json::Json::parse(&text).expect("stdout is one JSON document");
+    assert_eq!(doc.u64_field("breaches"), Some(0), "{text}");
+    let checks = doc.get("checks").and_then(|c| c.as_arr()).expect("checks array");
+    assert!(!checks.is_empty(), "{text}");
+    assert_eq!(doc.u64_field("objectives"), Some(checks.len() as u64), "{text}");
+    assert!(checks.iter().all(|c| c.bool_field("pass").is_some()), "every pass is a bool: {text}");
 }
 
 #[test]

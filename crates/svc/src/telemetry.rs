@@ -5,8 +5,9 @@
 //! on a fixed cadence; each sample freezes the pool's queue/throughput
 //! counters, the cache's hit accounting, and — when observability is
 //! enabled — the `svc.*` stage-latency histograms (p50/p95/p99 derived
-//! with the same log-bucket interpolation `vab-obs` embeds in
-//! `metrics.json`). Samples are plain JSON objects, so `vab-obsctl tail`
+//! here by `HistogramSnapshot::quantile_trio`, the log-bucket
+//! interpolation every `metrics.json` reader uses; that file stores only
+//! the buckets). Samples are plain JSON objects, so `vab-obsctl tail`
 //! and the SLO gate consume exactly what a `nc` one-liner would see.
 //!
 //! Samples carry *cumulative* counters plus a monotone `tick` and a

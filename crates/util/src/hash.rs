@@ -14,12 +14,23 @@
 /// assert_eq!(vab_util::hash::fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
 /// ```
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_fold(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// FNV-1a over `bytes`, continuing from `state` (a previous digest, or
+/// the offset basis for a fresh one), so a digest of several fields
+/// needs no concatenated buffer.
+///
+/// ```
+/// use vab_util::hash::{fnv1a64, fnv1a64_fold};
+/// assert_eq!(fnv1a64_fold(fnv1a64(b"foo"), b"bar"), fnv1a64(b"foobar"));
+/// ```
+pub fn fnv1a64_fold(mut state: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        state ^= u64::from(b);
+        state = state.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    h
+    state
 }
 
 /// The workspace's content-address recipe: FNV-1a of the canonical

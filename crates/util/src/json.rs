@@ -12,6 +12,13 @@
 //! shortest round-trip representation is used for everything else — so two
 //! structurally identical values always render to identical bytes. That
 //! property is what `vab-svc` content-addresses its job cache on.
+//!
+//! [`Json::render_pretty`] is the same serializer laid out for people, for
+//! the files a reader opens or diffs (`metrics.json`, `gate.json`, `slo
+//! --json`): two-space indents, one member per line, except that a
+//! container holding no container stays on one line. Numbers and strings
+//! render exactly as in [`Json::render`], so both forms parse back to the
+//! same value.
 
 use std::fmt;
 
@@ -60,7 +67,7 @@ pub fn write_json_string(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
             }
             c => out.push(c),
         }
@@ -72,7 +79,7 @@ pub fn write_json_string(out: &mut String, s: &str) {
 /// the exactly-representable range print without a fraction (`3`, not
 /// `3.0`), everything else uses Rust's shortest round-trip `{:?}`.
 /// Non-finite values have no JSON form and render as `null`.
-pub fn write_json_number(out: &mut String, v: f64) {
+fn write_json_number(out: &mut String, v: f64) {
     if !v.is_finite() {
         out.push_str("null");
     } else if v.fract() == 0.0 && v.abs() < 9.007_199_254_740_992e15 {
@@ -142,6 +149,50 @@ impl Json {
                 out.push('}');
             }
         }
+    }
+
+    /// Renders the value for people: two-space indents and one member
+    /// per line, except that a container holding no array or object
+    /// stays on one line (`{"calls": 3, "bytes": 64}`). Numbers and
+    /// strings render as in [`Json::render`], so
+    /// `Json::parse(v.render_pretty()) == v` for finite numbers.
+    pub fn render_pretty(&self) -> String {
+        let mut out = String::with_capacity(256);
+        self.write_pretty(&mut out, 0);
+        out
+    }
+
+    fn write_pretty(&self, out: &mut String, level: usize) {
+        let (open, close, members): (char, char, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Json::Obj(fields) => ('{', '}', fields.iter().map(|(k, v)| (Some(&**k), v)).collect()),
+            scalar => return scalar.write(out),
+        };
+        let nested = members.iter().any(|(_, v)| matches!(v, Json::Arr(_) | Json::Obj(_)));
+        let newline = |out: &mut String, level: usize| {
+            out.push('\n');
+            out.extend(std::iter::repeat_n("  ", level));
+        };
+        out.push(open);
+        for (i, (key, v)) in members.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            if nested {
+                newline(out, level + 1);
+            } else if i > 0 {
+                out.push(' ');
+            }
+            if let Some(k) = key {
+                write_json_string(out, k);
+                out.push_str(": ");
+            }
+            v.write_pretty(out, level + 1);
+        }
+        if nested {
+            newline(out, level);
+        }
+        out.push(close);
     }
 
     /// Builds an object from `(key, value)` pairs, in the given order.
@@ -626,7 +677,62 @@ mod tests {
         }
     }
 
+    #[test]
+    fn render_pretty_breaks_only_containers_of_containers() {
+        let v = Json::obj([
+            ("schema", Json::Str("x/1".into())),
+            ("pins", Json::obj([("a", Json::obj([("n", Json::Num(3.0)), ("b", Json::Num(0.5))]))])),
+            ("empty", Json::Arr(vec![])),
+            ("flat", Json::Arr(vec![Json::Null, Json::Bool(true)])),
+        ]);
+        let want =
+            "{\n  \"schema\": \"x/1\",\n  \"pins\": {\n    \"a\": {\"n\": 3, \"b\": 0.5}\n  },\n  \
+                    \"empty\": [],\n  \"flat\": [null, true]\n}";
+        assert_eq!(v.render_pretty(), want);
+        assert_eq!(Json::Num(2.5).render_pretty(), "2.5");
+        assert_eq!(Json::obj([]).render_pretty(), "{}");
+    }
+
+    /// Characters a drawn string is made of: plain ones plus every class
+    /// the writer must escape and multi-byte UTF-8.
+    const TREE_CHARS: &[char] =
+        &['a', 'Z', '7', ' ', '"', '\\', '\n', '\t', '\u{1}', '\u{1f}', 'é', '𝄞'];
+
+    /// Builds a tree from `words`, one word per node: every scalar kind,
+    /// strings that need escapes, and containers nested up to `depth`.
+    /// Object keys are distinct (a repeated key would not survive parsing).
+    fn tree(words: &mut impl Iterator<Item = u64>, depth: usize) -> Json {
+        let w = words.next().unwrap_or(0);
+        let text = |w: u64| -> String {
+            (0..w % 6).map(|i| TREE_CHARS[((w >> (4 + 4 * i)) % 12) as usize]).collect()
+        };
+        match w % if depth == 0 { 5 } else { 7 } {
+            0 => Json::Null,
+            1 => Json::Bool(w & 8 != 0),
+            2 => Json::Num(Some(f64::from_bits(w >> 3)).filter(|v| v.is_finite()).unwrap_or(0.25)),
+            3 => Json::Num((w >> 12) as f64 * if w & 8 != 0 { -1.0 } else { 1.0 }),
+            4 => Json::Str(text(w >> 3)),
+            5 => Json::Arr((0..(w >> 3) % 4).map(|_| tree(words, depth - 1)).collect()),
+            _ => Json::Obj(
+                (0..(w >> 3) % 4)
+                    .map(|i| (format!("{}#{i}", text(w >> 5)), tree(words, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
     proptest! {
+        #[test]
+        fn pretty_rendering_parses_back_to_the_tree(
+            words in prop::collection::vec(any::<u64>(), 1..96),
+            depth in 0usize..5,
+        ) {
+            let v = tree(&mut words.into_iter(), depth);
+            let pretty = v.render_pretty();
+            prop_assert_eq!(Json::parse(&pretty), Ok(v.clone()), "{}", pretty);
+            prop_assert_eq!(Json::parse(&v.render()), Ok(v));
+        }
+
         // Objects drawn from a small key alphabet repeat keys often; the
         // parsed fields must equal the linear scan's, values and order.
         #[test]

@@ -6,9 +6,11 @@
 
 use std::path::Path;
 
+use vab::obs::metrics::Snapshot;
+use vab::util::json::Json;
 use vab_obsctl::anomaly::{self, AnomalyConfig, AnomalyKind};
 use vab_obsctl::report::trial_timelines;
-use vab_obsctl::trace::{MetricsDoc, Trace};
+use vab_obsctl::trace::Trace;
 
 fn fixture(name: &str) -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
@@ -83,16 +85,33 @@ fn all_four_anomaly_classes_are_detected() {
 
 #[test]
 fn metrics_snapshot_quantiles_are_ordered() {
-    let m = MetricsDoc::load(&fixture("golden_metrics.json")).expect("metrics parse");
-    let active: Vec<_> = m.stages.iter().filter(|h| h.hist.count > 0).collect();
+    let m = Snapshot::load(&fixture("golden_metrics.json")).expect("metrics parse");
+    let active: Vec<_> = m.stages.iter().filter(|h| h.count > 0).collect();
     assert!(!active.is_empty(), "fixture has no stage observations");
-    for h in active {
+    for h in &active {
         let (p50, p95, p99) = (
             h.percentile(0.50).expect("p50"),
             h.percentile(0.95).expect("p95"),
             h.percentile(0.99).expect("p99"),
         );
-        assert!(p50 <= p95 && p95 <= p99, "{}: {p50} {p95} {p99}", h.hist.name);
-        assert!(p50 > 0.0, "{}: degenerate p50", h.hist.name);
+        assert!(p50 <= p95 && p95 <= p99, "{}: {p50} {p95} {p99}", h.name);
+        assert!(p50 > 0.0, "{}: degenerate p50", h.name);
     }
+    // The fixture predates bucket-only snapshots and still embeds
+    // p50/p95/p99. Each must be exactly the bucket walk readers now use,
+    // so dropping them from the writer changes no reported number.
+    let text = std::fs::read_to_string(fixture("golden_metrics.json")).expect("fixture");
+    let raw = Json::parse(&text).expect("fixture is JSON");
+    let stages = raw.get("stages").and_then(Json::as_arr).expect("stages");
+    let mut compared = 0;
+    for (entry, h) in stages.iter().zip(&m.stages) {
+        assert_eq!(entry.str_field("name"), Some(h.name.as_str()));
+        for (key, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
+            let Some(embedded) = entry.f64_field(key) else { continue };
+            let derived = h.percentile(q).expect("non-empty stage");
+            assert_eq!(embedded.to_bits(), derived.to_bits(), "{} {key}", h.name);
+            compared += 1;
+        }
+    }
+    assert_eq!(compared, 3 * active.len(), "every active stage embeds its trio");
 }

@@ -14,7 +14,7 @@ use vab::sim::montecarlo::{run_point_faulted, MonteCarloConfig, TrialEngine};
 use vab::sim::scenario::Scenario;
 use vab::util::units::Meters;
 use vab_obsctl::flame::{self, Weight};
-use vab_obsctl::trace::{MetricsDoc, Trace};
+use vab_obsctl::trace::Trace;
 
 /// Allocation profiling is process-global (one `#[global_allocator]`),
 /// so tests that enable/reset it serialize here and leave it disabled.
@@ -284,7 +284,7 @@ fn inventory_alloc_counts_are_identical_across_worker_counts() {
 }
 
 /// A profiled metrics snapshot must survive the full surfacing path:
-/// `Snapshot::to_json()` → `MetricsDoc::parse` → `profile::render`,
+/// `Snapshot::to_json()` → `Snapshot::parse` → `profile::render`,
 /// with self/cumulative attribution intact.
 #[test]
 fn profiled_snapshot_round_trips_through_obsctl() {
@@ -298,7 +298,8 @@ fn profiled_snapshot_round_trips_through_obsctl() {
     if !was_profiling {
         vab::obs::alloc::disable();
     }
-    let doc = MetricsDoc::parse(&snap.to_json()).expect("snapshot JSON parses");
+    let doc = vab::obs::metrics::Snapshot::parse(&snap.to_json()).expect("snapshot JSON parses");
+    assert_eq!(doc, snap, "metrics.json reads back the snapshot it was written from");
     let totals = doc.alloc_totals.expect("profiled snapshot carries alloc totals");
     assert!(totals.allocs > 0);
     let trial = doc

@@ -466,6 +466,63 @@ proptest! {
         let json = snap.to_json();
         prop_assert_eq!(BenchSnapshot::parse(&json), Ok(snap), "{}", json);
     }
+
+    #[test]
+    fn metrics_snapshot_round_trips_through_its_json(
+        words in prop::collection::vec(any::<u64>(), 1..64),
+        floats in prop::collection::vec(any::<f64>(), 1..16),
+        with_alloc in any::<bool>(),
+    ) {
+        use vab::obs::alloc::{AllocStageSnapshot, AllocTotals};
+        use vab::obs::metrics::{HistogramSnapshot, Snapshot};
+        let mut d = SnapshotDraw { words, floats, at: 0 };
+        // Counter and gauge names key JSON objects, so each is distinct.
+        let (n_counters, n_gauges) = (d.word() % 4, d.word() % 4);
+        let counters = (0..n_counters).map(|i| (format!("{}#{i}", d.name()), d.int())).collect();
+        let gauges = (0..n_gauges).map(|i| (format!("{}#{i}", d.name()), d.float())).collect();
+        let hist = |d: &mut SnapshotDraw| {
+            let bounds: Vec<f64> = (0..d.word() % 5).map(|_| d.float()).collect();
+            HistogramSnapshot {
+                name: d.name(),
+                count: d.int(),
+                sum: d.float(),
+                buckets: (0..=bounds.len()).map(|_| d.int()).collect(),
+                bounds,
+            }
+        };
+        let (n_hists, n_stages) = (d.word() % 3, d.word() % 3);
+        let histograms = (0..n_hists).map(|_| hist(&mut d)).collect();
+        let stages = (0..n_stages).map(|_| hist(&mut d)).collect();
+        let alloc_totals = with_alloc.then(|| AllocTotals {
+            allocs: d.int(),
+            frees: d.int(),
+            bytes_allocated: d.int(),
+            bytes_freed: d.int(),
+            live_bytes: d.int(),
+            peak_live_bytes: d.int(),
+        });
+        let n_alloc_stages = if with_alloc { d.word() % 3 } else { 0 };
+        let alloc_stages = (0..n_alloc_stages)
+            .map(|_| AllocStageSnapshot {
+                name: d.name(),
+                    calls: d.int(),
+                    self_allocs: d.int(),
+                    self_bytes: d.int(),
+                    cum_allocs: d.int(),
+                    cum_bytes: d.int(),
+                })
+                .collect();
+        let snap = Snapshot {
+            counters,
+            gauges,
+            histograms,
+            stages,
+            alloc_totals,
+            alloc_stages,
+        };
+        let json = snap.to_json();
+        prop_assert_eq!(Snapshot::parse(&json), Ok(snap), "{}", json);
+    }
 }
 
 // ---------------- the other disk and wire parsers
@@ -504,7 +561,7 @@ fn parses_as(name: &str, text: &str) -> bool {
     match name {
         "json" => vab_util::json::Json::parse(text).is_ok(),
         "slo" => vab_obsctl::live::SloSpec::parse(text).is_ok(),
-        "metrics" => vab_obsctl::MetricsDoc::parse(text).is_ok(),
+        "metrics" => vab::obs::metrics::Snapshot::parse(text).is_ok(),
         "bank" => vab_replay::TvirBank::parse(text).is_ok(),
         "wire" => vab::svc::wire::Request::parse(text).is_ok(),
         _ => unreachable!("unknown parser {name}"),
