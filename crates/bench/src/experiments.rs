@@ -15,7 +15,7 @@ use vab_piezo::reflection::{Load, ModulationStates};
 use vab_sim::baseline::{FrontEnd, SystemKind};
 use vab_sim::linkbudget::{harvest_at, LinkBudget};
 use vab_sim::metrics::CsvTable;
-use vab_sim::montecarlo::{run_point, run_point_with_front_end, MonteCarloConfig, TrialEngine};
+use vab_sim::montecarlo::{run_point_with_front_end, MonteCarloConfig, TrialEngine};
 use vab_sim::scenario::Scenario;
 use vab_util::rng::seeded;
 use vab_util::units::{Degrees, Hertz, Meters};
@@ -56,16 +56,18 @@ impl ExpConfig {
     }
 }
 
-/// Measured BER at one scenario.
-fn ber_of(s: &Scenario, cfg: &ExpConfig) -> (f64, f64, f64) {
-    let r = run_point(s, &cfg.mc());
+/// Measured BER at one scenario, on `fe` (the scenario's own front end,
+/// built once by the caller: it depends only on the system and carrier).
+fn ber_of(s: &Scenario, fe: &FrontEnd, cfg: &ExpConfig) -> (f64, f64, f64) {
+    let r = run_point_with_front_end(s, fe, &cfg.mc());
     (r.ber.ber(), r.per(), r.ebn0.mean())
 }
 
 /// Maximum range at which the measured BER stays at or below `target`,
-/// found by bisection over Monte Carlo points.
+/// found by bisection over Monte Carlo points on front end `fe`.
 pub fn max_range_mc(
     scenario_at: impl Fn(Meters) -> Scenario,
+    fe: &FrontEnd,
     target_ber: f64,
     cfg: &ExpConfig,
 ) -> Meters {
@@ -73,7 +75,7 @@ pub fn max_range_mc(
         // Median-deployment BER: the statistic the paper's "range at BER
         // 10⁻³" reports (a field campaign quotes the typical deployment;
         // fade outliers show up as scatter, not as a mean penalty).
-        let r = run_point(&scenario_at(Meters(d)), &cfg.mc());
+        let r = run_point_with_front_end(&scenario_at(Meters(d)), fe, &cfg.mc());
         r.median_ber() <= target_ber
     };
     let (mut lo, mut hi) = (2.0f64, 5_000.0f64);
@@ -94,14 +96,15 @@ pub fn max_range_mc(
     Meters(0.5 * (lo + hi))
 }
 
-/// Battery-free *continuous* operating range: the farthest distance at
-/// which harvested power covers the listen-mode budget.
-pub fn harvest_sustain_range(system: SystemKind) -> Meters {
+/// Battery-free *continuous* operating range of front end `fe`: the
+/// farthest distance at which harvested power covers the listen-mode
+/// budget.
+pub fn harvest_sustain_range(fe: &FrontEnd) -> Meters {
     let budget = PowerBudget::vab_node().total(NodeMode::Listen);
     let rect = vab_harvest::rectifier::Rectifier::schottky_doubler();
     let ok = |d: f64| {
-        let s = Scenario::river(system, Meters(d));
-        let p_ac = harvest_at(&s);
+        let s = Scenario::river(fe.kind(), Meters(d));
+        let p_ac = harvest_at(&s, fe);
         rect.dc_output(p_ac).value() >= budget.value()
     };
     let (mut lo, mut hi) = (1.0f64, 2_000.0f64);
@@ -142,13 +145,13 @@ pub fn t1_sota_comparison(cfg: &ExpConfig) -> CsvTable {
     for sys in systems {
         let fe = FrontEnd::new(sys, F0);
         let gain = fe.modulated_gain_db(Degrees(0.0));
-        let comm0 = max_range_mc(|d| Scenario::river(sys, d), 1e-3, cfg).value();
+        let comm0 = max_range_mc(|d| Scenario::river(sys, d), &fe, 1e-3, cfg).value();
         // A moored/drifting node cannot aim itself: quote range at a
         // representative 30° misalignment ("across orientations").
         let comm30 =
-            max_range_mc(|d| Scenario::river(sys, d).with_rotation(Degrees(30.0)), 1e-3, cfg)
+            max_range_mc(|d| Scenario::river(sys, d).with_rotation(Degrees(30.0)), &fe, 1e-3, cfg)
                 .value();
-        let sustain = harvest_sustain_range(sys).value();
+        let sustain = harvest_sustain_range(&fe).value();
         if sys == SystemKind::Pab {
             pab_range = comm30.max(1.0);
         }
@@ -207,14 +210,16 @@ pub fn t3_link_budget() -> CsvTable {
 /// **F6** — mean Eb/N0 vs range for the three systems (river, 100 bps).
 pub fn f6_snr_vs_range(cfg: &ExpConfig) -> CsvTable {
     let mut t = CsvTable::new(["range_m", "vab_ebn0_db", "pab_ebn0_db", "conventional_ebn0_db"]);
+    let front_ends = [
+        SystemKind::Vab { n_pairs: 4 },
+        SystemKind::Pab,
+        SystemKind::ConventionalArray { n_elements: 8 },
+    ]
+    .map(|sys| FrontEnd::new(sys, F0));
     for d in [10.0, 20.0, 50.0, 100.0, 150.0, 200.0, 300.0, 400.0, 500.0] {
         let mut row = vec![format!("{d:.0}")];
-        for sys in [
-            SystemKind::Vab { n_pairs: 4 },
-            SystemKind::Pab,
-            SystemKind::ConventionalArray { n_elements: 8 },
-        ] {
-            let (_, _, ebn0) = ber_of(&Scenario::river(sys, Meters(d)), cfg);
+        for fe in &front_ends {
+            let (_, _, ebn0) = ber_of(&Scenario::river(fe.kind(), Meters(d)), fe, cfg);
             row.push(format!("{ebn0:.1}"));
         }
         t.row(row);
@@ -226,11 +231,12 @@ pub fn f6_snr_vs_range(cfg: &ExpConfig) -> CsvTable {
 /// ">300 m at BER 10⁻³" claim.
 pub fn f7_ber_vs_range(cfg: &ExpConfig) -> CsvTable {
     let mut t = CsvTable::new(["range_m", "ber_100bps", "ber_500bps", "ber_1000bps"]);
+    let fe = FrontEnd::new(SystemKind::Vab { n_pairs: 4 }, F0);
     for d in [50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0, 450.0, 500.0] {
         let mut row = vec![format!("{d:.0}")];
         for bps in [100.0, 500.0, 1000.0] {
-            let s = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(d)).with_bit_rate(bps);
-            let (ber, _, _) = ber_of(&s, cfg);
+            let s = Scenario::river(fe.kind(), Meters(d)).with_bit_rate(bps);
+            let (ber, _, _) = ber_of(&s, &fe, cfg);
             row.push(format!("{ber:.2e}"));
         }
         t.row(row);
@@ -248,13 +254,13 @@ pub fn f8_orientation(cfg: &ExpConfig) -> CsvTable {
         "conventional_ebn0_db",
         "conventional_ber",
     ]);
+    let fe_vab = FrontEnd::new(SystemKind::Vab { n_pairs: 4 }, F0);
+    let fe_conv = FrontEnd::new(SystemKind::ConventionalArray { n_elements: 8 }, F0);
     for deg in [-75.0, -60.0, -45.0, -30.0, -15.0, 0.0, 15.0, 30.0, 45.0, 60.0, 75.0] {
-        let vab = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(100.0))
-            .with_rotation(Degrees(deg));
-        let conv = Scenario::river(SystemKind::ConventionalArray { n_elements: 8 }, Meters(100.0))
-            .with_rotation(Degrees(deg));
-        let (ber_v, _, ebn0_v) = ber_of(&vab, cfg);
-        let (ber_c, _, ebn0_c) = ber_of(&conv, cfg);
+        let vab = Scenario::river(fe_vab.kind(), Meters(100.0)).with_rotation(Degrees(deg));
+        let conv = Scenario::river(fe_conv.kind(), Meters(100.0)).with_rotation(Degrees(deg));
+        let (ber_v, _, ebn0_v) = ber_of(&vab, &fe_vab, cfg);
+        let (ber_c, _, ebn0_c) = ber_of(&conv, &fe_conv, cfg);
         t.row([
             format!("{deg:.0}"),
             format!("{ebn0_v:.1}"),
@@ -270,11 +276,9 @@ pub fn f8_orientation(cfg: &ExpConfig) -> CsvTable {
 pub fn f9_scalability(cfg: &ExpConfig) -> CsvTable {
     let mut t = CsvTable::new(["n_pairs", "n_elements", "retro_gain_db", "max_range_m_ber1e3"]);
     for pairs in [1usize, 2, 3, 4, 6, 8] {
-        let arr = VanAttaArray::vab_default(pairs, F0);
-        let gain = arr.retro_gain_db(Degrees(0.0), F0);
-        let range =
-            max_range_mc(|d| Scenario::river(SystemKind::Vab { n_pairs: pairs }, d), 1e-3, cfg)
-                .value();
+        let fe = FrontEnd::new(SystemKind::Vab { n_pairs: pairs }, F0);
+        let gain = fe.array().expect("VAB has an array").retro_gain_db(Degrees(0.0), F0);
+        let range = max_range_mc(|d| Scenario::river(fe.kind(), d), &fe, 1e-3, cfg).value();
         t.row([
             pairs.to_string(),
             (2 * pairs).to_string(),
@@ -288,11 +292,12 @@ pub fn f9_scalability(cfg: &ExpConfig) -> CsvTable {
 /// **F10** — the ocean validation: BER vs range across sea states.
 pub fn f10_ocean(cfg: &ExpConfig) -> CsvTable {
     let mut t = CsvTable::new(["range_m", "ber_calm", "ber_smooth", "ber_slight", "ber_moderate"]);
+    let fe = FrontEnd::new(SystemKind::Vab { n_pairs: 4 }, F0);
     for d in [25.0, 50.0, 75.0, 100.0, 125.0, 150.0, 200.0, 250.0] {
         let mut row = vec![format!("{d:.0}")];
         for ss in [SeaState::Calm, SeaState::Smooth, SeaState::Slight, SeaState::Moderate] {
-            let s = Scenario::ocean(SystemKind::Vab { n_pairs: 4 }, Meters(d), ss);
-            let (ber, _, _) = ber_of(&s, cfg);
+            let s = Scenario::ocean(fe.kind(), Meters(d), ss);
+            let (ber, _, _) = ber_of(&s, &fe, cfg);
             row.push(format!("{ber:.2e}"));
         }
         t.row(row);
@@ -358,9 +363,11 @@ pub fn f12_harvesting() -> CsvTable {
         "vab_cold_start_s",
         "wake_period_s",
     ]);
+    let fe_vab = FrontEnd::new(SystemKind::Vab { n_pairs: 4 }, F0);
+    let fe_pab = FrontEnd::new(SystemKind::Pab, F0);
     for d in [2.0, 5.0, 10.0, 20.0, 30.0, 50.0, 75.0, 100.0, 150.0, 200.0] {
-        let vab = harvest_at(&Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(d)));
-        let pab = harvest_at(&Scenario::river(SystemKind::Pab, Meters(d)));
+        let vab = harvest_at(&Scenario::river(fe_vab.kind(), Meters(d)), &fe_vab);
+        let pab = harvest_at(&Scenario::river(fe_pab.kind(), Meters(d)), &fe_pab);
         let pmu = Pmu::vab_default();
         let cold = pmu
             .cold_start_time(vab)
@@ -389,11 +396,12 @@ pub fn f12_harvesting() -> CsvTable {
 pub fn f13_throughput(cfg: &ExpConfig) -> CsvTable {
     let rates = [100.0, 250.0, 500.0, 1000.0];
     let mut t = CsvTable::new(["range_m", "best_rate_bps", "per_at_best", "goodput_bps"]);
+    let fe = FrontEnd::new(SystemKind::Vab { n_pairs: 4 }, F0);
     for d in [50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0] {
         let mut best = (0.0f64, 1.0f64);
         for &bps in &rates {
-            let s = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(d)).with_bit_rate(bps);
-            let (_, per, _) = ber_of(&s, cfg);
+            let s = Scenario::river(fe.kind(), Meters(d)).with_bit_rate(bps);
+            let (_, per, _) = ber_of(&s, &fe, cfg);
             if per <= 0.1 && bps > best.0 {
                 best = (bps, per);
             }
@@ -446,13 +454,14 @@ pub fn f14_multinode(cfg: &ExpConfig) -> CsvTable {
 /// fractions of a carrier period) vs retro gain.
 pub fn a1_ablation_delay(cfg: &ExpConfig) -> CsvTable {
     let mut t = CsvTable::new(["mismatch_std_periods", "mean_retro_gain_db", "loss_vs_ideal_db"]);
-    let ideal = VanAttaArray::vab_default(4, F0).retro_gain_db(Degrees(0.0), F0);
+    let nominal = VanAttaArray::vab_default(4, F0);
+    let ideal = nominal.retro_gain_db(Degrees(0.0), F0);
     for std in [0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5] {
         let mut acc = 0.0;
         let draws = 32;
         let mut rng = seeded(cfg.seed ^ 0xA1);
         for _ in 0..draws {
-            let mut arr = VanAttaArray::vab_default(4, F0);
+            let mut arr = nominal.clone();
             for m in arr.delay_mismatch.iter_mut() {
                 *m = vab_util::rng::gaussian(&mut rng) * std;
             }
@@ -495,11 +504,12 @@ pub fn a2_ablation_fec(cfg: &ExpConfig) -> CsvTable {
         "golay24",
         "conv_k7_soft",
     ]);
+    let fe = FrontEnd::new(SystemKind::Vab { n_pairs: 4 }, F0);
     for d in [200.0, 300.0, 350.0, 400.0, 450.0, 500.0] {
         let mut row = vec![format!("{d:.0}")];
         for (_, link) in &stacks {
-            let s = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(d)).with_link(*link);
-            let (ber, _, _) = ber_of(&s, cfg);
+            let s = Scenario::river(fe.kind(), Meters(d)).with_link(*link);
+            let (ber, _, _) = ber_of(&s, &fe, cfg);
             row.push(format!("{ber:.2e}"));
         }
         t.row(row);
@@ -512,13 +522,15 @@ pub fn a2_ablation_fec(cfg: &ExpConfig) -> CsvTable {
 pub fn a3_ablation_cancellation(cfg: &ExpConfig) -> CsvTable {
     let mut t =
         CsvTable::new(["si_floor_dbc_per_hz", "noise_floor_db_upa2hz", "max_range_m_ber1e3"]);
+    let fe = FrontEnd::new(SystemKind::Vab { n_pairs: 4 }, F0);
     for rel in [-60.0, -70.0, -75.0, -80.0, -85.0, -90.0] {
         let range = max_range_mc(
             |d| {
-                let mut s = Scenario::river(SystemKind::Vab { n_pairs: 4 }, d);
+                let mut s = Scenario::river(fe.kind(), d);
                 s.reader.si_floor_rel_db = rel;
                 s
             },
+            &fe,
             1e-3,
             cfg,
         )
@@ -532,8 +544,9 @@ pub fn a3_ablation_cancellation(cfg: &ExpConfig) -> CsvTable {
 /// how gracefully does the array (and the link) degrade?
 pub fn a4_ablation_failures(cfg: &ExpConfig) -> CsvTable {
     let mut t = CsvTable::new(["failed_elements", "live_elements", "retro_gain_db", "ber_at_300m"]);
+    let nominal = VanAttaArray::vab_default(4, F0);
     for n_failed in 0..=3usize {
-        let mut arr = VanAttaArray::vab_default(4, F0);
+        let mut arr = nominal.clone();
         for i in 0..n_failed {
             arr = arr.with_failed_element(2 * i); // kills pair i
         }
@@ -600,8 +613,9 @@ pub fn f15_rate_adaptation(cfg: &ExpConfig) -> CsvTable {
         }
     };
     // Per-query frame success probability at a rate: one small MC.
+    let fe = FrontEnd::new(SystemKind::Vab { n_pairs: 4 }, F0);
     let success_prob = |d: f64, bps: f64, seed: u64| -> f64 {
-        let s = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(d)).with_bit_rate(bps);
+        let s = Scenario::river(fe.kind(), Meters(d)).with_bit_rate(bps);
         let mc = MonteCarloConfig {
             trials: 8,
             bits_per_trial: 256,
@@ -609,7 +623,7 @@ pub fn f15_rate_adaptation(cfg: &ExpConfig) -> CsvTable {
             engine: TrialEngine::LinkBudget,
             threads: 1,
         };
-        1.0 - run_point(&s, &mc).per()
+        1.0 - run_point_with_front_end(&s, &fe, &mc).per()
     };
     let mut t = CsvTable::new(["strategy", "delivered_kbit", "airtime_s", "goodput_bps"]);
     // Fixed strategies.
@@ -661,12 +675,13 @@ pub fn f15_rate_adaptation(cfg: &ExpConfig) -> CsvTable {
 pub fn f16_engine_validation(cfg: &ExpConfig) -> CsvTable {
     let mut t =
         CsvTable::new(["range_m", "theory_static_ber", "link_budget_mc_ber", "sample_level_ber"]);
+    let fe = FrontEnd::new(SystemKind::Vab { n_pairs: 4 }, F0);
     for d in [260.0, 320.0, 380.0, 440.0] {
-        let s = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(d))
-            .with_link(LinkConfig::uncoded());
-        let theory = LinkBudget::compute(&s).uncoded_ber();
-        let fast = run_point(
+        let s = Scenario::river(fe.kind(), Meters(d)).with_link(LinkConfig::uncoded());
+        let theory = LinkBudget::compute_with_front_end(&s, &fe).uncoded_ber();
+        let fast = run_point_with_front_end(
             &s,
+            &fe,
             &MonteCarloConfig {
                 trials: cfg.trials,
                 bits_per_trial: cfg.bits,
@@ -675,8 +690,9 @@ pub fn f16_engine_validation(cfg: &ExpConfig) -> CsvTable {
                 threads: 0,
             },
         );
-        let slow = run_point(
+        let slow = run_point_with_front_end(
             &s,
+            &fe,
             &MonteCarloConfig {
                 trials: (cfg.trials / 5).max(4),
                 bits_per_trial: cfg.bits,
@@ -889,9 +905,15 @@ pub fn a6_ablation_interleaver(cfg: &ExpConfig) -> CsvTable {
 /// silence-triggered re-inventory after reader restarts); the static stack
 /// polls a fixed 250 bps schedule, retransmits blindly on a corrupted ACK,
 /// and — having no re-inventory path — permanently forgets one node per
-/// reader restart. Returns delivered goodput in bit/s.
-fn fault_protocol_goodput(cfg: &ExpConfig, fc: vab_fault::FaultConfig, adaptive: bool) -> f64 {
-    use vab_fault::FaultPlan;
+/// reader restart. Polls draw their faults from `plan` and run on `fe` (the
+/// VAB front end, whatever the poll's bit rate). Returns delivered goodput
+/// in bit/s.
+fn fault_protocol_goodput(
+    cfg: &ExpConfig,
+    plan: &vab_fault::FaultPlan,
+    fe: &FrontEnd,
+    adaptive: bool,
+) -> f64 {
     use vab_link::arq::{ArqReceiver, ArqSender, ReceiveOutcome, SenderAction};
     use vab_mac::inventory::SilenceMonitor;
     use vab_mac::rate_adapt::RateController;
@@ -908,7 +930,6 @@ fn fault_protocol_goodput(cfg: &ExpConfig, fc: vab_fault::FaultConfig, adaptive:
     const N_ELEMENTS: usize = 8;
     let n_polls = (cfg.trials * 8).max(120);
 
-    let plan = FaultPlan::new(cfg.seed ^ 0xF19, fc);
     let mut scheduled: Vec<vab_mac::Addr> = NODES.to_vec();
     let mut rc = RateController::new();
     let mut monitor = SilenceMonitor::new(3);
@@ -965,8 +986,7 @@ fn fault_protocol_goodput(cfg: &ExpConfig, fc: vab_fault::FaultConfig, adaptive:
             },
         };
         let bps = if adaptive { rc.rate_bps(addr) } else { 250.0 };
-        let s = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(RANGE_M)).with_bit_rate(bps);
-        let fe = s.front_end();
+        let s = Scenario::river(fe.kind(), Meters(RANGE_M)).with_bit_rate(bps);
         let mc = MonteCarloConfig {
             trials: 1,
             bits_per_trial: PAYLOAD_BITS as usize,
@@ -974,7 +994,7 @@ fn fault_protocol_goodput(cfg: &ExpConfig, fc: vab_fault::FaultConfig, adaptive:
             engine: TrialEngine::LinkBudget,
             threads: 1,
         };
-        let point = run_point_with_trial_faults(&s, &fe, &mc, &faults);
+        let point = run_point_with_trial_faults(&s, fe, &mc, &faults);
         let ok = point.packet_errors == 0;
         elapsed += PAYLOAD_BITS / bps + OVERHEAD_S;
         if ok {
@@ -1040,15 +1060,17 @@ pub fn f19_fault_sweep(cfg: &ExpConfig) -> CsvTable {
         "adaptive_goodput_bps",
         "adaptive_gain",
     ]);
+    let fe = FrontEnd::new(SystemKind::Vab { n_pairs: 4 }, F0);
     for &x in &[0.0, 0.2, 0.4, 0.6, 0.8, 1.0] {
         let fc = FaultConfig::with_intensity(x);
         // PHY-level degradation at a representative mid-range point.
-        let s = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(240.0));
+        let s = Scenario::river(fe.kind(), Meters(240.0));
         let plan = FaultPlan::new(cfg.seed, fc);
         let point = run_point_faulted(&s, &cfg.mc(), &plan);
-        // Protocol-level goodput, static vs adaptive.
-        let static_gp = fault_protocol_goodput(cfg, fc, false);
-        let adaptive_gp = fault_protocol_goodput(cfg, fc, true);
+        // Protocol-level goodput, static vs adaptive, on one shared plan.
+        let poll_plan = FaultPlan::new(cfg.seed ^ 0xF19, fc);
+        let static_gp = fault_protocol_goodput(cfg, &poll_plan, &fe, false);
+        let adaptive_gp = fault_protocol_goodput(cfg, &poll_plan, &fe, true);
         t.row([
             format!("{x:.1}"),
             format!("{:.2e}", point.median_ber()),

@@ -139,16 +139,29 @@ impl TrialFaults {
 /// faults of trial `t` are then a pure function of `(plan seed, t)` — no
 /// shared mutable state — so campaigns sharded across any number of worker
 /// threads reproduce bit-identically.
+///
+/// When the profile drifts resonance, construction also designs the nominal
+/// co-designed load states and their depth once, at the profile's carrier.
+/// Every trial scores its drifted transducers against them, so no trial
+/// reruns the co-design search; the design draws no random numbers, so each
+/// trial's stream is what it would be if the design ran inside the trial.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     cfg: FaultConfig,
+    /// The nominal states and their depth; `None` when drift is off.
+    nominal: Option<(ModulationStates, f64)>,
 }
 
 impl FaultPlan {
     /// Builds the plan for a campaign with `master_seed`.
     pub fn new(master_seed: u64, cfg: FaultConfig) -> Self {
-        Self { seed: derive_seed(master_seed, FAULT_STREAM), cfg }
+        let nominal = (cfg.resonance_drift > 0.0).then(|| {
+            let bvd = Bvd::vab_default();
+            let states = ModulationStates::vab(&bvd, cfg.carrier);
+            (states, states.modulation_depth(&bvd, cfg.carrier))
+        });
+        Self { seed: derive_seed(master_seed, FAULT_STREAM), cfg, nominal }
     }
 
     /// The profile this plan samples from.
@@ -179,10 +192,11 @@ impl FaultPlan {
         }
 
         // Per-element resonance drift → aggregate modulation-depth scale.
-        let depth_scale = if cfg.resonance_drift > 0.0 && n_elements > 0 {
-            drift_depth_scale(cfg, n_elements, &mut rng)
-        } else {
-            1.0
+        let depth_scale = match self.nominal {
+            Some(nominal) if n_elements > 0 => {
+                drift_depth_scale(cfg, nominal, n_elements, &mut rng)
+            }
+            _ => 1.0,
         };
 
         // Channel impairments.
@@ -241,16 +255,19 @@ impl FaultPlan {
 }
 
 /// Mean modulation-depth ratio across `n_elements` drift-perturbed
-/// transducers, scored against the nominal co-designed states — the same
-/// "states trimmed once at design time" convention as
+/// transducers, scored against the nominal co-designed `(states, depth)` —
+/// the same "states trimmed once at design time" convention as
 /// `vab_piezo::tolerance::depth_yield`.
-fn drift_depth_scale(cfg: &FaultConfig, n_elements: usize, rng: &mut StdRng) -> f64 {
-    let nominal = Bvd::vab_default();
-    let states = ModulationStates::vab(&nominal, cfg.carrier);
-    let nominal_depth = states.modulation_depth(&nominal, cfg.carrier);
+fn drift_depth_scale(
+    cfg: &FaultConfig,
+    (states, nominal_depth): (ModulationStates, f64),
+    n_elements: usize,
+    rng: &mut StdRng,
+) -> f64 {
     if nominal_depth <= 0.0 {
         return 1.0;
     }
+    let nominal = Bvd::vab_default();
     let tol = Tolerances { resonance: cfg.resonance_drift, q_factor: 0.0, c0: 0.0, network: 0.0 };
     let mut sum = 0.0;
     for _ in 0..n_elements {
@@ -330,5 +347,21 @@ mod tests {
         let mut backward: Vec<_> = (0..32).rev().map(|t| plan.trial_faults(t, 4)).collect();
         backward.reverse();
         assert_eq!(forward, backward);
+    }
+
+    /// `f64::to_bits` of the drift depth scale for a few trials of a severe
+    /// plan: how the nominal states are computed must not move a bit.
+    #[test]
+    fn drift_depth_scale_is_pinned_bit_for_bit() {
+        let plan = FaultPlan::new(3, FaultConfig::severe());
+        for (trial, want) in [
+            (0u64, 0x3fef4ec23b366231u64),
+            (1, 0x3ff035d2e269cd59),
+            (2, 0x3ff01de2f49191e9),
+            (17, 0x3fef898d9d0f1c86),
+            (99, 0x3fefcc01e976fa5a),
+        ] {
+            assert_eq!(plan.trial_faults(trial, 8).depth_scale.to_bits(), want, "trial {trial}");
+        }
     }
 }

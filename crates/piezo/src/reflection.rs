@@ -98,7 +98,13 @@ pub fn gamma_to_load(transducer: &Bvd, g: C64, f: Hertz) -> C64 {
 /// the **largest magnitude with a phase we can pair against** — i.e. sweeps
 /// X over a dense log grid of both signs (plus open/short) and returns the
 /// pair of reactances maximizing |Γ₁ − Γ₂|.
+///
+/// The search scores about 7,900 pairs, so callers run it once where
+/// `(transducer, f)` is fixed and pass the resulting states down. It runs
+/// under the `piezo.co_design` stage, whose per-figure call count the
+/// allocation gate pins: a search rebuilt inside a trial loop shows there.
 pub fn best_reactive_pair(transducer: &Bvd, f: Hertz) -> (C64, C64, f64) {
+    let _t = vab_obs::time_stage("piezo.co_design");
     let mut candidates: Vec<C64> = Vec::with_capacity(130);
     candidates.push(C64::new(1e12, 0.0)); // open
     candidates.push(C64::ZERO); // short

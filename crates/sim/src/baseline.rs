@@ -66,6 +66,21 @@ impl SystemKind {
 }
 
 /// A fully-instantiated node front end the simulator can query.
+///
+/// A front end from [`FrontEnd::new`] depends only on `(SystemKind,
+/// carrier)`: neither the range, the bit rate nor the link config of a
+/// scenario enters it. Its switching load states are designed once, at
+/// construction, and every query reads them:
+///
+/// * VAB uses its array's co-designed states;
+/// * PAB uses its harvest-first pair (|Γ_reflect| = 0.7 against a full
+///   match);
+/// * the conventional array keeps VAB's co-designed states.
+///
+/// The co-design search behind the co-designed states is the costly part of
+/// construction, so a caller that sweeps range, rate or trials builds one
+/// front end per system and reuses it
+/// ([`crate::montecarlo::run_point_with_front_end`]).
 #[derive(Debug, Clone)]
 pub struct FrontEnd {
     kind: SystemKind,
@@ -73,32 +88,40 @@ pub struct FrontEnd {
     array: Option<VanAttaArray>,
     transducer: Transducer,
     f0: Hertz,
-    pab_depth: f64,
-    pab_harvest: f64,
+    /// The reflect/absorb load pair this front end switches between.
+    states: ModulationStates,
 }
 
 impl FrontEnd {
     /// Builds the front end for `kind` at carrier `f0`.
     pub fn new(kind: SystemKind, f0: Hertz) -> Self {
         let transducer = Transducer::vab_default();
-        let array = match kind {
-            SystemKind::Vab { n_pairs } => Some(VanAttaArray::vab_default(n_pairs, f0)),
-            _ => None,
+        let bvd = &transducer.bvd;
+        let (array, states) = match kind {
+            SystemKind::Vab { n_pairs } => {
+                let array = VanAttaArray::vab_default(n_pairs, f0);
+                let states = array.states;
+                (Some(array), states)
+            }
+            SystemKind::Pab => {
+                // PAB's harvest-first design: the node harvests in *both*
+                // switch states (its transformer-coupled rectifier stays in
+                // circuit), so the "reflect" state only reaches |Γ| ≈ 0.7
+                // and the absorb state is a full match — modulation depth
+                // ≈ 0.35. This is precisely the energy-vs-communication
+                // compromise VAB's co-design removes.
+                let g_open = gamma(bvd, Load::Open, f0);
+                let g_reflect = vab_util::complex::C64::from_polar(0.7, g_open.arg());
+                let states = ModulationStates {
+                    reflect: Load::Custom(gamma_to_load(bvd, g_reflect, f0)),
+                    absorb: Load::ConjugateMatch,
+                };
+                (None, states)
+            }
+            // The conventional strawman keeps VAB's co-designed states.
+            SystemKind::ConventionalArray { .. } => (None, ModulationStates::vab(bvd, f0)),
         };
-        // PAB's harvest-first design: the node harvests in *both* switch
-        // states (its transformer-coupled rectifier stays in circuit), so
-        // the "reflect" state only reaches |Γ| ≈ 0.7 and the absorb state
-        // is a full match — modulation depth ≈ 0.35. This is precisely the
-        // energy-vs-communication compromise VAB's co-design removes.
-        let g_open = gamma(&transducer.bvd, Load::Open, f0);
-        let g_reflect = vab_util::complex::C64::from_polar(0.7, g_open.arg());
-        let pab_states = ModulationStates {
-            reflect: Load::Custom(gamma_to_load(&transducer.bvd, g_reflect, f0)),
-            absorb: Load::ConjugateMatch,
-        };
-        let pab_depth = pab_states.modulation_depth(&transducer.bvd, f0);
-        let pab_harvest = pab_states.harvest_fraction(&transducer.bvd, f0);
-        Self { kind, array, transducer, f0, pab_depth, pab_harvest }
+        Self { kind, array, transducer, f0, states }
     }
 
     /// Builds a VAB front end with a custom array (ablations).
@@ -106,11 +129,10 @@ impl FrontEnd {
         let transducer = array.transducer;
         Self {
             kind: SystemKind::Vab { n_pairs: array.geometry.n_pairs() },
+            states: array.states,
             array: Some(array),
             transducer,
             f0,
-            pab_depth: 0.0,
-            pab_harvest: 0.0,
         }
     }
 
@@ -132,15 +154,9 @@ impl FrontEnd {
     /// Modulation depth |ΔΓ|/2 of this front end's switching states
     /// (through the switch for the array variants).
     pub fn modulation_depth(&self) -> f64 {
-        match (&self.kind, &self.array) {
-            (SystemKind::Vab { .. }, Some(a)) => a.modulation_depth(self.f0),
-            (SystemKind::Pab, _) => self.pab_depth,
-            (SystemKind::ConventionalArray { .. }, _) => {
-                // The conventional strawman keeps VAB's co-designed states.
-                ModulationStates::vab(&self.transducer.bvd, self.f0)
-                    .modulation_depth(&self.transducer.bvd, self.f0)
-            }
-            (SystemKind::Vab { .. }, None) => unreachable!("VAB always has an array"),
+        match &self.array {
+            Some(a) => a.modulation_depth(self.f0),
+            None => self.states.modulation_depth(&self.transducer.bvd, self.f0),
         }
     }
 
@@ -174,43 +190,26 @@ impl FrontEnd {
     }
 
     /// Harvesting power available from an incident level at the node.
+    /// Every element harvests in the absorb state.
     pub fn harvest_power(&self, incident_db_upa: Db) -> Watts {
-        match (&self.kind, &self.array) {
-            (SystemKind::Vab { .. }, Some(a)) => a.harvest_power(self.f0, incident_db_upa),
-            (SystemKind::Pab, _) => {
-                Watts(self.transducer.available_power(self.f0, incident_db_upa) * self.pab_harvest)
-            }
-            (SystemKind::ConventionalArray { n_elements }, _) => {
-                // Elements all harvest in the absorb state (like VAB).
-                let states = ModulationStates::vab(&self.transducer.bvd, self.f0);
-                let frac = states.harvest_fraction(&self.transducer.bvd, self.f0);
+        match &self.array {
+            Some(a) => a.harvest_power(self.f0, incident_db_upa),
+            None => {
+                let frac = self.states.harvest_fraction(&self.transducer.bvd, self.f0);
                 Watts(
                     self.transducer.available_power(self.f0, incident_db_upa)
-                        * *n_elements as f64
+                        * self.kind.n_elements() as f64
                         * frac,
                 )
             }
-            (SystemKind::Vab { .. }, None) => unreachable!(),
         }
     }
 
     /// Mean (static) reflection coefficient — the un-modulated clutter the
     /// reader must cancel. Used by the sample-level simulator.
     pub fn static_gamma(&self) -> vab_util::complex::C64 {
-        let states = match (&self.kind, &self.array) {
-            (SystemKind::Vab { .. }, Some(a)) => a.states,
-            (SystemKind::Pab, _) => {
-                let g_open = gamma(&self.transducer.bvd, Load::Open, self.f0);
-                let g_reflect = vab_util::complex::C64::from_polar(0.7, g_open.arg());
-                ModulationStates {
-                    reflect: Load::Custom(gamma_to_load(&self.transducer.bvd, g_reflect, self.f0)),
-                    absorb: Load::ConjugateMatch,
-                }
-            }
-            _ => ModulationStates::vab(&self.transducer.bvd, self.f0),
-        };
-        let gr = gamma(&self.transducer.bvd, states.reflect, self.f0);
-        let ga = gamma(&self.transducer.bvd, states.absorb, self.f0);
+        let gr = gamma(&self.transducer.bvd, self.states.reflect, self.f0);
+        let ga = gamma(&self.transducer.bvd, self.states.absorb, self.f0);
         (gr + ga) / 2.0
     }
 }
@@ -288,6 +287,62 @@ mod tests {
             let g = fe.static_gamma();
             assert!(g.is_finite());
             assert!(g.abs() <= 1.0 + 1e-9, "{kind:?}: |Γ̄| = {}", g.abs());
+        }
+    }
+
+    /// `f64::to_bits` of every front-end query for each system at the
+    /// paper's carrier: modulation depth, modulated gain at 0° and 45°,
+    /// harvest power at 150 dB re µPa and the static Γ (re, im). Any change
+    /// to how the load states are derived or stored must keep these.
+    #[test]
+    fn front_end_queries_are_pinned_bit_for_bit() {
+        let pins: [(SystemKind, [u64; 6]); 3] = [
+            (
+                SystemKind::Vab { n_pairs: 4 },
+                [
+                    0x3feb2b3413b91aac,
+                    0x403063e3fd760fa7,
+                    0x402c90e3c1493c9f,
+                    0x3eb767ce80c2dffc,
+                    0xbfc29e4226026074,
+                    0xbf916cb0a9eedff2,
+                ],
+            ),
+            (
+                SystemKind::Pab,
+                [
+                    0x3fd6666666666666,
+                    0xc0223cbe440cacf1,
+                    0xc02673a27daf8fa0,
+                    0x3e9767ce80c2dffc,
+                    0x3fd6666666666666,
+                    0x0000000000000000,
+                ],
+            ),
+            (
+                SystemKind::ConventionalArray { n_elements: 8 },
+                [
+                    0x3feb504f333f9de7,
+                    0x4030afb8ccd75b58,
+                    0xc004c82f29c0b380,
+                    0x3eb767ce80c2dffc,
+                    0xbfc29e4226026074,
+                    0xbf916cb0a9eedff2,
+                ],
+            ),
+        ];
+        for (kind, want) in pins {
+            let fe = FrontEnd::new(kind, F0);
+            let g = fe.static_gamma();
+            let got = [
+                fe.modulation_depth().to_bits(),
+                fe.modulated_gain_db(Degrees(0.0)).to_bits(),
+                fe.modulated_gain_db(Degrees(45.0)).to_bits(),
+                fe.harvest_power(Db(150.0)).value().to_bits(),
+                g.re.to_bits(),
+                g.im.to_bits(),
+            ];
+            assert_eq!(got, want, "{kind:?}");
         }
     }
 }

@@ -6,8 +6,10 @@
 //! and produces both a per-trial log (the raw scatter a paper plots) and
 //! bucketed summaries.
 
-use crate::baseline::SystemKind;
-use crate::montecarlo::{run_point, run_point_with_trial_faults, MonteCarloConfig, TrialEngine};
+use crate::baseline::{FrontEnd, SystemKind};
+use crate::montecarlo::{
+    run_point_with_front_end, run_point_with_trial_faults, MonteCarloConfig, TrialEngine,
+};
 use crate::scenario::Scenario;
 use rand::{Rng, RngExt};
 use vab_acoustics::environment::SeaState;
@@ -173,6 +175,9 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
 pub fn run_campaign_slice(cfg: &CampaignConfig, lo: usize, hi: usize) -> Vec<TrialRecord> {
     let hi = hi.min(cfg.n_trials);
     let plan = cfg.faults.map(|fc| FaultPlan::new(cfg.seed, fc));
+    // Every sampled scenario deploys `cfg.system` at the default carrier,
+    // so one front end serves the whole slice.
+    let fe = FrontEnd::new(cfg.system, vab_phy::modulation::ModParams::vab_default().carrier);
     let mut records = Vec::with_capacity(hi.saturating_sub(lo));
     for id in lo..hi {
         let mut rng = seeded(derive_seed(cfg.seed, id as u64));
@@ -185,12 +190,11 @@ pub fn run_campaign_slice(cfg: &CampaignConfig, lo: usize, hi: usize) -> Vec<Tri
             threads: 1,
         };
         let point = match &plan {
-            None => run_point(&scenario, &mc),
+            None => run_point_with_front_end(&scenario, &fe, &mc),
             Some(p) => {
                 // Deployment `id` indexes the plan, so its faults do not
                 // depend on how many deployments ran before it.
                 let faults = p.trial_faults(id as u64, cfg.system.n_elements());
-                let fe = scenario.front_end();
                 run_point_with_trial_faults(&scenario, &fe, &mc, &faults)
             }
         };

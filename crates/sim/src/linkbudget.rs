@@ -157,10 +157,10 @@ where
     Meters(0.5 * (lo + hi))
 }
 
-/// Harvested power at the node for a scenario (no fading).
-pub fn harvest_at(scenario: &Scenario) -> vab_util::units::Watts {
-    let fe = scenario.front_end();
-    let budget = LinkBudget::compute_with_front_end(scenario, &fe);
+/// Harvested power at the node for a scenario (no fading), on the
+/// scenario's front end `fe` (built once by callers that sweep range).
+pub fn harvest_at(scenario: &Scenario, fe: &FrontEnd) -> vab_util::units::Watts {
+    let budget = LinkBudget::compute_with_front_end(scenario, fe);
     fe.harvest_power(Db(budget.incident_at_node_db))
 }
 
@@ -269,8 +269,9 @@ mod tests {
 
     #[test]
     fn harvest_declines_with_range() {
-        let near = harvest_at(&vab_at(10.0)).value();
-        let far = harvest_at(&vab_at(200.0)).value();
+        let fe = vab_at(10.0).front_end();
+        let near = harvest_at(&vab_at(10.0), &fe).value();
+        let far = harvest_at(&vab_at(200.0), &fe).value();
         assert!(near > far * 10.0, "near {near} far {far}");
     }
 

@@ -310,6 +310,8 @@ fn execute_sweep(
     ranges_m: &[f64],
     cache: &ResultCache,
 ) -> String {
+    // Range does not enter the front end, so one serves every fresh point.
+    let fe = scenario_for(system, env, 1.0, 0.0).front_end();
     let points = ranges_m
         .iter()
         .map(|&range_m| {
@@ -323,7 +325,7 @@ fn execute_sweep(
             let digest = vab_util::hash::content_digest(&canonical, crate::ENGINE_VERSION);
             let payload = cache.get(digest).unwrap_or_else(|| {
                 let scenario = scenario_for(system, env, range_m, 0.0);
-                let lb = LinkBudget::compute(&scenario);
+                let lb = LinkBudget::compute_with_front_end(&scenario, &fe);
                 let rendered = Json::obj([
                     ("range_m", Json::Num(range_m)),
                     ("ebn0_db", Json::Num(lb.ebn0_db)),

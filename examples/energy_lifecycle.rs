@@ -30,9 +30,11 @@ fn main() {
         "{:>8} {:>14} {:>14} {:>16}",
         "range", "VAB acoustic", "VAB rectified", "PAB rectified"
     );
+    let vab = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(1.0)).front_end();
+    let pab = Scenario::river(SystemKind::Pab, Meters(1.0)).front_end();
     for d in [5.0, 15.0, 30.0, 60.0, 120.0] {
-        let vab_ac = harvest_at(&Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(d)));
-        let pab_ac = harvest_at(&Scenario::river(SystemKind::Pab, Meters(d)));
+        let vab_ac = harvest_at(&Scenario::river(vab.kind(), Meters(d)), &vab);
+        let pab_ac = harvest_at(&Scenario::river(pab.kind(), Meters(d)), &pab);
         println!(
             "{:>6} m {:>11.2} µW {:>11.2} µW {:>13.3} µW",
             d,
@@ -44,7 +46,7 @@ fn main() {
 
     // Life of a node at 20 m: cold start → listen → starve → recover.
     println!("\nlifecycle at 20 m (0.5 s steps):");
-    let p_in = harvest_at(&Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(20.0)));
+    let p_in = harvest_at(&Scenario::river(vab.kind(), Meters(20.0)), &vab);
     let mut pmu = Pmu::vab_default();
     let dt = Seconds(0.5);
     let mut t = 0.0;

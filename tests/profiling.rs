@@ -182,6 +182,57 @@ fn link_budget_trial_allocates_a_pinned_count() {
     assert_eq!(allocs("sim.channel_realization"), (8, 8 * 3, 8 * 3), "{counts:?}");
 }
 
+/// The load co-design search runs where its input is fixed, never per
+/// trial: a point makes as many `piezo.co_design` calls at 8 trials as at
+/// 64. The VAB array's states and the conventional array's take one search
+/// each when the front end is built, PAB's harvest-first pair takes none,
+/// and a fault plan that drifts resonance adds one for its nominal states.
+#[test]
+fn no_co_design_search_runs_per_trial() {
+    let _g = profile_lock();
+    let cfg = |trials| MonteCarloConfig {
+        trials,
+        bits_per_trial: 64,
+        seed: 25,
+        engine: TrialEngine::LinkBudget,
+        threads: 2,
+    };
+    let searches = |run: &dyn Fn(usize)| {
+        [8, 64].map(|trials| {
+            vab::obs::alloc::reset();
+            run(trials);
+            stage_counts().get("piezo.co_design").map_or(0, |c| c.0)
+        })
+    };
+    let was_profiling = vab::obs::alloc::profiling();
+    vab::obs::alloc::enable();
+    let mut seen = Vec::new();
+    for (kind, want) in [
+        (SystemKind::Vab { n_pairs: 4 }, 1),
+        (SystemKind::Pab, 0),
+        (SystemKind::ConventionalArray { n_elements: 8 }, 1),
+    ] {
+        let s = Scenario::river(kind, Meters(150.0));
+        let run = |trials| {
+            let _ = vab::sim::montecarlo::run_point(&s, &cfg(trials));
+        };
+        seen.push((format!("{kind:?}"), searches(&run), want));
+    }
+    let s = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(150.0));
+    let faulted = |trials| {
+        let plan = FaultPlan::new(25, FaultConfig::severe());
+        let _ = run_point_faulted(&s, &cfg(trials), &plan);
+    };
+    seen.push(("faulted VAB".to_string(), searches(&faulted), 2));
+    if !was_profiling {
+        vab::obs::alloc::disable();
+    }
+    assert!(FaultConfig::severe().resonance_drift > 0.0, "the faulted case must drift");
+    for (name, got, want) in seen {
+        assert_eq!(got, [want, want], "{name}: piezo.co_design calls at 8 and 64 trials");
+    }
+}
+
 /// A replay channel allocates only its output vector, from the first call
 /// on: one `replay.apply` on a waveform that runs far past the bank's last
 /// snapshot makes exactly one allocation.
