@@ -200,26 +200,9 @@ impl ChannelModel {
         Ok(Self::new(env, tx, rx, carrier))
     }
 
-    /// Overrides the per-bounce scattering loss (default 2 dB/bounce).
-    pub fn with_bounce_scattering_db(mut self, db: f64) -> Self {
-        self.bounce_scattering_db = db;
-        self
-    }
-
-    /// Sets the bounce-enumeration limit (default 4).
-    pub fn with_max_bounces(mut self, n: u32) -> Self {
-        self.max_bounces = n;
-        self
-    }
-
     /// Environment reference.
     pub fn environment(&self) -> &Environment {
         &self.env
-    }
-
-    /// Direct-path distance.
-    pub fn direct_range(&self) -> Meters {
-        self.tx.distance_to(&self.rx)
     }
 
     /// Enumerates eigenray arrivals via the image method.

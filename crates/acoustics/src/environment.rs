@@ -3,7 +3,7 @@
 
 use crate::absorption::francois_garrison_db_per_km;
 use crate::boundary::Medium;
-use crate::noise::{band_level, total_psd};
+use crate::noise::total_psd;
 use crate::soundspeed::mackenzie;
 use crate::spreading::{transmission_loss, Spreading};
 use vab_util::units::{Db, Hertz, Meters};
@@ -170,11 +170,6 @@ impl Environment {
     /// Ambient-noise PSD at `f` (dB re 1 µPa²/Hz).
     pub fn noise_psd(&self, f: Hertz) -> Db {
         total_psd(f, self.shipping, self.sea_state.wind_mps())
-    }
-
-    /// Ambient-noise level in a receiver band centred at `f`.
-    pub fn noise_level(&self, f: Hertz, bandwidth: Hertz) -> Db {
-        band_level(self.noise_psd(f), bandwidth)
     }
 
     /// Acoustic wavelength at `f`.

@@ -119,12 +119,6 @@ impl VanAttaArray {
         }
     }
 
-    /// Replaces the modulation states (e.g. for ablations).
-    pub fn with_states(mut self, states: ModulationStates) -> Self {
-        self.states = states;
-        self
-    }
-
     /// Sets a uniform line-delay mismatch on every pair (ablation A1).
     pub fn with_uniform_mismatch(mut self, frac_of_period: f64) -> Self {
         for m in self.delay_mismatch.iter_mut() {

@@ -226,6 +226,10 @@ const BRANCH_SIGNS: [[f64; HALF]; 2] = {
 /// and reads the input bit as `s >> 5`. A call makes two allocations: the
 /// decision words and the output.
 ///
+/// On x86-64 the body runs compiled for the widest vector unit the CPU
+/// has (AVX-512 or AVX2, detected at run time), else for the baseline
+/// target; every build returns the same bits.
+///
 /// Contract: for finite metrics the output is identical, bit for bit, to
 /// the scalar state-by-state decoder this replaced, ties included. Callers
 /// pass finite metrics: `decode_uplink` sorts its soft statistics with
@@ -236,6 +240,21 @@ const BRANCH_SIGNS: [[f64; HALF]; 2] = {
 /// bits are then unspecified.
 pub fn conv_decode_soft(metrics: &[f64]) -> Vec<bool> {
     let _t = vab_obs::time_stage("fec.viterbi");
+    #[cfg(target_arch = "x86_64")]
+    if let Some(wide) = wide::avx512().or_else(wide::avx2) {
+        return wide(metrics);
+    }
+    decode(metrics)
+}
+
+/// One compiled body of the soft decoder.
+#[cfg(any(test, target_arch = "x86_64"))]
+type Decoder = fn(&[f64]) -> Vec<bool>;
+
+/// The body of [`conv_decode_soft`], inlined into each variant so that
+/// every instruction set compiles the same source.
+#[inline(always)]
+fn decode(metrics: &[f64]) -> Vec<bool> {
     let n_steps = metrics.len() / 2;
     if n_steps < CONV_K {
         return Vec::new();
@@ -266,6 +285,45 @@ pub fn conv_decode_soft(metrics: &[f64]) -> Vec<bool> {
         state = prev(state, word);
     }
     decoded
+}
+
+/// [`decode`] compiled for wider x86-64 vector units, each handed out
+/// only where std's cached CPU detection finds the features it enables.
+///
+/// Each lane performs the same IEEE `f64` adds, subtracts, compares and
+/// selects as the baseline (SSE2) build, and Rust neither fuses a
+/// multiply-add nor reassociates floating-point arithmetic, so every
+/// variant returns the same bits as [`decode`].
+#[cfg(target_arch = "x86_64")]
+mod wide {
+    use super::{decode, Decoder};
+    use std::arch::is_x86_feature_detected;
+
+    /// AVX-512, if this CPU has it: F for the 512-bit `f64` lanes and
+    /// mask compares, BW to store the compare masks straight into the
+    /// decision bytes (about 10% faster than F alone on a 512-bit frame;
+    /// adding VL or DQ changes no instruction).
+    pub(super) fn avx512() -> Option<Decoder> {
+        #[target_feature(enable = "avx512f,avx512bw")]
+        fn body(metrics: &[f64]) -> Vec<bool> {
+            decode(metrics)
+        }
+        let detected = is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw");
+        // SAFETY: the closure escapes only inside `Some`, i.e. only when
+        // this CPU has every feature `body` enables.
+        detected.then_some(|metrics| unsafe { body(metrics) })
+    }
+
+    /// AVX2 (256-bit `f64` lanes), if this CPU has it.
+    pub(super) fn avx2() -> Option<Decoder> {
+        #[target_feature(enable = "avx2")]
+        fn body(metrics: &[f64]) -> Vec<bool> {
+            decode(metrics)
+        }
+        // SAFETY: the closure escapes only inside `Some`, i.e. only when
+        // this CPU has AVX2, the one feature `body` enables.
+        is_x86_feature_detected!("avx2").then_some(|metrics| unsafe { body(metrics) })
+    }
 }
 
 /// One add-compare-select step over all 32 butterflies: fills `next` from
@@ -385,6 +443,28 @@ mod tests {
         }
         decoded.truncate(n_steps - (CONV_K - 1));
         decoded
+    }
+
+    /// Every body of the soft decoder this build carries, narrowest first:
+    /// `Some` where this CPU can run it, `None` where it lacks the features.
+    fn decoders() -> Vec<(&'static str, Option<Decoder>)> {
+        #[allow(unused_mut)]
+        let mut all = vec![("portable", Some(decode as Decoder))];
+        #[cfg(target_arch = "x86_64")]
+        all.extend([("avx2", wide::avx2()), ("avx512", wide::avx512())]);
+        all
+    }
+
+    /// Asserts that [`conv_decode_soft`] and every body this CPU can run
+    /// decode `soft` exactly as the reference does.
+    fn assert_every_decoder_matches_reference(soft: &[f64], case: &str) {
+        let want = conv_decode_soft_reference(soft);
+        assert_eq!(conv_decode_soft(soft), want, "dispatched, {case}");
+        for (name, body) in decoders() {
+            if let Some(body) = body {
+                assert_eq!(body(soft), want, "{name}, {case}");
+            }
+        }
     }
 
     #[test]
@@ -529,7 +609,8 @@ mod tests {
             if stray {
                 soft.push(0.5); // a trailing odd metric is ignored
             }
-            prop_assert_eq!(conv_decode_soft(&soft), conv_decode_soft_reference(&soft));
+            let case = format!("{n_info} bits, sigma {sigma}, seed {seed}, stray {stray}");
+            assert_every_decoder_matches_reference(&soft, &case);
         }
 
         #[test]
@@ -542,7 +623,8 @@ mod tests {
             let soft = channel_metrics(seed, n_info, |s, rng| {
                 if rng.random::<f64>() < p { -s } else { s }
             });
-            prop_assert_eq!(conv_decode_soft(&soft), conv_decode_soft_reference(&soft));
+            let case = format!("{n_info} bits, {flip_permille}‰ flips, seed {seed}");
+            assert_every_decoder_matches_reference(&soft, &case);
         }
 
         #[test]
@@ -552,7 +634,7 @@ mod tests {
             // Integer metrics (a fifth of them exact zeros) make equal path
             // metrics common: ties must go to the even predecessor.
             let soft: Vec<f64> = metrics.iter().map(|&m| m as f64).collect();
-            prop_assert_eq!(conv_decode_soft(&soft), conv_decode_soft_reference(&soft));
+            assert_every_decoder_matches_reference(&soft, "small integer metrics");
         }
     }
 
@@ -561,13 +643,25 @@ mod tests {
         for value in [0.0, -0.0, 1.0, -1.0, 1e-300, 1e300] {
             for len in [0, 13, 14, 15, 2 * 64 + 12] {
                 let soft = vec![value; len];
-                assert_eq!(
-                    conv_decode_soft(&soft),
-                    conv_decode_soft_reference(&soft),
-                    "value {value}, {len} metrics"
+                assert_every_decoder_matches_reference(
+                    &soft,
+                    &format!("value {value}, {len} metrics"),
                 );
             }
         }
+    }
+
+    /// Names the decoder bodies the oracle tests above ran on this CPU and
+    /// the ones they skipped because it lacks their features; a skipped
+    /// body is not checked here, so run the suite on such a CPU to check it.
+    #[test]
+    fn reports_which_decoder_bodies_the_oracle_tests_run() {
+        let (ran, skipped): (Vec<_>, Vec<_>) =
+            decoders().into_iter().partition(|(_, body)| body.is_some());
+        let ran: Vec<_> = ran.iter().map(|(name, _)| *name).collect();
+        let skipped: Vec<_> = skipped.iter().map(|(name, _)| *name).collect();
+        eprintln!("soft Viterbi bodies run against the reference: {ran:?}; skipped: {skipped:?}");
+        assert!(ran.contains(&"portable"), "the portable body runs everywhere");
     }
 
     /// Outside the finite-input contract the bits are unspecified, but the
@@ -590,10 +684,13 @@ mod tests {
         assert_eq!(conv_decode_soft(&mixed).len(), n_info);
     }
 
-    /// The speedup target: on a seeded noisy 512-bit frame the butterfly
-    /// decoder beats the scalar reference by at least 6×, best of three.
-    /// Gated behind `VAB_BENCH=1` because wall-clock assertions have no
-    /// place in the default suite; run it with `--release`.
+    /// The speed gate, on a seeded noisy 512-bit frame, best of three: the
+    /// portable body beats the scalar reference by at least 6×, so the
+    /// fallback for CPUs without wide vectors cannot rot, and the
+    /// dispatched decoder is no slower than the portable body. Prints the
+    /// time of every body this CPU runs. Gated behind `VAB_BENCH=1`
+    /// because wall-clock assertions have no place in the default suite;
+    /// run it with `--release`.
     #[test]
     fn butterfly_meets_the_bench_speedup_target() {
         if std::env::var("VAB_BENCH").is_err() {
@@ -603,9 +700,9 @@ mod tests {
         use std::hint::black_box;
         use std::time::Instant;
         let soft = channel_metrics(47, 512, |s, rng| s + 0.8 * vab_util::rng::gaussian(rng));
-        assert_eq!(conv_decode_soft(&soft), conv_decode_soft_reference(&soft));
+        assert_every_decoder_matches_reference(&soft, "speed-gate frame");
         const CALLS: usize = 50;
-        let best = |decode: fn(&[f64]) -> Vec<bool>| {
+        let best = |decode: Decoder| {
             (0..3)
                 .map(|_| {
                     let t = Instant::now();
@@ -617,13 +714,30 @@ mod tests {
                 .fold(f64::INFINITY, f64::min)
         };
         let reference = best(conv_decode_soft_reference);
-        let butterfly = best(conv_decode_soft);
-        let speedup = reference / butterfly.max(1e-12);
-        eprintln!(
-            "viterbi 518 steps: reference {:.1} us, butterfly {:.1} us, speedup {speedup:.1}x",
-            reference * 1e6,
-            butterfly * 1e6
+        let mut line =
+            format!("viterbi {} steps: reference {:.1} us", soft.len() / 2, reference * 1e6);
+        let mut portable = f64::NAN;
+        for (name, body) in decoders() {
+            match body {
+                Some(body) => {
+                    let us = best(body);
+                    line += &format!(", {name} {:.1} us", us * 1e6);
+                    if name == "portable" {
+                        portable = us;
+                    }
+                }
+                None => line += &format!(", {name} skipped (CPU lacks it)"),
+            }
+        }
+        let dispatched = best(conv_decode_soft);
+        eprintln!("{line}, dispatched {:.1} us", dispatched * 1e6);
+        let speedup = reference / portable.max(1e-12);
+        assert!(speedup >= 6.0, "portable butterfly Viterbi speedup {speedup:.2}x < 6x");
+        assert!(
+            dispatched <= portable,
+            "dispatched decoder {:.1} us is slower than the portable body {:.1} us",
+            dispatched * 1e6,
+            portable * 1e6
         );
-        assert!(speedup >= 6.0, "butterfly Viterbi speedup {speedup:.2}x < 6x");
     }
 }

@@ -10,7 +10,6 @@
 //! successes above a threshold promote one step; any `fail_down` failures
 //! within a window demote one step and reset.
 
-use crate::poll::NodeStats;
 use crate::Addr;
 use std::collections::HashMap;
 use vab_core::commands::RATE_TABLE_BPS;
@@ -196,20 +195,6 @@ impl RateController {
             n.clean = 0;
         }
         RateDecision::Hold
-    }
-
-    /// Long-run goodput estimate for a node given its delivery statistics
-    /// at the current rate (bits/s of useful payload for `payload_bits`
-    /// per frame… per query).
-    pub fn goodput_estimate(
-        &self,
-        addr: Addr,
-        stats: &NodeStats,
-        payload_bits: usize,
-        query_period_s: f64,
-    ) -> f64 {
-        let _ = self.rate_bps(addr); // rate affects query period upstream
-        stats.delivery_ratio() * payload_bits as f64 / query_period_s.max(1e-9)
     }
 }
 

@@ -59,12 +59,13 @@ impl Network {
     pub fn build_link_budget(spec: &NetworkSpec) -> Self {
         let _t = vab_obs::time_stage("net.build");
         let topology = Topology::generate(spec);
-        let phy = NetPhy::derive(spec.env, spec.n_pairs);
+        // The front end only depends on system + carrier, shared by all
+        // nodes and the PHY constants.
+        let fe = scenario_for_node(spec, &topology, &topology.nodes[0]).front_end();
+        let phy = NetPhy::with_front_end(spec.env, &fe);
 
         let stage = vab_obs::time_stage("net.channels");
         let fading_master = derive_seed(spec.seed, STREAM_FADING);
-        // The front end only depends on system + carrier, shared by all nodes.
-        let fe = scenario_for_node(spec, &topology, &topology.nodes[0]).front_end();
         let nodes: Vec<NodeChannel> = topology
             .nodes
             .iter()
@@ -130,7 +131,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::NetworkSpec;
+    use crate::topology::{NetEnv, NetworkSpec};
 
     #[test]
     fn channels_are_deterministic_and_consistent() {
@@ -161,6 +162,29 @@ mod tests {
             let lb = LinkBudget::compute(&s);
             let noise_db = lb.noise_psd_db + 10.0 * lb.bit_rate.log10();
             assert_eq!(db_to_lin_pow(noise_db).to_bits(), net.noise_lin.to_bits());
+        }
+    }
+
+    #[test]
+    fn one_front_end_serves_the_phy_constants_and_every_node() {
+        // `build_link_budget` builds node 0's front end once and derives
+        // the PHY constants from it. It must equal the front end that
+        // `NetPhy::derive` and every node's own scenario would build, and
+        // give the same constants, bit for bit (`Debug` prints each `f64`
+        // in its shortest round-trip form).
+        for env in [NetEnv::River, NetEnv::Ocean { sea_state: 2 }] {
+            let spec = NetworkSpec { env, ..NetworkSpec::river(6, 5) };
+            let topology = Topology::generate(&spec);
+            let shared = scenario_for_node(&spec, &topology, &topology.nodes[0]).front_end();
+            let system = SystemKind::Vab { n_pairs: spec.n_pairs };
+            let derived = Scenario::river(system, Meters(1.0)).front_end();
+            assert_eq!(format!("{derived:?}"), format!("{shared:?}"));
+            for site in &topology.nodes {
+                let own = scenario_for_node(&spec, &topology, site).front_end();
+                assert_eq!(format!("{own:?}"), format!("{shared:?}"), "node {}", site.addr);
+            }
+            let phy = NetPhy::derive(env, spec.n_pairs);
+            assert_eq!(format!("{:?}", Network::build_link_budget(&spec).phy), format!("{phy:?}"));
         }
     }
 

@@ -38,7 +38,7 @@ use vab_link::frame::LinkConfig;
 use vab_mac::aloha::{AlohaReader, SlotOutcome};
 use vab_mac::tdma::TdmaSchedule;
 use vab_mac::Addr;
-use vab_sim::baseline::SystemKind;
+use vab_sim::baseline::{FrontEnd, SystemKind};
 use vab_sim::scenario::Scenario;
 use vab_util::db::power_db_sum;
 use vab_util::json::Json;
@@ -99,9 +99,16 @@ pub struct NetPhy {
 impl NetPhy {
     /// Derives the constants for `n_pairs`-pair nodes in `env`.
     pub fn derive(env: NetEnv, n_pairs: usize) -> Self {
-        let mut s = Scenario::river(SystemKind::Vab { n_pairs }, Meters(1.0));
+        let fe = Scenario::river(SystemKind::Vab { n_pairs }, Meters(1.0)).front_end();
+        Self::with_front_end(env, &fe)
+    }
+
+    /// [`NetPhy::derive`] from the nodes' front end, already built at the
+    /// canonical river carrier ([`Scenario::front_end`]), so a caller that
+    /// needs the front end too runs its load co-design search once.
+    pub(crate) fn with_front_end(env: NetEnv, fe: &FrontEnd) -> Self {
+        let mut s = Scenario::river(fe.kind(), Meters(1.0));
         s.env = env.environment();
-        let fe = s.front_end();
         let link = LinkConfig::vab_default();
         let carrier = s.carrier();
         let bit_rate = s.mod_params.bit_rate;

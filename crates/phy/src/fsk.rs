@@ -55,11 +55,6 @@ impl FskParams {
     pub fn samples_per_bit(&self) -> usize {
         (self.baseband_fs() / self.base.bit_rate).round() as usize
     }
-
-    /// Occupied bandwidth: up to the fast subcarrier plus its main lobe.
-    pub fn occupied_bandwidth_hz(&self) -> f64 {
-        2.0 * (self.f1_hz + 2.0 * self.base.bit_rate)
-    }
 }
 
 /// FSK modulator: bits → ±1 switch waveform (square subcarriers).

@@ -78,11 +78,6 @@ impl Bvd {
         let fp = self.parallel_resonance().value();
         (fp * fp - fs * fs) / (fp * fp)
     }
-
-    /// Half-power fractional bandwidth around series resonance, ≈ 1/Q.
-    pub fn fractional_bandwidth(&self) -> f64 {
-        1.0 / self.q_factor()
-    }
 }
 
 #[cfg(test)]

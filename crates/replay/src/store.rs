@@ -27,11 +27,6 @@ impl BankStore {
         Self { dir: dir.into(), engine_version: engine_version.to_string() }
     }
 
-    /// The store at [`DEFAULT_BANK_DIR`] under [`crate::ENGINE_VERSION`].
-    pub fn default_store() -> Self {
-        Self::new(DEFAULT_BANK_DIR, crate::ENGINE_VERSION)
-    }
-
     /// Directory backing the store.
     pub fn dir(&self) -> &Path {
         &self.dir

@@ -152,14 +152,6 @@ pub fn rfft_into(x: &[f64], buf: &mut Vec<C64>) {
     plan(n).forward(buf);
 }
 
-/// Power spectral density estimate `|X[k]|²/N` of a real signal (one-sided not
-/// applied; bins cover 0..fs).
-pub fn power_spectrum(x: &[f64]) -> Vec<f64> {
-    let spec = rfft(x);
-    let n = spec.len() as f64;
-    spec.iter().map(|c| c.norm_sq() / n).collect()
-}
-
 /// Frequency of FFT bin `k` for sample rate `fs` and size `n`.
 #[inline]
 pub fn bin_freq(k: usize, n: usize, fs: f64) -> f64 {

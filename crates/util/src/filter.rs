@@ -24,12 +24,6 @@ pub struct Fir {
 }
 
 impl Fir {
-    /// Builds an FIR from explicit taps.
-    pub fn from_taps(taps: Vec<f64>) -> Self {
-        assert!(!taps.is_empty(), "FIR must have at least one tap");
-        Self { taps }
-    }
-
     /// Windowed-sinc design. `n_taps` should be odd for a symmetric
     /// (linear-phase, type-I) filter; it is bumped to odd if even.
     ///
@@ -92,12 +86,6 @@ impl Fir {
         &self.taps
     }
 
-    /// Group delay in samples (linear-phase symmetric filters only).
-    #[inline]
-    pub fn group_delay(&self) -> f64 {
-        (self.taps.len() - 1) as f64 / 2.0
-    }
-
     /// Filters a signal, returning an output of the same length ("same" mode:
     /// output is aligned so that the group delay is compensated).
     ///
@@ -108,13 +96,6 @@ impl Fir {
         let full = crate::ola::convolve_auto(x, &self.taps);
         let delay = (self.taps.len() - 1) / 2;
         full[delay..delay + x.len()].to_vec()
-    }
-
-    /// Full convolution of the signal with the taps
-    /// (output length `x.len() + taps.len() - 1`). Same FFT dispatch as
-    /// [`Fir::filter_same`].
-    pub fn filter_full(&self, x: &[f64]) -> Vec<f64> {
-        crate::ola::convolve_auto(x, &self.taps)
     }
 
     /// Complex frequency response H(e^{j2πf}) at normalized frequency `f`.

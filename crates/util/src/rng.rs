@@ -38,13 +38,6 @@ pub fn gaussian_noise<R: Rng + ?Sized>(rng: &mut R, sigma: f64, out: &mut [f64])
     }
 }
 
-/// Returns a vector of `n` i.i.d. N(0, σ²) samples.
-pub fn gaussian_vec<R: Rng + ?Sized>(rng: &mut R, sigma: f64, n: usize) -> Vec<f64> {
-    let mut v = vec![0.0; n];
-    gaussian_noise(rng, sigma, &mut v);
-    v
-}
-
 /// Draws a complex circular Gaussian sample with total variance σ²
 /// (σ²/2 per quadrature) — the standard fading-tap distribution.
 pub fn complex_gaussian<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> crate::complex::C64 {

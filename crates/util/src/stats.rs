@@ -77,15 +77,6 @@ impl RunningStats {
         self.variance().sqrt()
     }
 
-    /// Standard error of the mean.
-    pub fn std_err(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.std_dev() / (self.n as f64).sqrt()
-        }
-    }
-
     /// Minimum observation (+∞ when empty).
     pub fn min(&self) -> f64 {
         self.min

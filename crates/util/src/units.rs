@@ -180,21 +180,9 @@ impl Watts {
     pub fn uw(self) -> f64 {
         self.0 * 1e6
     }
-
-    /// Value in milliwatts.
-    #[inline]
-    pub fn mw(self) -> f64 {
-        self.0 * 1e3
-    }
 }
 
 impl Seconds {
-    /// Construct from milliseconds.
-    #[inline]
-    pub fn from_ms(ms: f64) -> Self {
-        Seconds(ms * 1e-3)
-    }
-
     /// Value in milliseconds.
     #[inline]
     pub fn ms(self) -> f64 {
