@@ -15,7 +15,9 @@ use vab_piezo::reflection::{Load, ModulationStates};
 use vab_sim::baseline::{FrontEnd, SystemKind};
 use vab_sim::linkbudget::{harvest_at, LinkBudget};
 use vab_sim::metrics::CsvTable;
-use vab_sim::montecarlo::{run_point_with_front_end, MonteCarloConfig, TrialEngine};
+use vab_sim::montecarlo::{
+    run_grid, run_point_with_front_end, GridPoint, MonteCarloConfig, PointResult, TrialEngine,
+};
 use vab_sim::scenario::Scenario;
 use vab_util::rng::seeded;
 use vab_util::units::{Degrees, Hertz, Meters};
@@ -56,11 +58,22 @@ impl ExpConfig {
     }
 }
 
-/// Measured BER at one scenario, on `fe` (the scenario's own front end,
-/// built once by the caller: it depends only on the system and carrier).
-fn ber_of(s: &Scenario, fe: &FrontEnd, cfg: &ExpConfig) -> (f64, f64, f64) {
-    let r = run_point_with_front_end(s, fe, &cfg.mc());
-    (r.ber.ber(), r.per(), r.ebn0.mean())
+/// Runs `point(row, col)` for every row and column as one grid batch on
+/// the compute pool ([`run_grid`]) and returns the results row-major, so
+/// `.chunks(cols.len())` yields one table row each. Points take their
+/// front end from the caller, built once per system.
+fn grid<'a, R: Copy, C: Copy>(
+    rows: &[R],
+    cols: &[C],
+    mc: &MonteCarloConfig,
+    point: impl Fn(R, C) -> GridPoint<'a>,
+) -> Vec<PointResult> {
+    let points: Vec<GridPoint<'a>> = rows
+        .iter()
+        .flat_map(|&r| cols.iter().map(move |&c| (r, c)))
+        .map(|(r, c)| point(r, c))
+        .collect();
+    run_grid(&points, mc)
 }
 
 /// Maximum range at which the measured BER stays at or below `target`,
@@ -216,12 +229,14 @@ pub fn f6_snr_vs_range(cfg: &ExpConfig) -> CsvTable {
         SystemKind::ConventionalArray { n_elements: 8 },
     ]
     .map(|sys| FrontEnd::new(sys, F0));
-    for d in [10.0, 20.0, 50.0, 100.0, 150.0, 200.0, 300.0, 400.0, 500.0] {
+    let ranges = [10.0, 20.0, 50.0, 100.0, 150.0, 200.0, 300.0, 400.0, 500.0];
+    let fes: Vec<&FrontEnd> = front_ends.iter().collect();
+    let results = grid(&ranges, &fes, &cfg.mc(), |d, fe| {
+        GridPoint::new(Scenario::river(fe.kind(), Meters(d)), fe)
+    });
+    for (d, points) in ranges.iter().zip(results.chunks(fes.len())) {
         let mut row = vec![format!("{d:.0}")];
-        for fe in &front_ends {
-            let (_, _, ebn0) = ber_of(&Scenario::river(fe.kind(), Meters(d)), fe, cfg);
-            row.push(format!("{ebn0:.1}"));
-        }
+        row.extend(points.iter().map(|r| format!("{:.1}", r.ebn0.mean())));
         t.row(row);
     }
     t
@@ -232,13 +247,14 @@ pub fn f6_snr_vs_range(cfg: &ExpConfig) -> CsvTable {
 pub fn f7_ber_vs_range(cfg: &ExpConfig) -> CsvTable {
     let mut t = CsvTable::new(["range_m", "ber_100bps", "ber_500bps", "ber_1000bps"]);
     let fe = FrontEnd::new(SystemKind::Vab { n_pairs: 4 }, F0);
-    for d in [50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0, 450.0, 500.0] {
+    let ranges = [50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0, 450.0, 500.0];
+    let rates = [100.0, 500.0, 1000.0];
+    let results = grid(&ranges, &rates, &cfg.mc(), |d, bps| {
+        GridPoint::new(Scenario::river(fe.kind(), Meters(d)).with_bit_rate(bps), &fe)
+    });
+    for (d, points) in ranges.iter().zip(results.chunks(rates.len())) {
         let mut row = vec![format!("{d:.0}")];
-        for bps in [100.0, 500.0, 1000.0] {
-            let s = Scenario::river(fe.kind(), Meters(d)).with_bit_rate(bps);
-            let (ber, _, _) = ber_of(&s, &fe, cfg);
-            row.push(format!("{ber:.2e}"));
-        }
+        row.extend(points.iter().map(|r| format!("{:.2e}", r.ber.ber())));
         t.row(row);
     }
     t
@@ -256,17 +272,18 @@ pub fn f8_orientation(cfg: &ExpConfig) -> CsvTable {
     ]);
     let fe_vab = FrontEnd::new(SystemKind::Vab { n_pairs: 4 }, F0);
     let fe_conv = FrontEnd::new(SystemKind::ConventionalArray { n_elements: 8 }, F0);
-    for deg in [-75.0, -60.0, -45.0, -30.0, -15.0, 0.0, 15.0, 30.0, 45.0, 60.0, 75.0] {
-        let vab = Scenario::river(fe_vab.kind(), Meters(100.0)).with_rotation(Degrees(deg));
-        let conv = Scenario::river(fe_conv.kind(), Meters(100.0)).with_rotation(Degrees(deg));
-        let (ber_v, _, ebn0_v) = ber_of(&vab, &fe_vab, cfg);
-        let (ber_c, _, ebn0_c) = ber_of(&conv, &fe_conv, cfg);
+    let angles = [-75.0, -60.0, -45.0, -30.0, -15.0, 0.0, 15.0, 30.0, 45.0, 60.0, 75.0];
+    let results = grid(&angles, &[&fe_vab, &fe_conv], &cfg.mc(), |deg, fe| {
+        GridPoint::new(Scenario::river(fe.kind(), Meters(100.0)).with_rotation(Degrees(deg)), fe)
+    });
+    for (deg, pair) in angles.iter().zip(results.chunks(2)) {
+        let (vab, conv) = (&pair[0], &pair[1]);
         t.row([
             format!("{deg:.0}"),
-            format!("{ebn0_v:.1}"),
-            format!("{ber_v:.2e}"),
-            format!("{ebn0_c:.1}"),
-            format!("{ber_c:.2e}"),
+            format!("{:.1}", vab.ebn0.mean()),
+            format!("{:.2e}", vab.ber.ber()),
+            format!("{:.1}", conv.ebn0.mean()),
+            format!("{:.2e}", conv.ber.ber()),
         ]);
     }
     t
@@ -293,13 +310,14 @@ pub fn f9_scalability(cfg: &ExpConfig) -> CsvTable {
 pub fn f10_ocean(cfg: &ExpConfig) -> CsvTable {
     let mut t = CsvTable::new(["range_m", "ber_calm", "ber_smooth", "ber_slight", "ber_moderate"]);
     let fe = FrontEnd::new(SystemKind::Vab { n_pairs: 4 }, F0);
-    for d in [25.0, 50.0, 75.0, 100.0, 125.0, 150.0, 200.0, 250.0] {
+    let ranges = [25.0, 50.0, 75.0, 100.0, 125.0, 150.0, 200.0, 250.0];
+    let seas = [SeaState::Calm, SeaState::Smooth, SeaState::Slight, SeaState::Moderate];
+    let results = grid(&ranges, &seas, &cfg.mc(), |d, ss| {
+        GridPoint::new(Scenario::ocean(fe.kind(), Meters(d), ss), &fe)
+    });
+    for (d, points) in ranges.iter().zip(results.chunks(seas.len())) {
         let mut row = vec![format!("{d:.0}")];
-        for ss in [SeaState::Calm, SeaState::Smooth, SeaState::Slight, SeaState::Moderate] {
-            let s = Scenario::ocean(fe.kind(), Meters(d), ss);
-            let (ber, _, _) = ber_of(&s, &fe, cfg);
-            row.push(format!("{ber:.2e}"));
-        }
+        row.extend(points.iter().map(|r| format!("{:.2e}", r.ber.ber())));
         t.row(row);
     }
     t
@@ -397,11 +415,14 @@ pub fn f13_throughput(cfg: &ExpConfig) -> CsvTable {
     let rates = [100.0, 250.0, 500.0, 1000.0];
     let mut t = CsvTable::new(["range_m", "best_rate_bps", "per_at_best", "goodput_bps"]);
     let fe = FrontEnd::new(SystemKind::Vab { n_pairs: 4 }, F0);
-    for d in [50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0] {
+    let ranges = [50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 350.0, 400.0];
+    let results = grid(&ranges, &rates, &cfg.mc(), |d, bps| {
+        GridPoint::new(Scenario::river(fe.kind(), Meters(d)).with_bit_rate(bps), &fe)
+    });
+    for (d, points) in ranges.iter().zip(results.chunks(rates.len())) {
         let mut best = (0.0f64, 1.0f64);
-        for &bps in &rates {
-            let s = Scenario::river(fe.kind(), Meters(d)).with_bit_rate(bps);
-            let (_, per, _) = ber_of(&s, &fe, cfg);
+        for (&bps, r) in rates.iter().zip(points) {
+            let per = r.per();
             if per <= 0.1 && bps > best.0 {
                 best = (bps, per);
             }
@@ -505,13 +526,14 @@ pub fn a2_ablation_fec(cfg: &ExpConfig) -> CsvTable {
         "conv_k7_soft",
     ]);
     let fe = FrontEnd::new(SystemKind::Vab { n_pairs: 4 }, F0);
-    for d in [200.0, 300.0, 350.0, 400.0, 450.0, 500.0] {
+    let ranges = [200.0, 300.0, 350.0, 400.0, 450.0, 500.0];
+    let links = stacks.map(|(_, link)| link);
+    let results = grid(&ranges, &links, &cfg.mc(), |d, link| {
+        GridPoint::new(Scenario::river(fe.kind(), Meters(d)).with_link(link), &fe)
+    });
+    for (d, points) in ranges.iter().zip(results.chunks(links.len())) {
         let mut row = vec![format!("{d:.0}")];
-        for (_, link) in &stacks {
-            let s = Scenario::river(fe.kind(), Meters(d)).with_link(*link);
-            let (ber, _, _) = ber_of(&s, &fe, cfg);
-            row.push(format!("{ber:.2e}"));
-        }
+        row.extend(points.iter().map(|r| format!("{:.2e}", r.ber.ber())));
         t.row(row);
     }
     t
@@ -545,20 +567,25 @@ pub fn a3_ablation_cancellation(cfg: &ExpConfig) -> CsvTable {
 pub fn a4_ablation_failures(cfg: &ExpConfig) -> CsvTable {
     let mut t = CsvTable::new(["failed_elements", "live_elements", "retro_gain_db", "ber_at_300m"]);
     let nominal = VanAttaArray::vab_default(4, F0);
-    for n_failed in 0..=3usize {
-        let mut arr = nominal.clone();
-        for i in 0..n_failed {
-            arr = arr.with_failed_element(2 * i); // kills pair i
-        }
-        let gain = arr.retro_gain_db(Degrees(0.0), F0);
-        let live = arr.live_elements();
-        let fe = FrontEnd::from_array(arr, F0);
-        let s = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(300.0));
-        let r = run_point_with_front_end(&s, &fe, &cfg.mc());
+    let front_ends: Vec<FrontEnd> = (0..=3usize)
+        .map(|n_failed| {
+            let mut arr = nominal.clone();
+            for i in 0..n_failed {
+                arr = arr.with_failed_element(2 * i); // kills pair i
+            }
+            FrontEnd::from_array(arr, F0)
+        })
+        .collect();
+    let fes: Vec<&FrontEnd> = front_ends.iter().collect();
+    let results = grid(&fes, &[()], &cfg.mc(), |fe, ()| {
+        GridPoint::new(Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(300.0)), fe)
+    });
+    for (n_failed, (fe, r)) in front_ends.iter().zip(&results).enumerate() {
+        let arr = fe.array().expect("a VAB front end has an array");
         t.row([
             n_failed.to_string(),
-            live.to_string(),
-            format!("{gain:.1}"),
+            arr.live_elements().to_string(),
+            format!("{:.1}", arr.retro_gain_db(Degrees(0.0), F0)),
             format!("{:.2e}", r.ber.ber()),
         ]);
     }
@@ -597,6 +624,7 @@ pub fn a5_tolerance_yield(cfg: &ExpConfig) -> CsvTable {
 /// rate control is compared against every fixed rate.
 pub fn f15_rate_adaptation(cfg: &ExpConfig) -> CsvTable {
     use rand::RngExt;
+    use vab_core::commands::RATE_TABLE_BPS;
     use vab_mac::rate_adapt::RateController;
     let n_queries = 90usize;
     let payload_bits = 256.0;
@@ -612,27 +640,36 @@ pub fn f15_rate_adaptation(cfg: &ExpConfig) -> CsvTable {
             380.0 - (380.0 - 160.0) * ((t - 0.6) / 0.4)
         }
     };
-    // Per-query frame success probability at a rate: one small MC.
+    // Frame success probability of query `q` at every rate of the
+    // controller's table: one small MC per cell, seeded by the query. Every
+    // strategy below only reads this table (the adaptive one picks its
+    // rates from the same set), so it is computed once, one pool task per
+    // cell.
     let fe = FrontEnd::new(SystemKind::Vab { n_pairs: 4 }, F0);
-    let success_prob = |d: f64, bps: f64, seed: u64| -> f64 {
-        let s = Scenario::river(fe.kind(), Meters(d)).with_bit_rate(bps);
+    let success: Vec<f64> = vab_util::threads::par_map(RATE_TABLE_BPS.len() * n_queries, |cell| {
+        let (bps, q) = (RATE_TABLE_BPS[cell / n_queries], cell % n_queries);
+        let s = Scenario::river(fe.kind(), Meters(range_at(q))).with_bit_rate(bps);
         let mc = MonteCarloConfig {
             trials: 8,
             bits_per_trial: 256,
-            seed,
+            seed: cfg.seed + q as u64,
             engine: TrialEngine::LinkBudget,
             threads: 1,
         };
         1.0 - run_point_with_front_end(&s, &fe, &mc).per()
-    };
+    })
+    .into_iter()
+    .map(|p| p.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+    .collect();
+    let success_prob = |code: usize, q: usize| success[code * n_queries + q];
     let mut t = CsvTable::new(["strategy", "delivered_kbit", "airtime_s", "goodput_bps"]);
     // Fixed strategies.
-    for bps in [100.0, 250.0, 500.0, 1000.0] {
+    for (code, bps) in RATE_TABLE_BPS.into_iter().enumerate() {
         let mut rng = seeded(cfg.seed ^ bps as u64);
         let mut delivered = 0.0;
         let mut time = 0.0;
         for q in 0..n_queries {
-            let p = success_prob(range_at(q), bps, cfg.seed + q as u64);
+            let p = success_prob(code, q);
             time += payload_bits / bps + overhead_s;
             if rng.random::<f64>() < p {
                 delivered += payload_bits;
@@ -652,7 +689,7 @@ pub fn f15_rate_adaptation(cfg: &ExpConfig) -> CsvTable {
     let mut time = 0.0;
     for q in 0..n_queries {
         let bps = rc.rate_bps(1);
-        let p = success_prob(range_at(q), bps, cfg.seed + q as u64);
+        let p = success_prob(rc.rate_code(1) as usize, q);
         time += payload_bits / bps + overhead_s;
         let ok = rng.random::<f64>() < p;
         if ok {
@@ -676,31 +713,20 @@ pub fn f16_engine_validation(cfg: &ExpConfig) -> CsvTable {
     let mut t =
         CsvTable::new(["range_m", "theory_static_ber", "link_budget_mc_ber", "sample_level_ber"]);
     let fe = FrontEnd::new(SystemKind::Vab { n_pairs: 4 }, F0);
-    for d in [260.0, 320.0, 380.0, 440.0] {
+    let ranges = [260.0, 320.0, 380.0, 440.0];
+    let at = |d: f64, ()| {
+        GridPoint::new(Scenario::river(fe.kind(), Meters(d)).with_link(LinkConfig::uncoded()), &fe)
+    };
+    let fast = grid(&ranges, &[()], &cfg.mc(), at);
+    let slow_mc = MonteCarloConfig {
+        trials: (cfg.trials / 5).max(4),
+        engine: TrialEngine::SampleLevel,
+        ..cfg.mc()
+    };
+    let slow = grid(&ranges, &[()], &slow_mc, at);
+    for ((&d, fast), slow) in ranges.iter().zip(&fast).zip(&slow) {
         let s = Scenario::river(fe.kind(), Meters(d)).with_link(LinkConfig::uncoded());
         let theory = LinkBudget::compute_with_front_end(&s, &fe).uncoded_ber();
-        let fast = run_point_with_front_end(
-            &s,
-            &fe,
-            &MonteCarloConfig {
-                trials: cfg.trials,
-                bits_per_trial: cfg.bits,
-                seed: cfg.seed,
-                engine: TrialEngine::LinkBudget,
-                threads: 0,
-            },
-        );
-        let slow = run_point_with_front_end(
-            &s,
-            &fe,
-            &MonteCarloConfig {
-                trials: (cfg.trials / 5).max(4),
-                bits_per_trial: cfg.bits,
-                seed: cfg.seed,
-                engine: TrialEngine::SampleLevel,
-                threads: 0,
-            },
-        );
         t.row([
             format!("{d:.0}"),
             format!("{theory:.2e}"),
@@ -1051,7 +1077,6 @@ fn fault_protocol_goodput(
 /// strictly outperforms the static one instead of falling off a cliff.
 pub fn f19_fault_sweep(cfg: &ExpConfig) -> CsvTable {
     use vab_fault::{FaultConfig, FaultPlan};
-    use vab_sim::montecarlo::run_point_faulted;
     let mut t = CsvTable::new([
         "intensity",
         "phy_median_ber",
@@ -1061,12 +1086,15 @@ pub fn f19_fault_sweep(cfg: &ExpConfig) -> CsvTable {
         "adaptive_gain",
     ]);
     let fe = FrontEnd::new(SystemKind::Vab { n_pairs: 4 }, F0);
-    for &x in &[0.0, 0.2, 0.4, 0.6, 0.8, 1.0] {
+    let intensities = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
+    // PHY-level degradation at a representative mid-range point, one
+    // faulted grid point per intensity.
+    let plans = intensities.map(|x| FaultPlan::new(cfg.seed, FaultConfig::with_intensity(x)));
+    let phy = grid(&plans.each_ref(), &[()], &cfg.mc(), |plan, ()| {
+        GridPoint::new(Scenario::river(fe.kind(), Meters(240.0)), &fe).faulted(plan)
+    });
+    for (&x, point) in intensities.iter().zip(&phy) {
         let fc = FaultConfig::with_intensity(x);
-        // PHY-level degradation at a representative mid-range point.
-        let s = Scenario::river(fe.kind(), Meters(240.0));
-        let plan = FaultPlan::new(cfg.seed, fc);
-        let point = run_point_faulted(&s, &cfg.mc(), &plan);
         // Protocol-level goodput, static vs adaptive, on one shared plan.
         let poll_plan = FaultPlan::new(cfg.seed ^ 0xF19, fc);
         let static_gp = fault_protocol_goodput(cfg, &poll_plan, &fe, false);
@@ -1097,8 +1125,7 @@ pub fn f19_fault_sweep(cfg: &ExpConfig) -> CsvTable {
 pub fn fr1_replay_validation(cfg: &ExpConfig) -> CsvTable {
     use std::time::Instant;
     use vab_replay::{BankSpec, WaterSpec};
-    use vab_sim::montecarlo::run_point_with_source;
-    use vab_sim::{BankSource, SyntheticSource};
+    use vab_sim::BankSource;
     let mut t = CsvTable::new([
         "panel",
         "x",
@@ -1108,28 +1135,44 @@ pub fn fr1_replay_validation(cfg: &ExpConfig) -> CsvTable {
         "fft_ms",
         "speedup",
     ]);
-    for d in [260.0, 320.0, 380.0, 440.0] {
-        let s = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(d))
-            .with_link(LinkConfig::uncoded());
-        let mc = MonteCarloConfig {
-            trials: (cfg.trials / 5).max(4),
-            bits_per_trial: cfg.bits,
-            seed: cfg.seed,
-            engine: TrialEngine::SampleLevel,
-            threads: 0,
-        };
-        let synth = run_point_with_source(&s, &mc, &SyntheticSource);
-        let spec = BankSpec {
-            water: WaterSpec::River,
-            range_m: d,
-            carrier_hz: s.carrier().value(),
-            fs: s.mod_params.baseband_fs(),
-            n_snapshots: 8,
-            span_s: 4.0,
-            seed: cfg.seed,
-        };
-        let bank = vab_replay::generate(&spec).expect("FR1 bank spec is valid");
-        let replayed = run_point_with_source(&s, &mc, &BankSource::new(bank));
+    let ranges = [260.0, 320.0, 380.0, 440.0];
+    let scenarios = ranges.map(|d| {
+        Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(d)).with_link(LinkConfig::uncoded())
+    });
+    let banks: Vec<BankSource> = ranges
+        .iter()
+        .zip(&scenarios)
+        .map(|(&d, s)| {
+            let spec = BankSpec {
+                water: WaterSpec::River,
+                range_m: d,
+                carrier_hz: s.carrier().value(),
+                fs: s.mod_params.baseband_fs(),
+                n_snapshots: 8,
+                span_s: 4.0,
+                seed: cfg.seed,
+            };
+            BankSource::new(vab_replay::generate(&spec).expect("FR1 bank spec is valid"))
+        })
+        .collect();
+    let mc = MonteCarloConfig {
+        trials: (cfg.trials / 5).max(4),
+        engine: TrialEngine::SampleLevel,
+        ..cfg.mc()
+    };
+    // Each range runs once on synthesized channels and once replaying its
+    // bank, all on one front end.
+    let fe = scenarios[0].front_end();
+    let results = grid(&[0, 1, 2, 3], &[false, true], &mc, |i, replay| {
+        let point = GridPoint::new(scenarios[i].clone(), &fe);
+        if replay {
+            point.with_source(&banks[i])
+        } else {
+            point
+        }
+    });
+    for (d, pair) in ranges.iter().zip(results.chunks(2)) {
+        let (synth, replayed) = (&pair[0], &pair[1]);
         t.row([
             "ber".to_string(),
             format!("{d:.0}"),

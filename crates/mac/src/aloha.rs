@@ -130,7 +130,14 @@ impl AlohaReader {
         let w = self.window;
         let RoundScratch { slot_of, end, bucket, winner } = &mut self.scratch;
         slot_of.clear();
-        slot_of.extend(pending.iter().map(|_| rng.random_range(0..w) as u32));
+        if w.is_power_of_two() {
+            // `random_range(0..w)` draws `next_u64() % w`, which for a
+            // power of two is this mask: the same slots, without a division.
+            let mask = w as u64 - 1;
+            slot_of.extend(pending.iter().map(|_| (rng.next_u64() & mask) as u32));
+        } else {
+            slot_of.extend(pending.iter().map(|_| rng.random_range(0..w) as u32));
+        }
         // Counting sort: counts, exclusive prefix sums, then a stable
         // placement that leaves `end[s]` one past slot `s`.
         end.clear();
@@ -206,6 +213,18 @@ pub fn slot_success_probability(n: usize, w: usize) -> f64 {
 mod tests {
     use super::*;
     use vab_util::rng::seeded;
+
+    #[test]
+    fn masked_slot_draws_match_random_range_for_power_of_two_windows() {
+        for w in (0..=16).map(|k| 1usize << k) {
+            let (mut a, mut b) = (seeded(w as u64), seeded(w as u64));
+            for _ in 0..1_000 {
+                let ranged = a.random_range(0..w) as u32;
+                let masked = (b.next_u64() & (w as u64 - 1)) as u32;
+                assert_eq!(ranged, masked, "window {w}");
+            }
+        }
+    }
 
     /// The bucketing round as it stood before the counting sort, kept as
     /// the oracle: one `Vec` per slot, every slot resolved before any

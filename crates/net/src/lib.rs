@@ -48,8 +48,8 @@
 //!   [`ScaleReport`].
 //!
 //! Each deployment is deterministic in its spec at any worker count:
-//! inventory runs its independent interaction classes on scoped workers
-//! ([`network`]), and campaigns parallelize *across* deployments through
+//! inventory runs its independent interaction classes as tasks on the
+//! compute pool ([`network`]), and campaigns parallelize *across* deployments through
 //! the `vab-svc` worker pool, which caches each report by content
 //! address.
 //!

@@ -19,14 +19,13 @@
 //! — the co-channel colours of an ocean plan, singletons when no cell
 //! has sinks, the one cell of the paper tier. Each class runs its own
 //! round loop with its own RNG streams, s-matrix and scratch, cells
-//! ascending as before; classes go to scoped workers and their
-//! discoveries merge back in (round, cell, slot) order. Nothing a class
-//! computes depends on which thread ran it or when, so reports are
+//! ascending as before; classes run as tasks on the compute pool and
+//! their discoveries merge back in (round, cell, slot) order. Nothing a
+//! class computes depends on which thread ran it or when, so reports are
 //! bit-identical at any worker count — which is also what keeps cached
 //! and fresh results byte-identical across the `vab-svc` pool, the layer
 //! that shards *across* topologies.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
@@ -153,6 +152,29 @@ impl NetPhy {
         let ber = vab_phy::ber::ber_noncoherent_orthogonal(snr_lin * self.fec_rate);
         (1.0 - ber).powi(self.frame_bits as i32)
     }
+
+    /// Whether decode draw `u` succeeds for a capture at `sinr_lin`:
+    /// `u < frame_success(sinr_lin)`, decided without evaluating
+    /// `frame_success` when `u` clears `clean_success`, the node's
+    /// `direct_success`, passed only when the slot's noise is at least the
+    /// clean noise.
+    ///
+    /// Then the winner's SINR `p / (noise + (total − p))` is at or below
+    /// its clean SNR `p / noise_clean`: `total − p ≥ 0`, since a float sum
+    /// of non-negative powers is never below one of its terms, and
+    /// correctly rounded division is monotone. `frame_success` is monotone
+    /// in its argument up to `exp`'s last-ulp wobble, and `direct_success`
+    /// is that function at the clean SNR: exactly so in the ocean tier,
+    /// through a dB round trip worth ~1e-14 in the link-budget tier.
+    /// `clean_success × (1 + 1e-9)` therefore bounds the decode probability
+    /// with room to spare, and a `u` at or above it fails the draw exactly
+    /// as the full evaluation would. Most captures fail it that way.
+    pub(crate) fn decodes(&self, u: f64, sinr_lin: f64, clean_success: Option<f64>) -> bool {
+        if clean_success.is_some_and(|p| u >= p * (1.0 + 1e-9)) {
+            return false;
+        }
+        u < self.frame_success(sinr_lin)
+    }
 }
 
 /// One node's link to its own reader — the node table's row.
@@ -255,11 +277,18 @@ impl Network {
         }
         powers.clear();
         powers.extend(respondents.iter().map(|&i| (i, table[i as usize].1)));
-        match self.capture.capture_candidate(powers, noise_lin) {
-            Some((addr, sinr_lin)) if decode.random::<f64>() < self.phy.frame_success(sinr_lin) => {
-                SlotOutcome::Single(addr)
-            }
-            _ => SlotOutcome::Collision,
+        let Some((winner, sinr_lin)) = self.capture.capture_candidate(powers, noise_lin) else {
+            return SlotOutcome::Collision;
+        };
+        let u = decode.random::<f64>();
+        // The clean-SNR bound holds only at or above the clean noise: the
+        // s-matrix floor can cancel to a tiny negative.
+        let bound = (noise_lin >= self.noise_lin)
+            .then(|| self.nodes[table[winner as usize].0 as usize].direct_success);
+        if self.phy.decodes(u, sinr_lin, bound) {
+            SlotOutcome::Single(winner)
+        } else {
+            SlotOutcome::Collision
         }
     }
 
@@ -307,48 +336,30 @@ impl Network {
     /// for rim nodes the direct link cannot reach.
     ///
     /// Each interaction class (cells linked by interference sinks) runs
-    /// its own round loop; classes share nothing, so they go to
-    /// [`vab_util::threads::threads`] scoped workers through one atomic
-    /// work queue, or run inline when one worker or one class is enough.
-    /// The report is bit-identical at every worker count: `rounds` is the
-    /// largest class's round count and `discovered` is merged back into
-    /// (round, cell, slot) order.
+    /// its own round loop; classes share nothing, so each is one task on
+    /// the compute pool ([`vab_util::threads::par_map`]), which runs them
+    /// inline when one worker or one class is enough. The report is
+    /// bit-identical at every worker count: `rounds` is the largest
+    /// class's round count and `discovered` is merged back into (round,
+    /// cell, slot) order.
     pub fn run_inventory(&self) -> NetInventoryReport {
         let _t = vab_obs::time_stage("net.inventory");
         let n = self.nodes.len();
         let classes = self.interaction_classes();
         let outcomes: Vec<OnceLock<ClassInventory>> =
             classes.iter().map(|_| OnceLock::new()).collect();
-        let run = |k: usize| {
-            // Worker threads keep their own allocation counts: the child
-            // stage makes each class's allocations land in the profile
-            // whichever thread runs it.
+        // Classes are pool tasks; each opens a child stage, so its
+        // allocations land in the profile whichever thread runs it. The
+        // outcome slots are this stage's own allocation, as `gate.json`
+        // pins it; `par_map`'s buffers stay out of every stage.
+        let ran = vab_util::threads::par_map(classes.len(), |k| {
             let _t = vab_obs::time_stage("net.inventory.class");
             let _ = outcomes[k].set(self.run_class(&classes[k]));
-        };
-        // Resolving the worker count (it may read cgroup files) and
-        // spawning allocate on this thread by configuration, not by work:
-        // both stay out of the profile, so counts match the inline path.
-        let workers = {
-            let _p = vab_obs::alloc::pause();
-            vab_util::threads::threads().min(classes.len())
-        };
-        if workers <= 1 {
-            (0..classes.len()).for_each(run);
-        } else {
-            let next = AtomicUsize::new(0);
-            let _p = vab_obs::alloc::pause();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= classes.len() {
-                            break;
-                        }
-                        run(k);
-                    });
-                }
-            });
+        });
+        for outcome in ran {
+            if let Err(payload) = outcome {
+                std::panic::resume_unwind(payload);
+            }
         }
         let outcomes: Vec<ClassInventory> =
             outcomes.into_iter().map(|o| o.into_inner().expect("every class ran")).collect();
@@ -698,6 +709,48 @@ pub fn run_deployment(spec: &NetworkSpec) -> DeploymentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use vab_util::db::db_to_lin_pow;
+
+    // The decode-draw shortcut decides every slot whose noise is at least
+    // the clean noise exactly as `u < frame_success(sinr)`, with the clean
+    // success computed as either tier computes it: linear `p / noise`
+    // (ocean) or through dB (link budget). Draws sit on the adversarial
+    // points too: the decode probability itself and the bound.
+    proptest! {
+        #[test]
+        fn decode_bound_never_changes_a_decision(
+            snr_db in -20.0f64..25.0,
+            npsd_db in 20.0f64..90.0,
+            bits_db in 15.0f64..35.0,
+            extra_noise in 0.0f64..4.0,
+            others in prop::collection::vec(0.0f64..1.5, 0..4),
+            u in 0.0f64..1.0,
+        ) {
+            let phy = NetPhy::derive(NetEnv::River, 4);
+            let noise_db = npsd_db + bits_db;
+            let rx_db = noise_db + snr_db;
+            let (p, clean_noise) = (db_to_lin_pow(rx_db), db_to_lin_pow(noise_db));
+            let ocean = phy.frame_success(p / clean_noise);
+            let link = phy.frame_success(db_to_lin_pow(rx_db - npsd_db - bits_db));
+            let powers: Vec<f64> =
+                std::iter::once(p).chain(others.iter().map(|o| o * p)).collect();
+            let total: f64 = powers.iter().sum();
+            for noise in [clean_noise, clean_noise * (1.0 + extra_noise)] {
+                let sinr = p / (noise + (total - p));
+                let truth = phy.frame_success(sinr);
+                for clean in [ocean, link] {
+                    let bound = clean * (1.0 + 1e-9);
+                    prop_assert!(truth <= bound, "{truth:e} > {bound:e} at sinr {sinr:e}");
+                    for draw in [u, truth, bound, clean, truth.next_down(), bound.next_down()] {
+                        let draw = draw.clamp(0.0, 1.0);
+                        prop_assert_eq!(phy.decodes(draw, sinr, Some(clean)), draw < truth);
+                        prop_assert_eq!(phy.decodes(draw, sinr, None), draw < truth);
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn deployment_is_deterministic() {

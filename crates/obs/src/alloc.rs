@@ -105,8 +105,10 @@ pub fn profiling() -> bool {
     PROFILING.load(Ordering::Relaxed)
 }
 
-/// Turns allocation accounting on.
+/// Turns allocation accounting on, and makes the compute pool run every
+/// task in [`fresh_thread_context`].
 pub fn enable() {
+    vab_util::threads::set_task_context(fresh_thread_context);
     PROFILING.store(true, Ordering::Release);
 }
 
@@ -155,6 +157,41 @@ impl Drop for PauseGuard {
     fn drop(&mut self) {
         TLS_PAUSED.with(|p| p.set(p.get().saturating_sub(1)));
     }
+}
+
+/// Runs `f` in the attribution context a freshly spawned thread starts
+/// with: an empty stage stack and counting resumed. Afterwards this
+/// thread's stack, pause depth and counters are restored, so none of
+/// `f`'s allocations show in the stages open here; stages `f` itself
+/// opens record as they would on any thread. This is the compute pool's
+/// task context (`vab_util::threads::set_task_context`): a task run by a
+/// waiting caller profiles exactly as one run by a helper thread, and the
+/// pool's own bookkeeping stays out of the caller's stages.
+pub fn fresh_thread_context(f: &mut dyn FnMut()) {
+    struct Saved {
+        stack: Vec<Frame>,
+        allocs: u64,
+        bytes: u64,
+        paused: u32,
+    }
+    impl Drop for Saved {
+        fn drop(&mut self) {
+            // Paused while the task's (empty) stack buffer is freed.
+            TLS_PAUSED.set(self.paused + 1);
+            let own = std::mem::take(&mut self.stack);
+            drop(STAGE_STACK.with(|s| std::mem::replace(&mut *s.borrow_mut(), own)));
+            TLS_ALLOCS.set(self.allocs);
+            TLS_BYTES.set(self.bytes);
+            TLS_PAUSED.set(self.paused);
+        }
+    }
+    let _saved = Saved {
+        stack: STAGE_STACK.with(|s| std::mem::take(&mut *s.borrow_mut())),
+        allocs: TLS_ALLOCS.get(),
+        bytes: TLS_BYTES.get(),
+        paused: TLS_PAUSED.replace(0),
+    };
+    f();
 }
 
 /// The counting allocator. Installed as the crate's

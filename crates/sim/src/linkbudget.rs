@@ -134,21 +134,26 @@ impl LinkBudget {
 }
 
 /// Finds the maximum range (bisection, metres) at which `predicate(budget)`
-/// still holds — e.g. "Eb/N0 above the BER-10⁻³ requirement".
+/// still holds — e.g. "Eb/N0 above the BER-10⁻³ requirement". Only the
+/// range may vary with the argument of `scenario_at`: the front end is
+/// built once, from the first scenario, and serves every step.
 pub fn max_range_where<F>(scenario_at: impl Fn(Meters) -> Scenario, predicate: F) -> Meters
 where
     F: Fn(&LinkBudget) -> bool,
 {
     let (mut lo, mut hi) = (1.0f64, 20_000.0f64);
-    if !predicate(&LinkBudget::compute(&scenario_at(Meters(lo)))) {
+    let first = scenario_at(Meters(lo));
+    let fe = first.front_end();
+    let holds = |s: &Scenario| predicate(&LinkBudget::compute_with_front_end(s, &fe));
+    if !holds(&first) {
         return Meters(0.0);
     }
-    if predicate(&LinkBudget::compute(&scenario_at(Meters(hi)))) {
+    if holds(&scenario_at(Meters(hi))) {
         return Meters(hi);
     }
     for _ in 0..60 {
         let mid = 0.5 * (lo + hi);
-        if predicate(&LinkBudget::compute(&scenario_at(Meters(mid)))) {
+        if holds(&scenario_at(Meters(mid))) {
             lo = mid;
         } else {
             hi = mid;

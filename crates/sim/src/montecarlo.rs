@@ -2,9 +2,11 @@
 //!
 //! Each trial draws a fresh multipath/Doppler realization (the analogue of
 //! one field trial among the paper's 1,500), runs payload bits through the
-//! selected engine, and accumulates exact error counts. Trials shard across
-//! threads with `std::thread::scope`; every shard derives its RNG stream from the
-//! master seed, so results are bit-reproducible regardless of thread count.
+//! selected engine, and accumulates exact error counts. Trials shard into
+//! tasks on the compute pool ([`vab_util::threads::par_map`]), and a figure
+//! can hand every (point, shard) of its grid over as one batch
+//! ([`run_grid`]); every trial derives its RNG stream from the master seed,
+//! so results are bit-reproducible regardless of thread count.
 
 use crate::baseline::FrontEnd;
 use crate::chansource::{ChannelSource, SyntheticSource};
@@ -14,6 +16,7 @@ use crate::samplelevel::run_sample_trial_via;
 use crate::scenario::Scenario;
 use rand::rngs::StdRng;
 use rand::RngExt;
+use std::borrow::Cow;
 use std::fmt;
 use vab_acoustics::channel::ChannelModel;
 use vab_fault::{FaultPlan, TrialFaults};
@@ -25,12 +28,12 @@ use vab_util::stats::RunningStats;
 /// harvest blackout window" draw (independent of the channel RNG stream).
 const BLACKOUT_STREAM: u64 = 0x0B1A_C007;
 
-/// Typed failure of a Monte Carlo run — the driver's worker threads can
-/// die (a panic in an engine), and callers automating large campaigns want
-/// an error they can log and skip instead of a process abort.
+/// Typed failure of a Monte Carlo run — a shard can die (a panic in an
+/// engine), and callers automating large campaigns want an error they can
+/// log and skip instead of a process abort.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MonteCarloError {
-    /// A worker thread panicked; carries the shard index and the panic
+    /// A shard panicked; carries its index within the point and the panic
     /// message when it was a string.
     WorkerPanicked {
         /// Which shard died.
@@ -349,6 +352,42 @@ fn trial_impairment(
     (fe_override, delta_db, lost, faults.energy.brownout_mid_reply)
 }
 
+/// One operating point of a [`run_grid`] batch: a scenario, the front end
+/// its trials run on, and how faults and the sample-level channel reach
+/// those trials.
+#[derive(Clone)]
+pub struct GridPoint<'a> {
+    scenario: Cow<'a, Scenario>,
+    fe: &'a FrontEnd,
+    faults: FaultSource<'a>,
+    source: &'a dyn ChannelSource,
+}
+
+impl<'a> GridPoint<'a> {
+    /// A nominal point on front end `fe`: no faults, synthesized channels.
+    pub fn new(scenario: Scenario, fe: &'a FrontEnd) -> Self {
+        Self::borrowed(Cow::Owned(scenario), fe)
+    }
+
+    fn borrowed(scenario: Cow<'a, Scenario>, fe: &'a FrontEnd) -> Self {
+        Self { scenario, fe, faults: FaultSource::None, source: &SyntheticSource }
+    }
+
+    /// Trial `t` runs under `plan.trial_faults(t, …)`, as in
+    /// [`run_point_faulted`].
+    pub fn faulted(mut self, plan: &'a FaultPlan) -> Self {
+        self.faults = FaultSource::Plan(plan);
+        self
+    }
+
+    /// Sample-level trials take their channel from `source`, as in
+    /// [`run_point_with_source`].
+    pub fn with_source(mut self, source: &'a dyn ChannelSource) -> Self {
+        self.source = source;
+        self
+    }
+}
+
 /// Runs all trials for one operating point.
 pub fn run_point(scenario: &Scenario, cfg: &MonteCarloConfig) -> PointResult {
     let fe = scenario.front_end();
@@ -372,7 +411,7 @@ pub fn try_run_point_with_front_end(
     fe: &FrontEnd,
     cfg: &MonteCarloConfig,
 ) -> Result<PointResult, MonteCarloError> {
-    run_point_impl(scenario, fe, cfg, FaultSource::None, &SyntheticSource)
+    run_one(GridPoint::borrowed(Cow::Borrowed(scenario), fe), cfg)
 }
 
 /// [`run_point`] with the sample-level channel supplied by an arbitrary
@@ -380,28 +419,31 @@ pub fn try_run_point_with_front_end(
 /// [`crate::chansource::BankSource`] and every trial convolves against the
 /// recorded TVIR bank instead of synthesizing a channel. Only meaningful
 /// with [`TrialEngine::SampleLevel`] (the link-budget engine has no
-/// waveform to replay).
+/// waveform to replay). [`GridPoint::with_source`] is the form that takes
+/// a front end.
 pub fn run_point_with_source(
     scenario: &Scenario,
     cfg: &MonteCarloConfig,
     source: &dyn ChannelSource,
 ) -> PointResult {
     let fe = scenario.front_end();
-    run_point_impl(scenario, &fe, cfg, FaultSource::None, source).unwrap_or_else(|e| panic!("{e}"))
+    let point = GridPoint::borrowed(Cow::Borrowed(scenario), &fe).with_source(source);
+    run_one(point, cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`run_point`] under a deterministic fault plan: trial `t` experiences
 /// `plan.trial_faults(t, n_elements)` — element failures rebuild the front
 /// end, resonance drift and channel impairments shift the effective Eb/N0,
 /// blackouts/dropouts lose the packet, mid-reply brownouts truncate it.
+/// [`GridPoint::faulted`] is the form that takes a front end.
 pub fn run_point_faulted(
     scenario: &Scenario,
     cfg: &MonteCarloConfig,
     plan: &FaultPlan,
 ) -> PointResult {
     let fe = scenario.front_end();
-    run_point_impl(scenario, &fe, cfg, FaultSource::Plan(plan), &SyntheticSource)
-        .unwrap_or_else(|e| panic!("{e}"))
+    let point = GridPoint::borrowed(Cow::Borrowed(scenario), &fe).faulted(plan);
+    run_one(point, cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`run_point`] with one pre-sampled [`TrialFaults`] applied to every
@@ -413,142 +455,150 @@ pub fn run_point_with_trial_faults(
     cfg: &MonteCarloConfig,
     faults: &TrialFaults,
 ) -> PointResult {
-    run_point_impl(scenario, fe, cfg, FaultSource::Fixed(faults), &SyntheticSource)
-        .unwrap_or_else(|e| panic!("{e}"))
+    let mut point = GridPoint::borrowed(Cow::Borrowed(scenario), fe);
+    point.faults = FaultSource::Fixed(faults);
+    run_one(point, cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
-fn run_point_impl(
-    scenario: &Scenario,
-    fe: &FrontEnd,
-    cfg: &MonteCarloConfig,
-    faults: FaultSource<'_>,
-    source: &dyn ChannelSource,
-) -> Result<PointResult, MonteCarloError> {
+/// Runs every point of a figure under one config as a single batch on the
+/// compute pool ([`vab_util::threads::par_map`]): each point is split into
+/// the shards [`run_point`] would give it, and every (point, shard) pair is
+/// one task. Results come back in `points` order, each identical to the
+/// point run on its own — counts, `trial_bers` and the Eb/N0 statistics to
+/// the last bit.
+pub fn run_grid(points: &[GridPoint<'_>], cfg: &MonteCarloConfig) -> Vec<PointResult> {
+    let _span = vab_obs::Span::enter("sim.montecarlo", "run_grid");
+    run_points(points, cfg).into_iter().map(|r| r.unwrap_or_else(|e| panic!("{e}"))).collect()
+}
+
+fn run_one(point: GridPoint<'_>, cfg: &MonteCarloConfig) -> Result<PointResult, MonteCarloError> {
     let _span = vab_obs::Span::enter("sim.montecarlo", "run_point");
+    run_points(std::slice::from_ref(&point), cfg).pop().expect("one point in, one result out")
+}
+
+/// The engine behind every entry point. A point's trials split into
+/// `threads` contiguous shards of `trials.div_ceil(threads)` (the last one
+/// shorter, empty ones dropped); each trial seeds its own RNG from the
+/// master seed and its index, and a point merges its shards in shard
+/// order, so nothing depends on which pool thread ran a shard or when.
+fn run_points(
+    points: &[GridPoint<'_>],
+    cfg: &MonteCarloConfig,
+) -> Vec<Result<PointResult, MonteCarloError>> {
     let threads =
         if cfg.threads == 0 { vab_util::threads() } else { cfg.threads }.min(cfg.trials.max(1));
     let trials_per = cfg.trials.div_ceil(threads);
-    let n_elements = scenario.system.n_elements();
-    let mut shards: Vec<Result<PointResult, MonteCarloError>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let fe = &fe;
-            let scenario = &scenario;
-            let faults = &faults;
-            let source = &source;
-            let lo = t * trials_per;
-            let hi = ((t + 1) * trials_per).min(cfg.trials);
-            if lo >= hi {
-                continue;
-            }
-            handles.push((
-                t,
-                scope.spawn(move || {
-                    let mut ber = BerCounter::new();
-                    let mut packet_errors = 0u64;
-                    let mut ebn0 = RunningStats::new();
-                    let mut trial_bers = Vec::with_capacity(hi - lo);
-                    for trial in lo..hi {
-                        let mut rng = seeded(derive_seed(cfg.seed, trial as u64));
-                        let trial_faults = match faults {
-                            FaultSource::None => None,
-                            FaultSource::Plan(p) => Some(p.trial_faults(trial as u64, n_elements)),
-                            FaultSource::Fixed(f) => Some((*f).clone()),
-                        };
-                        let (fe_override, delta_db, lost, truncated) = match &trial_faults {
-                            None => (None, 0.0, false, false),
-                            Some(f) => trial_impairment(scenario, fe, f, trial as u64),
-                        };
-                        let fe_trial = fe_override.as_ref().unwrap_or(fe);
-                        let (mut errors, mut pkt_err, snr) = if lost {
-                            // The reply never aired (blackout / dropout): the
-                            // reader's detector integrates pure noise — half
-                            // the bits wrong, packet gone.
-                            let base = LinkBudget::compute_with_front_end(scenario, fe_trial);
-                            (cfg.bits_per_trial / 2, true, base.ebn0_db + delta_db)
-                        } else {
-                            match cfg.engine {
-                                TrialEngine::LinkBudget => link_budget_trial(
-                                    scenario,
-                                    fe_trial,
-                                    cfg.bits_per_trial,
-                                    &mut rng,
-                                    delta_db,
-                                ),
-                                TrialEngine::SampleLevel => run_sample_trial_via(
-                                    scenario,
-                                    fe_trial,
-                                    cfg.bits_per_trial,
-                                    10f64.powf(delta_db / 20.0),
-                                    *source,
-                                    &mut rng,
-                                ),
-                            }
-                        };
-                        if lost {
-                            vab_obs::event!("sim.montecarlo", "reply_lost", trial = trial as u64);
-                            vab_obs::metrics::inc("mc.lost_replies", 1);
-                        }
-                        if truncated {
-                            // Brown-out mid-reply: the packet tail never airs,
-                            // so the CRC fails and the lost tail reads as noise.
-                            errors += cfg.bits_per_trial / 4;
-                            pkt_err = true;
-                            vab_obs::event!(
-                                "sim.montecarlo",
-                                "brownout_truncated_reply",
-                                trial = trial as u64,
-                            );
-                            vab_obs::metrics::inc("mc.brownout_truncations", 1);
-                        }
-                        let errors = errors.min(cfg.bits_per_trial);
-                        ber.record(errors, cfg.bits_per_trial);
-                        trial_bers.push(errors as f64 / cfg.bits_per_trial as f64);
-                        if pkt_err {
-                            packet_errors += 1;
-                        }
-                        ebn0.push(snr);
+    let shards: Vec<(usize, usize)> = (0..threads)
+        .map(|t| (t * trials_per, ((t + 1) * trials_per).min(cfg.trials)))
+        .take_while(|(lo, hi)| lo < hi)
+        .collect();
+    let mut outcomes = vab_util::threads::par_map(points.len() * shards.len(), |task| {
+        let (lo, hi) = shards[task % shards.len()];
+        run_shard(&points[task / shards.len()], cfg, lo, hi)
+    })
+    .into_iter();
+    points
+        .iter()
+        .map(|_| {
+            let mut total = PointResult {
+                ber: BerCounter::new(),
+                packet_errors: 0,
+                trials: 0,
+                ebn0: RunningStats::new(),
+                trial_bers: Vec::with_capacity(cfg.trials),
+            };
+            for shard in 0..shards.len() {
+                let s = outcomes.next().expect("one outcome per task").map_err(|payload| {
+                    MonteCarloError::WorkerPanicked {
+                        shard,
+                        message: panic_message(payload.as_ref()),
                     }
-                    PointResult { ber, packet_errors, trials: (hi - lo) as u64, ebn0, trial_bers }
-                }),
-            ));
+                })?;
+                total.ber.merge(&s.ber);
+                total.packet_errors += s.packet_errors;
+                total.trials += s.trials;
+                total.ebn0.merge(&s.ebn0);
+                total.trial_bers.extend_from_slice(&s.trial_bers);
+            }
+            // Keep trial order deterministic regardless of shard join order.
+            total.trial_bers.sort_by(|a, b| a.partial_cmp(b).expect("finite BER"));
+            vab_obs::event!(
+                "sim.montecarlo",
+                "point_done",
+                trials = total.trials,
+                bit_errors = total.ber.errors(),
+                packet_errors = total.packet_errors,
+                threads = threads,
+            );
+            vab_obs::metrics::inc("mc.trials", total.trials);
+            vab_obs::metrics::inc("mc.packet_errors", total.packet_errors);
+            Ok(total)
+        })
+        .collect()
+}
+
+/// Runs trials `lo..hi` of one point.
+fn run_shard(point: &GridPoint<'_>, cfg: &MonteCarloConfig, lo: usize, hi: usize) -> PointResult {
+    let (scenario, fe) = (point.scenario.as_ref(), point.fe);
+    let n_elements = scenario.system.n_elements();
+    let mut ber = BerCounter::new();
+    let mut packet_errors = 0u64;
+    let mut ebn0 = RunningStats::new();
+    let mut trial_bers = Vec::with_capacity(hi - lo);
+    for trial in lo..hi {
+        let mut rng = seeded(derive_seed(cfg.seed, trial as u64));
+        let trial_faults = match point.faults {
+            FaultSource::None => None,
+            FaultSource::Plan(p) => Some(p.trial_faults(trial as u64, n_elements)),
+            FaultSource::Fixed(f) => Some(f.clone()),
+        };
+        let (fe_override, delta_db, lost, truncated) = match &trial_faults {
+            None => (None, 0.0, false, false),
+            Some(f) => trial_impairment(scenario, fe, f, trial as u64),
+        };
+        let fe_trial = fe_override.as_ref().unwrap_or(fe);
+        let (mut errors, mut pkt_err, snr) = if lost {
+            // The reply never aired (blackout / dropout): the reader's
+            // detector integrates pure noise — half the bits wrong, packet
+            // gone.
+            let base = LinkBudget::compute_with_front_end(scenario, fe_trial);
+            (cfg.bits_per_trial / 2, true, base.ebn0_db + delta_db)
+        } else {
+            match cfg.engine {
+                TrialEngine::LinkBudget => {
+                    link_budget_trial(scenario, fe_trial, cfg.bits_per_trial, &mut rng, delta_db)
+                }
+                TrialEngine::SampleLevel => run_sample_trial_via(
+                    scenario,
+                    fe_trial,
+                    cfg.bits_per_trial,
+                    10f64.powf(delta_db / 20.0),
+                    point.source,
+                    &mut rng,
+                ),
+            }
+        };
+        if lost {
+            vab_obs::event!("sim.montecarlo", "reply_lost", trial = trial as u64);
+            vab_obs::metrics::inc("mc.lost_replies", 1);
         }
-        for (shard, h) in handles {
-            shards.push(h.join().map_err(|payload| MonteCarloError::WorkerPanicked {
-                shard,
-                message: panic_message(payload.as_ref()),
-            }));
+        if truncated {
+            // Brown-out mid-reply: the packet tail never airs, so the CRC
+            // fails and the lost tail reads as noise.
+            errors += cfg.bits_per_trial / 4;
+            pkt_err = true;
+            vab_obs::event!("sim.montecarlo", "brownout_truncated_reply", trial = trial as u64,);
+            vab_obs::metrics::inc("mc.brownout_truncations", 1);
         }
-    });
-    let mut total = PointResult {
-        ber: BerCounter::new(),
-        packet_errors: 0,
-        trials: 0,
-        ebn0: RunningStats::new(),
-        trial_bers: Vec::with_capacity(cfg.trials),
-    };
-    for s in shards {
-        let s = s?;
-        total.ber.merge(&s.ber);
-        total.packet_errors += s.packet_errors;
-        total.trials += s.trials;
-        total.ebn0.merge(&s.ebn0);
-        total.trial_bers.extend_from_slice(&s.trial_bers);
+        let errors = errors.min(cfg.bits_per_trial);
+        ber.record(errors, cfg.bits_per_trial);
+        trial_bers.push(errors as f64 / cfg.bits_per_trial as f64);
+        if pkt_err {
+            packet_errors += 1;
+        }
+        ebn0.push(snr);
     }
-    // Keep trial order deterministic regardless of shard join order.
-    total.trial_bers.sort_by(|a, b| a.partial_cmp(b).expect("finite BER"));
-    vab_obs::event!(
-        "sim.montecarlo",
-        "point_done",
-        trials = total.trials,
-        bit_errors = total.ber.errors(),
-        packet_errors = total.packet_errors,
-        threads = threads,
-    );
-    vab_obs::metrics::inc("mc.trials", total.trials);
-    vab_obs::metrics::inc("mc.packet_errors", total.packet_errors);
-    Ok(total)
+    PointResult { ber, packet_errors, trials: (hi - lo) as u64, ebn0, trial_bers }
 }
 
 /// Sweeps an axis: `points` are `(x, scenario)` pairs.
@@ -690,6 +740,57 @@ mod tests {
         // Distinct payload types must yield distinct messages.
         let q: Box<dyn std::any::Any + Send> = Box::new(1.5f64);
         assert_ne!(panic_message(q.as_ref()), msg);
+    }
+
+    #[test]
+    fn a_panicking_shard_is_a_typed_error_and_the_pool_keeps_serving() {
+        struct Exploding;
+        impl ChannelSource for Exploding {
+            fn realize(
+                &self,
+                _: &Scenario,
+                _: f64,
+                _: &mut StdRng,
+            ) -> crate::chansource::RealizedChannel {
+                panic!("bank unreadable")
+            }
+        }
+        let s = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(100.0));
+        let fe = s.front_end();
+        let mut c = cfg(4, 32);
+        c.engine = TrialEngine::SampleLevel;
+        c.threads = 2;
+        let points = [GridPoint::new(s.clone(), &fe).with_source(&Exploding)];
+        for outcome in run_points(&points, &c) {
+            assert_eq!(
+                outcome.expect_err("every shard panics"),
+                MonteCarloError::WorkerPanicked { shard: 0, message: "bank unreadable".into() }
+            );
+        }
+        let r = try_run_point_with_front_end(&s, &fe, &cfg(4, 64)).expect("the pool still serves");
+        assert_eq!(r.trials, 4);
+    }
+
+    #[test]
+    fn grid_points_match_the_same_points_run_alone() {
+        let fe = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(1.0)).front_end();
+        let ranges = [120.0, 280.0, 340.0];
+        let points: Vec<GridPoint> = ranges
+            .iter()
+            .map(|&d| GridPoint::new(Scenario::river(fe.kind(), Meters(d)), &fe))
+            .collect();
+        for threads in [1, 3, 8] {
+            let mut c = cfg(10, 128);
+            c.threads = threads;
+            for (&d, grid) in ranges.iter().zip(run_grid(&points, &c)) {
+                let alone =
+                    run_point_with_front_end(&Scenario::river(fe.kind(), Meters(d)), &fe, &c);
+                assert_eq!(grid.ber.errors(), alone.ber.errors());
+                assert_eq!(grid.packet_errors, alone.packet_errors);
+                assert_eq!(grid.trial_bers, alone.trial_bers);
+                assert_eq!(grid.ebn0.mean().to_bits(), alone.ebn0.mean().to_bits(), "{threads}");
+            }
+        }
     }
 
     #[test]

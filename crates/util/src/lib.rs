@@ -6,7 +6,8 @@
 //! fractional-delay resampling, statistics, special functions (erfc,
 //! Marcum-Q, Bessel I0), seeded random-number helpers, a JSON
 //! parser/serializer ([`json`]), FNV-1a content hashing ([`hash`]) and the
-//! shared worker-thread sizing policy ([`mod@threads`]).
+//! shared worker-thread sizing policy with the one compute pool every
+//! parallel step runs on ([`mod@threads`]).
 //!
 //! Nothing in this crate knows about acoustics or backscatter; it exists so
 //! that the domain crates can stay free of third-party DSP dependencies.
