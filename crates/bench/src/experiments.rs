@@ -16,7 +16,8 @@ use vab_sim::baseline::{FrontEnd, SystemKind};
 use vab_sim::linkbudget::{harvest_at, LinkBudget};
 use vab_sim::metrics::CsvTable;
 use vab_sim::montecarlo::{
-    run_grid, run_point_with_front_end, GridPoint, MonteCarloConfig, PointResult, TrialEngine,
+    run_grid, run_grid_ebn0, run_point_with_front_end, GridPoint, MonteCarloConfig, PointResult,
+    TrialEngine,
 };
 use vab_sim::scenario::Scenario;
 use vab_util::rng::seeded;
@@ -68,12 +69,16 @@ fn grid<'a, R: Copy, C: Copy>(
     mc: &MonteCarloConfig,
     point: impl Fn(R, C) -> GridPoint<'a>,
 ) -> Vec<PointResult> {
-    let points: Vec<GridPoint<'a>> = rows
-        .iter()
-        .flat_map(|&r| cols.iter().map(move |&c| (r, c)))
-        .map(|(r, c)| point(r, c))
-        .collect();
-    run_grid(&points, mc)
+    run_grid(&grid_points(rows, cols, point), mc)
+}
+
+/// The points of [`grid`], row-major.
+fn grid_points<'a, R: Copy, C: Copy>(
+    rows: &[R],
+    cols: &[C],
+    point: impl Fn(R, C) -> GridPoint<'a>,
+) -> Vec<GridPoint<'a>> {
+    rows.iter().flat_map(|&r| cols.iter().map(move |&c| (r, c))).map(|(r, c)| point(r, c)).collect()
 }
 
 /// Maximum range at which the measured BER stays at or below `target`,
@@ -231,12 +236,14 @@ pub fn f6_snr_vs_range(cfg: &ExpConfig) -> CsvTable {
     .map(|sys| FrontEnd::new(sys, F0));
     let ranges = [10.0, 20.0, 50.0, 100.0, 150.0, 200.0, 300.0, 400.0, 500.0];
     let fes: Vec<&FrontEnd> = front_ends.iter().collect();
-    let results = grid(&ranges, &fes, &cfg.mc(), |d, fe| {
+    // The table reads only Eb/N0, so the trials stop once it is drawn.
+    let points = grid_points(&ranges, &fes, |d, fe| {
         GridPoint::new(Scenario::river(fe.kind(), Meters(d)), fe)
     });
+    let results = run_grid_ebn0(&points, &cfg.mc());
     for (d, points) in ranges.iter().zip(results.chunks(fes.len())) {
         let mut row = vec![format!("{d:.0}")];
-        row.extend(points.iter().map(|r| format!("{:.1}", r.ebn0.mean())));
+        row.extend(points.iter().map(|ebn0| format!("{:.1}", ebn0.mean())));
         t.row(row);
     }
     t
@@ -1087,16 +1094,20 @@ pub fn f19_fault_sweep(cfg: &ExpConfig) -> CsvTable {
     ]);
     let fe = FrontEnd::new(SystemKind::Vab { n_pairs: 4 }, F0);
     let intensities = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0];
+    // Every plan takes its nominal load design from one plan on the same
+    // carrier, so the co-design search runs once for the sweep.
+    let design = FaultPlan::new(cfg.seed, FaultConfig::with_intensity(1.0));
     // PHY-level degradation at a representative mid-range point, one
     // faulted grid point per intensity.
-    let plans = intensities.map(|x| FaultPlan::new(cfg.seed, FaultConfig::with_intensity(x)));
+    let plans =
+        intensities.map(|x| design.sharing_design(cfg.seed, FaultConfig::with_intensity(x)));
     let phy = grid(&plans.each_ref(), &[()], &cfg.mc(), |plan, ()| {
         GridPoint::new(Scenario::river(fe.kind(), Meters(240.0)), &fe).faulted(plan)
     });
     for (&x, point) in intensities.iter().zip(&phy) {
         let fc = FaultConfig::with_intensity(x);
         // Protocol-level goodput, static vs adaptive, on one shared plan.
-        let poll_plan = FaultPlan::new(cfg.seed ^ 0xF19, fc);
+        let poll_plan = design.sharing_design(cfg.seed ^ 0xF19, fc);
         let static_gp = fault_protocol_goodput(cfg, &poll_plan, &fe, false);
         let adaptive_gp = fault_protocol_goodput(cfg, &poll_plan, &fe, true);
         t.row([

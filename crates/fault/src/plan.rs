@@ -164,6 +164,20 @@ impl FaultPlan {
         Self { seed: derive_seed(master_seed, FAULT_STREAM), cfg, nominal }
     }
 
+    /// The plan [`FaultPlan::new`] builds for `master_seed` and `cfg`, taking
+    /// its nominal design from this plan when both drift resonance at the
+    /// same carrier. The design depends on nothing else, so a sweep that
+    /// builds many plans on one carrier derives them from one plan and runs
+    /// the co-design search once.
+    pub fn sharing_design(&self, master_seed: u64, cfg: FaultConfig) -> Self {
+        match self.nominal {
+            Some(nominal) if cfg.resonance_drift > 0.0 && cfg.carrier == self.cfg.carrier => {
+                Self { seed: derive_seed(master_seed, FAULT_STREAM), cfg, nominal: Some(nominal) }
+            }
+            _ => Self::new(master_seed, cfg),
+        }
+    }
+
     /// The profile this plan samples from.
     pub fn config(&self) -> &FaultConfig {
         &self.cfg
@@ -280,6 +294,24 @@ fn drift_depth_scale(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn derived_plans_equal_fresh_ones() {
+        let donor = FaultPlan::new(1, FaultConfig::with_intensity(1.0));
+        let mut other_carrier = FaultConfig::with_intensity(0.6);
+        other_carrier.carrier = vab_util::units::Hertz(other_carrier.carrier.value() * 1.1);
+        for (seed, cfg) in [
+            (2023, FaultConfig::with_intensity(0.4)),
+            (2023 ^ 0xF19, FaultConfig::with_intensity(0.8)),
+            (7, FaultConfig::off()),
+            (9, other_carrier),
+        ] {
+            assert_eq!(donor.sharing_design(seed, cfg), FaultPlan::new(seed, cfg));
+        }
+        let undesigned = FaultPlan::new(1, FaultConfig::off());
+        let cfg = FaultConfig::severe();
+        assert_eq!(undesigned.sharing_design(3, cfg), FaultPlan::new(3, cfg));
+    }
 
     #[test]
     fn trial_faults_are_pure() {

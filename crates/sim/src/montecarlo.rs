@@ -6,7 +6,10 @@
 //! tasks on the compute pool ([`vab_util::threads::par_map`]), and a figure
 //! can hand every (point, shard) of its grid over as one batch
 //! ([`run_grid`]); every trial derives its RNG stream from the master seed,
-//! so results are bit-reproducible regardless of thread count.
+//! so results are bit-reproducible regardless of thread count. What a
+//! link-budget trial shares with the rest of its point (budget, link stack,
+//! arrival set) is built once per point (`TrialPlan`), and a figure that
+//! reads only Eb/N0 stops its trials there ([`run_grid_ebn0`]).
 
 use crate::baseline::FrontEnd;
 use crate::chansource::{ChannelSource, SyntheticSource};
@@ -15,12 +18,15 @@ use crate::metrics::BerPoint;
 use crate::samplelevel::run_sample_trial_via;
 use crate::scenario::Scenario;
 use rand::rngs::StdRng;
-use rand::RngExt;
+use rand::{Rng, RngExt};
 use std::borrow::Cow;
 use std::fmt;
-use vab_acoustics::channel::ChannelModel;
+use std::sync::OnceLock;
+use vab_acoustics::channel::{Arrival, ChannelModel};
 use vab_fault::{FaultPlan, TrialFaults};
+use vab_link::frame::LinkConfig;
 use vab_phy::ber::{ber_noncoherent_orthogonal, BerCounter};
+use vab_util::complex::C64;
 use vab_util::rng::{derive_seed, random_bits, seeded};
 use vab_util::stats::RunningStats;
 
@@ -238,21 +244,162 @@ pub fn fading_delta_db(scenario: &Scenario, rng: &mut StdRng) -> f64 {
     }
 }
 
+/// What every link-budget trial of one operating point shares, built once
+/// per point instead of once per trial: the static budget on the point's
+/// front end, the link stack, and the image-method arrival set behind
+/// [`fading_delta_db`] with its per-trial randomness taken out.
+///
+/// The arrival enumeration's only random draws are the surface-wave
+/// phases, and the fade reads only gains, delays and bounce counts, so a
+/// trial needs the realization's *draw count*, not its draws: the plan
+/// advances the trial's RNG past that many draws and redraws only what the
+/// fade reads (the PAB/conventional bounce-path phases). A trial therefore
+/// sees exactly the Eb/N0 and leaves its RNG exactly where
+/// `LinkBudget::compute_with_front_end(..).ebn0_db + fading_delta_db(..)`
+/// would.
+struct TrialPlan {
+    /// `LinkBudget::compute_with_front_end` on the point's front end, dB.
+    budget_ebn0_db: f64,
+    /// The scenario's link stack.
+    link: LinkConfig,
+    /// RNG draws the arrival enumeration makes. Counted as drawn, not as
+    /// kept: the delay dedup can drop a surface path that already drew.
+    enumeration_draws: usize,
+    fade: Fade,
+}
+
+/// The multipath term of [`fading_delta_db`] for one fixed geometry.
+enum Fade {
+    /// No draw after the enumeration: the retrodirective power sum, or a
+    /// channel without a usable direct path.
+    Fixed(f64),
+    /// The coherent round trip: bounce-path phases redrawn per trial.
+    Coherent {
+        /// The realization's arrivals, sorted by delay.
+        arrivals: Vec<Arrival>,
+        /// Direct-path amplitude the sum is normalized by.
+        direct: f64,
+        /// Carrier, Hz.
+        carrier_hz: f64,
+    },
+}
+
+/// An [`Rng`] that only counts the draws made on it (each one yields 0).
+struct DrawCounter(usize);
+
+impl Rng for DrawCounter {
+    fn next_u64(&mut self) -> u64 {
+        self.0 += 1;
+        0
+    }
+}
+
+impl TrialPlan {
+    fn new(scenario: &Scenario, fe: &FrontEnd) -> Self {
+        let mut draws = DrawCounter(0);
+        let fade = {
+            let _t = vab_obs::time_stage("sim.channel_realization");
+            let ch = ChannelModel::new(
+                scenario.env.clone(),
+                scenario.reader_pos,
+                scenario.node_pos,
+                scenario.carrier(),
+            );
+            Fade::new(scenario, ch.arrivals(&mut draws))
+        };
+        Self {
+            budget_ebn0_db: LinkBudget::compute_with_front_end(scenario, fe).ebn0_db,
+            link: scenario.link_config(),
+            enumeration_draws: draws.0,
+            fade,
+        }
+    }
+
+    /// One trial's effective Eb/N0 before fault deltas, dB, drawn from
+    /// `rng` exactly as the budget plus [`fading_delta_db`] draw it.
+    fn ebn0_db(
+        &self,
+        scenario: &Scenario,
+        fe_override: Option<&FrontEnd>,
+        rng: &mut StdRng,
+    ) -> f64 {
+        // Element faults rebuilt this trial's front end: budget it afresh.
+        let budget = fe_override.map_or(self.budget_ebn0_db, |fe| {
+            LinkBudget::compute_with_front_end(scenario, fe).ebn0_db
+        });
+        for _ in 0..self.enumeration_draws {
+            rng.next_u64();
+        }
+        budget + self.fade.delta_db(rng)
+    }
+}
+
+impl Fade {
+    /// The fade of `arrivals` as [`fading_delta_db`] computes it, with the
+    /// bounce phases of the coherent sum left to [`Fade::delta_db`].
+    fn new(scenario: &Scenario, arrivals: Vec<Arrival>) -> Self {
+        let Some(first) = arrivals.first() else {
+            return Fade::Fixed(0.0);
+        };
+        let direct = arrivals
+            .iter()
+            .find(|a| a.is_direct())
+            .map_or_else(|| first.gain.abs(), |a| a.gain.abs());
+        if direct <= 0.0 {
+            return Fade::Fixed(0.0);
+        }
+        match scenario.system {
+            crate::baseline::SystemKind::Vab { .. } => {
+                // Retraced paths add in power; bounce paths conjugate at 60 %.
+                const CONJ_EFF: f64 = 0.6;
+                let total: f64 = arrivals
+                    .iter()
+                    .map(|a| {
+                        let eff = if a.is_direct() { 1.0 } else { CONJ_EFF };
+                        (eff * a.gain.abs()).powi(2)
+                    })
+                    .sum();
+                Fade::Fixed(10.0 * (total / (direct * direct)).log10())
+            }
+            _ => Fade::Coherent { arrivals, direct, carrier_hz: scenario.carrier().value() },
+        }
+    }
+
+    /// One trial's fade, dB; draws one phase per bounce path from `rng`.
+    fn delta_db(&self, rng: &mut StdRng) -> f64 {
+        match self {
+            Fade::Fixed(db) => *db,
+            Fade::Coherent { arrivals, direct, carrier_hz } => {
+                let h: C64 = arrivals
+                    .iter()
+                    .map(|a| {
+                        let phase =
+                            if a.is_direct() { 0.0 } else { rng.random::<f64>() * vab_util::TAU };
+                        a.gain * C64::cis(-vab_util::TAU * carrier_hz * a.delay_s + phase)
+                    })
+                    .sum();
+                40.0 * (h.abs() / direct).max(0.35).log10()
+            }
+        }
+    }
+}
+
 /// One link-budget-engine trial: returns (bit errors, packet error, Eb/N0 dB).
 /// `delta_db` is an additive fault-injection term on the effective Eb/N0
-/// (0.0 for nominal trials).
+/// (0.0 for nominal trials); `fe_override` is a front end rebuilt for this
+/// trial's element faults.
 fn link_budget_trial(
+    plan: &TrialPlan,
     scenario: &Scenario,
-    fe: &FrontEnd,
+    fe_override: Option<&FrontEnd>,
     bits_per_trial: usize,
     rng: &mut StdRng,
     delta_db: f64,
 ) -> (usize, bool, f64) {
     let _t = vab_obs::time_stage("sim.linkbudget_trial");
-    let base = LinkBudget::compute_with_front_end(scenario, fe);
-    let ebn0_db = base.ebn0_db + fading_delta_db(scenario, rng) + delta_db;
+    let ebn0_db = plan.ebn0_db(scenario, fe_override, rng) + delta_db;
+    let link = plan.link;
     let ebn0_lin = 10f64.powf(ebn0_db / 10.0);
-    let link = scenario.link_config();
     // Energy per *channel* bit is the info-bit energy × code rate.
     let ecn0 = ebn0_lin * link.fec.rate();
     let p_chan = ber_noncoherent_orthogonal(ecn0);
@@ -468,12 +615,41 @@ pub fn run_point_with_trial_faults(
 /// the last bit.
 pub fn run_grid(points: &[GridPoint<'_>], cfg: &MonteCarloConfig) -> Vec<PointResult> {
     let _span = vab_obs::Span::enter("sim.montecarlo", "run_grid");
-    run_points(points, cfg).into_iter().map(|r| r.unwrap_or_else(|e| panic!("{e}"))).collect()
+    run_points(points, cfg, Depth::Decode)
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
+        .collect()
+}
+
+/// The per-trial Eb/N0 statistics of every point, exactly as [`run_grid`]
+/// reports them in [`PointResult::ebn0`], without what a trial does after
+/// its Eb/N0 is known: no payload bits, noise or decoding. A trial draws
+/// its Eb/N0 before anything else from its RNG stream, and the shards
+/// split and merge as in [`run_grid`], so the statistics agree to the last
+/// bit. Link-budget engine only.
+pub fn run_grid_ebn0(points: &[GridPoint<'_>], cfg: &MonteCarloConfig) -> Vec<RunningStats> {
+    assert_eq!(cfg.engine, TrialEngine::LinkBudget, "only link-budget trials stop at Eb/N0");
+    let _span = vab_obs::Span::enter("sim.montecarlo", "run_grid_ebn0");
+    run_points(points, cfg, Depth::Ebn0)
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|e| panic!("{e}")).ebn0)
+        .collect()
 }
 
 fn run_one(point: GridPoint<'_>, cfg: &MonteCarloConfig) -> Result<PointResult, MonteCarloError> {
     let _span = vab_obs::Span::enter("sim.montecarlo", "run_point");
-    run_points(std::slice::from_ref(&point), cfg).pop().expect("one point in, one result out")
+    run_points(std::slice::from_ref(&point), cfg, Depth::Decode)
+        .pop()
+        .expect("one point in, one result out")
+}
+
+/// How far each link-budget trial runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Depth {
+    /// The whole chain: payload, soft channel, decode, error count.
+    Decode,
+    /// Stop once the trial's Eb/N0 is drawn ([`run_grid_ebn0`]).
+    Ebn0,
 }
 
 /// The engine behind every entry point. A point's trials split into
@@ -481,9 +657,12 @@ fn run_one(point: GridPoint<'_>, cfg: &MonteCarloConfig) -> Result<PointResult, 
 /// shorter, empty ones dropped); each trial seeds its own RNG from the
 /// master seed and its index, and a point merges its shards in shard
 /// order, so nothing depends on which pool thread ran a shard or when.
+/// A link-budget point's [`TrialPlan`] is built once, by whichever of its
+/// shards needs it first.
 fn run_points(
     points: &[GridPoint<'_>],
     cfg: &MonteCarloConfig,
+    depth: Depth,
 ) -> Vec<Result<PointResult, MonteCarloError>> {
     let threads =
         if cfg.threads == 0 { vab_util::threads() } else { cfg.threads }.min(cfg.trials.max(1));
@@ -492,9 +671,11 @@ fn run_points(
         .map(|t| (t * trials_per, ((t + 1) * trials_per).min(cfg.trials)))
         .take_while(|(lo, hi)| lo < hi)
         .collect();
+    let plans: Vec<OnceLock<TrialPlan>> = points.iter().map(|_| OnceLock::new()).collect();
     let mut outcomes = vab_util::threads::par_map(points.len() * shards.len(), |task| {
         let (lo, hi) = shards[task % shards.len()];
-        run_shard(&points[task / shards.len()], cfg, lo, hi)
+        let p = task / shards.len();
+        run_shard(&points[p], &plans[p], cfg, depth, lo, hi)
     })
     .into_iter();
     points
@@ -538,8 +719,18 @@ fn run_points(
 }
 
 /// Runs trials `lo..hi` of one point.
-fn run_shard(point: &GridPoint<'_>, cfg: &MonteCarloConfig, lo: usize, hi: usize) -> PointResult {
+fn run_shard(
+    point: &GridPoint<'_>,
+    plan: &OnceLock<TrialPlan>,
+    cfg: &MonteCarloConfig,
+    depth: Depth,
+    lo: usize,
+    hi: usize,
+) -> PointResult {
     let (scenario, fe) = (point.scenario.as_ref(), point.fe);
+    // Built by the first trial that needs it: a point whose every reply
+    // is lost never realizes its channel.
+    let plan = || plan.get_or_init(|| TrialPlan::new(scenario, fe));
     let n_elements = scenario.system.n_elements();
     let mut ber = BerCounter::new();
     let mut packet_errors = 0u64;
@@ -565,9 +756,17 @@ fn run_shard(point: &GridPoint<'_>, cfg: &MonteCarloConfig, lo: usize, hi: usize
             (cfg.bits_per_trial / 2, true, base.ebn0_db + delta_db)
         } else {
             match cfg.engine {
-                TrialEngine::LinkBudget => {
-                    link_budget_trial(scenario, fe_trial, cfg.bits_per_trial, &mut rng, delta_db)
+                TrialEngine::LinkBudget if depth == Depth::Ebn0 => {
+                    (0, false, plan().ebn0_db(scenario, fe_override.as_ref(), &mut rng) + delta_db)
                 }
+                TrialEngine::LinkBudget => link_budget_trial(
+                    plan(),
+                    scenario,
+                    fe_override.as_ref(),
+                    cfg.bits_per_trial,
+                    &mut rng,
+                    delta_db,
+                ),
                 TrialEngine::SampleLevel => run_sample_trial_via(
                     scenario,
                     fe_trial,
@@ -610,6 +809,8 @@ pub fn run_ber_sweep(points: &[(f64, Scenario)], cfg: &MonteCarloConfig) -> Vec<
 mod tests {
     use super::*;
     use crate::baseline::SystemKind;
+    use proptest::prelude::*;
+    use vab_acoustics::environment::SeaState;
     use vab_util::units::Meters;
 
     fn cfg(trials: usize, bits: usize) -> MonteCarloConfig {
@@ -761,7 +962,7 @@ mod tests {
         c.engine = TrialEngine::SampleLevel;
         c.threads = 2;
         let points = [GridPoint::new(s.clone(), &fe).with_source(&Exploding)];
-        for outcome in run_points(&points, &c) {
+        for outcome in run_points(&points, &c, Depth::Decode) {
             assert_eq!(
                 outcome.expect_err("every shard panics"),
                 MonteCarloError::WorkerPanicked { shard: 0, message: "bank unreadable".into() }
@@ -799,6 +1000,94 @@ mod tests {
         let fe = s.front_end();
         let r = try_run_point_with_front_end(&s, &fe, &cfg(4, 64)).expect("no worker panic");
         assert_eq!(r.trials, 4);
+    }
+
+    /// One plan-oracle geometry: river or ocean at sea state `sea` (calm
+    /// through moderate), one of the three systems, and a depth layout.
+    /// Layout 0 keeps the scenario's own depths. The river's reader and
+    /// node both sit at 2 m, which sum to its 4 m column (a surface-first
+    /// and a bottom-first image family share each delay and both stay) and
+    /// are equal (the families `2(n+1)D + zr − zs` and `2(n+1)D − zr + zs`
+    /// coincide with the same bounce counts, and the dedup keeps one of
+    /// two paths that may both have drawn a surface phase). Layout 1 puts
+    /// both ends at one depth, which does the same in the ocean; 2 splits
+    /// the column 1 : 3; 3 is a generic layout.
+    fn oracle_scenario(
+        ocean: bool,
+        sea: usize,
+        system: usize,
+        range: f64,
+        layout: usize,
+    ) -> Scenario {
+        let sea = [
+            SeaState::Calm,
+            SeaState::Rippled,
+            SeaState::Smooth,
+            SeaState::Slight,
+            SeaState::Moderate,
+        ][sea];
+        let kind = [
+            SystemKind::Vab { n_pairs: 4 },
+            SystemKind::Pab,
+            SystemKind::ConventionalArray { n_elements: 8 },
+        ][system];
+        let mut s = if ocean {
+            Scenario::ocean(kind, Meters(range), sea)
+        } else {
+            let mut s = Scenario::river(kind, Meters(range));
+            s.env.sea_state = sea;
+            s
+        };
+        let column = s.env.depth.value();
+        match layout {
+            0 => {}
+            1 => s.node_pos.z = s.reader_pos.z,
+            2 => (s.reader_pos.z, s.node_pos.z) = (0.25 * column, 0.75 * column),
+            _ => (s.reader_pos.z, s.node_pos.z) = (0.2 * column, 0.55 * column),
+        }
+        s
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn trial_plan_draws_the_budget_plus_fading_oracle_bit_for_bit(
+            ocean in any::<bool>(),
+            sea in 0usize..5,
+            system in 0usize..3,
+            range in 3.0f64..900.0,
+            layout in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            let s = oracle_scenario(ocean, sea, system, range, layout);
+            let fe = s.front_end();
+            let plan = TrialPlan::new(&s, &fe);
+            for fe_override in [None, Some(&fe)] {
+                let (mut oracle, mut planned) = (seeded(seed), seeded(seed));
+                let want = LinkBudget::compute_with_front_end(&s, &fe).ebn0_db
+                    + fading_delta_db(&s, &mut oracle);
+                let got = plan.ebn0_db(&s, fe_override, &mut planned);
+                let case = format!(
+                    "ocean {ocean}, {:?}, {:?}, {range} m, layout {layout}, seed {seed}",
+                    s.env.sea_state, s.system
+                );
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "{case}: {got} vs {want}");
+                prop_assert_eq!(planned.next_u64(), oracle.next_u64(), "{case}: stream position");
+            }
+        }
+    }
+
+    #[test]
+    fn the_plan_counts_draws_the_delay_dedup_drops() {
+        // The stock river geometry (reader and node both at 2 m, rippled
+        // surface): coinciding surface paths each draw a phase during the
+        // enumeration, and the dedup keeps one of each pair.
+        let s = oracle_scenario(false, 1, 1, 60.0, 0);
+        let plan = TrialPlan::new(&s, &s.front_end());
+        let Fade::Coherent { arrivals, .. } = &plan.fade else { panic!("PAB fades coherently") };
+        let kept = arrivals.iter().filter(|a| a.n_surface > 0).count();
+        assert_eq!((plan.enumeration_draws, kept), (7, 5));
     }
 
     #[test]
