@@ -240,16 +240,8 @@ const BRANCH_SIGNS: [[f64; HALF]; 2] = {
 /// bits are then unspecified.
 pub fn conv_decode_soft(metrics: &[f64]) -> Vec<bool> {
     let _t = vab_obs::time_stage("fec.viterbi");
-    #[cfg(target_arch = "x86_64")]
-    if let Some(wide) = wide::avx512().or_else(wide::avx2) {
-        return wide(metrics);
-    }
-    decode(metrics)
+    wide::best()(metrics)
 }
-
-/// One compiled body of the soft decoder.
-#[cfg(any(test, target_arch = "x86_64"))]
-type Decoder = fn(&[f64]) -> Vec<bool>;
 
 /// The body of [`conv_decode_soft`], inlined into each variant so that
 /// every instruction set compiles the same source.
@@ -287,44 +279,11 @@ fn decode(metrics: &[f64]) -> Vec<bool> {
     decoded
 }
 
-/// [`decode`] compiled for wider x86-64 vector units, each handed out
-/// only where std's cached CPU detection finds the features it enables.
-///
-/// Each lane performs the same IEEE `f64` adds, subtracts, compares and
-/// selects as the baseline (SSE2) build, and Rust neither fuses a
-/// multiply-add nor reassociates floating-point arithmetic, so every
-/// variant returns the same bits as [`decode`].
-#[cfg(target_arch = "x86_64")]
-mod wide {
-    use super::{decode, Decoder};
-    use std::arch::is_x86_feature_detected;
-
-    /// AVX-512, if this CPU has it: F for the 512-bit `f64` lanes and
-    /// mask compares, BW to store the compare masks straight into the
-    /// decision bytes (about 10% faster than F alone on a 512-bit frame;
-    /// adding VL or DQ changes no instruction).
-    pub(super) fn avx512() -> Option<Decoder> {
-        #[target_feature(enable = "avx512f,avx512bw")]
-        fn body(metrics: &[f64]) -> Vec<bool> {
-            decode(metrics)
-        }
-        let detected = is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512bw");
-        // SAFETY: the closure escapes only inside `Some`, i.e. only when
-        // this CPU has every feature `body` enables.
-        detected.then_some(|metrics| unsafe { body(metrics) })
-    }
-
-    /// AVX2 (256-bit `f64` lanes), if this CPU has it.
-    pub(super) fn avx2() -> Option<Decoder> {
-        #[target_feature(enable = "avx2")]
-        fn body(metrics: &[f64]) -> Vec<bool> {
-            decode(metrics)
-        }
-        // SAFETY: the closure escapes only inside `Some`, i.e. only when
-        // this CPU has AVX2, the one feature `body` enables.
-        is_x86_feature_detected!("avx2").then_some(|metrics| unsafe { body(metrics) })
-    }
-}
+// [`decode`] compiled for AVX2 and AVX-512 as well, chosen at run time
+// (see `vab_util::wide_bodies!`): each lane performs the same IEEE `f64`
+// adds, subtracts, compares and selects as the baseline (SSE2) build, so
+// every copy returns the same bits as [`decode`].
+vab_util::wide_bodies!(mod wide for fn decode(metrics: &[f64]) -> Vec<bool>);
 
 /// One add-compare-select step over all 32 butterflies: fills `next` from
 /// `cur` and returns the step's decision word.
@@ -447,12 +406,8 @@ mod tests {
 
     /// Every body of the soft decoder this build carries, narrowest first:
     /// `Some` where this CPU can run it, `None` where it lacks the features.
-    fn decoders() -> Vec<(&'static str, Option<Decoder>)> {
-        #[allow(unused_mut)]
-        let mut all = vec![("portable", Some(decode as Decoder))];
-        #[cfg(target_arch = "x86_64")]
-        all.extend([("avx2", wide::avx2()), ("avx512", wide::avx512())]);
-        all
+    fn decoders() -> Vec<(&'static str, Option<wide::Body>)> {
+        wide::all()
     }
 
     /// Asserts that [`conv_decode_soft`] and every body this CPU can run
@@ -702,7 +657,7 @@ mod tests {
         let soft = channel_metrics(47, 512, |s, rng| s + 0.8 * vab_util::rng::gaussian(rng));
         assert_every_decoder_matches_reference(&soft, "speed-gate frame");
         const CALLS: usize = 50;
-        let best = |decode: Decoder| {
+        let best = |decode: wide::Body| {
             (0..3)
                 .map(|_| {
                     let t = Instant::now();

@@ -24,27 +24,50 @@ pub fn remove_dc(x: &[C64]) -> Vec<C64> {
 /// tracking slow carrier drift (clock offset, platform motion) that a global
 /// mean would miss. `window` should span many chips but be shorter than the
 /// drift timescale.
+///
+/// Sample `i`'s mean runs over `[i − h, i + h]` with `h = window / 2`,
+/// clipped to the buffer, as `(P[hi] − P[lo]) / (hi − lo)` of the running
+/// prefix sums `P[k] = x[0] + … + x[k − 1]`. One pass: the prefix sums are
+/// added in order into a ring of the last `2h + 2` of them (a window
+/// never spans more), so the scratch stays window-sized, not `n`-sized,
+/// and the result is bit-identical to a full prefix array. Dividing by a
+/// count is scaling by its reciprocal, so the interior windows' `1/(2h+1)`
+/// is computed once.
 pub fn remove_dc_sliding(x: &[C64], window: usize) -> Vec<C64> {
     let n = x.len();
     if n == 0 {
         return Vec::new();
     }
-    let w = window.clamp(1, n);
-    // Prefix sums for O(n) local means.
-    let mut prefix = Vec::with_capacity(n + 1);
-    prefix.push(C64::ZERO);
-    for &v in x {
-        let last = *prefix.last().expect("nonempty");
-        prefix.push(last + v);
+    let h = window.clamp(1, n) / 2;
+    // `P[k]` lives in slot `k mod len`.
+    let len = (2 * h + 2).min(n + 1);
+    let mut ring = vec![C64::ZERO; len];
+    let mut acc = C64::ZERO;
+    // Sample 0's window ends at P[h + 1] (or P[n]).
+    let first_hi = (h + 1).min(n);
+    for (slot, &v) in ring[1..=first_hi].iter_mut().zip(x) {
+        acc += v;
+        *slot = acc;
     }
-    (0..n)
-        .map(|i| {
-            let lo = i.saturating_sub(w / 2);
-            let hi = (i + w / 2 + 1).min(n);
-            let mean = (prefix[hi] - prefix[lo]) / (hi - lo) as f64;
-            x[i] - mean
-        })
-        .collect()
+    let next = |slot: usize| if slot + 1 == len { 0 } else { slot + 1 };
+    let (mut hi_slot, mut lo_slot) = (first_hi, 0);
+    let interior = 1.0 / (2 * h + 1) as f64;
+    let mut out = Vec::with_capacity(n);
+    for (i, &v) in x.iter().enumerate() {
+        let end = i + h + 1;
+        if i > 0 && end <= n {
+            acc += x[end - 1];
+            hi_slot = next(hi_slot);
+            ring[hi_slot] = acc;
+        }
+        if i > h {
+            lo_slot = next(lo_slot);
+        }
+        let span = end.min(n) - i.saturating_sub(h);
+        let inv = if span == 2 * h + 1 { interior } else { 1.0 / span as f64 };
+        out.push(v - (ring[hi_slot] - ring[lo_slot]).scale(inv));
+    }
+    out
 }
 
 /// A passband carrier notch: band-stop FIR centred on the carrier with the
@@ -150,6 +173,72 @@ mod tests {
         };
         assert!(pow(&c_out) < 1e-3 * pow(&carrier), "carrier leaked: {}", pow(&c_out));
         assert!(pow(&s_out) > 0.5 * pow(&sideband), "sideband damaged: {}", pow(&s_out));
+    }
+
+    /// The prefix-array sliding mean the one-pass ring replaced: an
+    /// `n + 1`-entry prefix sum, then one division per sample. Kept as the
+    /// bit-exactness oracle.
+    fn remove_dc_sliding_prefix(x: &[C64], window: usize) -> Vec<C64> {
+        let n = x.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let w = window.clamp(1, n);
+        let mut prefix = Vec::with_capacity(n + 1);
+        prefix.push(C64::ZERO);
+        for &v in x {
+            let last = *prefix.last().expect("nonempty");
+            prefix.push(last + v);
+        }
+        (0..n)
+            .map(|i| {
+                let lo = i.saturating_sub(w / 2);
+                let hi = (i + w / 2 + 1).min(n);
+                let mean = (prefix[hi] - prefix[lo]) / (hi - lo) as f64;
+                x[i] - mean
+            })
+            .collect()
+    }
+
+    fn bits(v: &[C64]) -> Vec<(u64, u64)> {
+        v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn sliding_dc_matches_the_prefix_array_oracle_bit_for_bit(
+            n in 1usize..700,
+            window in 0usize..1500,
+            leak in 0.0f64..1e4,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            // Windows of 0 and 1 sample, odd and even, and at, past and far
+            // past the buffer length (n = 1 included).
+            let mut rng = seeded(seed);
+            let x: Vec<C64> =
+                (0..n).map(|_| C64::real(leak) + complex_gaussian(&mut rng, 1.0)).collect();
+            proptest::prop_assert_eq!(
+                bits(&remove_dc_sliding(&x, window)),
+                bits(&remove_dc_sliding_prefix(&x, window))
+            );
+        }
+    }
+
+    #[test]
+    fn sliding_dc_matches_the_oracle_at_every_edge_width() {
+        let mut rng = seeded(4);
+        for n in [1usize, 2, 3, 4, 5, 8, 33] {
+            let x: Vec<C64> =
+                (0..n).map(|_| C64::new(3.0, -1.0) + complex_gaussian(&mut rng, 0.5)).collect();
+            for window in 0..=(2 * n + 3) {
+                assert_eq!(
+                    bits(&remove_dc_sliding(&x, window)),
+                    bits(&remove_dc_sliding_prefix(&x, window)),
+                    "n = {n}, window = {window}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,21 +12,26 @@
 //! `apply_baseband` path to FFT rounding.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use vab_util::complex::C64;
 use vab_util::ola::OlaPlan;
 
 /// A stateful replay convolver over one tap matrix (one-way or round-trip).
 ///
-/// Construction allocates everything (FFT plan, interpolation buffer);
-/// [`ReplayChannel::apply`] then allocates only its output vector. Inside
-/// the bank the taps interpolate linearly between snapshots; from the
-/// first sample at or after the last snapshot on, one segment replays the
-/// last snapshot unchanged.
+/// Construction allocates the convolution buffers (FFT plan, tap
+/// spectrum, interpolation buffer) but shares the snapshot rows and
+/// computes no spectrum: the first [`ReplayChannel::apply`] tunes the
+/// plan before it convolves. `apply` then allocates only its output
+/// vector. Inside the bank the taps interpolate linearly between
+/// snapshots; from the first sample at or after the last snapshot on, one
+/// segment replays the last snapshot unchanged.
 #[derive(Debug, Clone)]
 pub struct ReplayChannel {
-    /// Snapshot rows; exactly one for a static bank.
-    snaps: Vec<Vec<C64>>,
+    /// Snapshot rows, shared with every other channel over the same bank.
+    snaps: Arc<[Vec<C64>]>,
+    /// Rows in use: all of them, or only the first for a static bank.
+    n_snaps: usize,
     /// Snapshot spacing, seconds (zero for a static bank).
     dt: f64,
     fs: f64,
@@ -38,15 +43,25 @@ pub struct ReplayChannel {
 }
 
 impl ReplayChannel {
-    /// Builds a replay channel over `snaps` (snapshot-major tap rows,
-    /// all the same length) spaced `dt` seconds apart, replaying from
-    /// bank time `t0` at sample rate `fs`. A zero `dt` replays the first
-    /// snapshot as a static bank.
+    /// Builds a replay channel over a copy of `snaps` (snapshot-major tap
+    /// rows, all the same length) spaced `dt` seconds apart, replaying
+    /// from bank time `t0` at sample rate `fs`. A zero `dt` replays the
+    /// first snapshot as a static bank.
     ///
     /// # Panics
     /// Panics when `snaps` is empty, rows are ragged, or `fs`/`dt`/`t0`
     /// are unusable.
     pub fn new(snaps: &[Vec<C64>], dt: f64, fs: f64, t0: f64) -> Self {
+        let used = if dt > 0.0 { snaps } else { &snaps[..snaps.len().min(1)] };
+        Self::shared(used.iter().cloned().collect(), dt, fs, t0)
+    }
+
+    /// [`ReplayChannel::new`] over rows shared, not copied: building a
+    /// channel per trial over one bank then never copies its taps.
+    ///
+    /// # Panics
+    /// As [`ReplayChannel::new`].
+    pub fn shared(snaps: Arc<[Vec<C64>]>, dt: f64, fs: f64, t0: f64) -> Self {
         assert!(!snaps.is_empty(), "replay needs at least one snapshot");
         let taps_len = snaps[0].len();
         assert!(taps_len > 0, "replay snapshots need at least one tap");
@@ -54,14 +69,15 @@ impl ReplayChannel {
         assert!(fs.is_finite() && fs > 0.0, "bad sample rate {fs}");
         assert!(dt.is_finite() && dt >= 0.0, "bad snapshot spacing {dt}");
         assert!(t0.is_finite() && t0 >= 0.0, "bad start time {t0}");
-        let snaps = if dt > 0.0 { snaps } else { &snaps[..1] };
+        let n_snaps = if dt > 0.0 { snaps.len() } else { 1 };
         Self {
-            snaps: snaps.to_vec(),
+            snaps,
+            n_snaps,
             dt,
             fs,
             t0,
             taps_len,
-            plan: OlaPlan::new(&snaps[0]),
+            plan: OlaPlan::untuned(taps_len),
             interp: vec![C64::ZERO; taps_len],
         }
     }
@@ -80,7 +96,7 @@ impl ReplayChannel {
     /// space, `⌈(bank time − t0)·fs⌉`, so float rounding cannot split a
     /// run.
     fn segments(&self, len: usize) -> impl Iterator<Item = (Range<usize>, Option<usize>)> {
-        let intervals = self.snaps.len() - 1;
+        let intervals = self.n_snaps - 1;
         let (dt, fs, t0) = (self.dt, self.fs, self.t0);
         let mut start = 0usize;
         (0..=intervals).filter_map(move |k| {
@@ -103,7 +119,7 @@ impl ReplayChannel {
     /// at the run's midpoint inside interval `k`, or the last snapshot.
     fn tune(&mut self, run: &Range<usize>, interval: Option<usize>) {
         let Some(k) = interval else {
-            self.plan.set_taps(&self.snaps[self.snaps.len() - 1]);
+            self.plan.set_taps(&self.snaps[self.n_snaps - 1]);
             return;
         };
         let mid = self.t0 + (run.start + run.end) as f64 / 2.0 / self.fs;

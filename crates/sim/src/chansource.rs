@@ -11,11 +11,13 @@
 //! `&dyn ChannelSource` through [`crate::montecarlo::run_point_with_source`]
 //! and the rest of the DSP stack cannot tell the difference.
 
+use crate::baseline::SystemKind;
 use crate::scenario::Scenario;
 use rand::rngs::StdRng;
 use rand::RngExt;
+use std::sync::Arc;
 use vab_acoustics::channel::{retro_round_trip, ImpulseResponse};
-use vab_replay::{ReplayChannel, TvirBank};
+use vab_replay::{BankSpec, ReplayChannel, TvirBank};
 use vab_util::complex::C64;
 
 /// One trial's realized channel: both propagation operators, ready to
@@ -31,15 +33,49 @@ pub enum RealizedChannel {
         /// Lazily built retrodirective round-trip response.
         retro: Option<ImpulseResponse>,
     },
-    /// Replay of a recorded TVIR bank. Boxed: a `ReplayChannel` owns its
-    /// FFT plan and scratch, which would otherwise dwarf the synthetic
+    /// Replay of a recorded TVIR bank. Each convolver is built on first
+    /// use (or by [`BankSource::realize`] for the one the trial's system
+    /// applies) over the bank's shared rows. Boxed: a `ReplayChannel` owns
+    /// its FFT plan and scratch, which would otherwise dwarf the synthetic
     /// variant.
     Replayed {
-        /// One-way replay convolver.
-        one_way: Box<ReplayChannel>,
-        /// Van Atta round-trip replay convolver.
-        round_trip: Box<ReplayChannel>,
+        /// The bank and this trial's start offset into it.
+        start: ReplayStart,
+        /// One-way replay convolver, once built.
+        one_way: Option<Box<ReplayChannel>>,
+        /// Van Atta round-trip replay convolver, once built.
+        round_trip: Option<Box<ReplayChannel>>,
     },
+}
+
+/// Where a replayed trial starts: the bank's shared tap rows and the
+/// trial's offset into its timeline.
+#[derive(Debug, Clone)]
+pub struct ReplayStart {
+    rows: Arc<BankRows>,
+    t0: f64,
+}
+
+impl ReplayStart {
+    /// The one-way (`round_trip == false`) or round-trip replay convolver
+    /// from this start, over the shared rows.
+    fn channel(&self, round_trip: bool) -> Box<ReplayChannel> {
+        let rows = &*self.rows;
+        let taps = if round_trip { &rows.round_trip } else { &rows.one_way };
+        Box::new(ReplayChannel::shared(taps.clone(), rows.dt, rows.fs, self.t0))
+    }
+}
+
+/// A bank's tap rows as its trials replay them: moved out of the
+/// [`TvirBank`] once, then shared by every trial's convolvers.
+#[derive(Debug)]
+struct BankRows {
+    one_way: Arc<[Vec<C64>]>,
+    round_trip: Arc<[Vec<C64>]>,
+    /// Snapshot spacing, seconds.
+    dt: f64,
+    /// Bank sample rate, Hz.
+    fs: f64,
 }
 
 impl RealizedChannel {
@@ -47,7 +83,9 @@ impl RealizedChannel {
     pub fn apply_one_way(&mut self, x: &[C64]) -> Vec<C64> {
         match self {
             RealizedChannel::Synthetic { ir, .. } => ir.apply_baseband(x),
-            RealizedChannel::Replayed { one_way, .. } => one_way.apply(x),
+            RealizedChannel::Replayed { start, one_way, .. } => {
+                one_way.get_or_insert_with(|| start.channel(false)).apply(x)
+            }
         }
     }
 
@@ -66,7 +104,9 @@ impl RealizedChannel {
                 });
                 retro.apply_baseband(x)
             }
-            RealizedChannel::Replayed { round_trip, .. } => round_trip.apply(x),
+            RealizedChannel::Replayed { start, round_trip, .. } => {
+                round_trip.get_or_insert_with(|| start.channel(true)).apply(x)
+            }
         }
     }
 }
@@ -103,37 +143,45 @@ impl ChannelSource for SyntheticSource {
 /// of "many packets through one deployment".
 #[derive(Debug, Clone)]
 pub struct BankSource {
-    bank: TvirBank,
+    spec: BankSpec,
+    rows: Arc<BankRows>,
 }
 
 impl BankSource {
-    /// Wraps a bank for replay.
+    /// Wraps a bank for replay. Its tap rows move into storage that every
+    /// trial's convolvers share, so a trial copies none of them.
     pub fn new(bank: TvirBank) -> Self {
-        Self { bank }
-    }
-
-    /// The wrapped bank.
-    pub fn bank(&self) -> &TvirBank {
-        &self.bank
+        let TvirBank { spec, one_way, round_trip, .. } = bank;
+        let rows = BankRows {
+            one_way: one_way.into(),
+            round_trip: round_trip.into(),
+            dt: spec.snapshot_dt(),
+            fs: spec.fs,
+        };
+        Self { spec, rows: Arc::new(rows) }
     }
 }
 
 impl ChannelSource for BankSource {
-    fn realize(&self, _scenario: &Scenario, fs: f64, rng: &mut StdRng) -> RealizedChannel {
+    /// Draws the start offset, then builds the one convolver the
+    /// scenario's system applies: the Van Atta round trip for VAB, the
+    /// one-way channel (both ways) for point scatterers. The other is
+    /// built only if a caller applies it.
+    fn realize(&self, scenario: &Scenario, fs: f64, rng: &mut StdRng) -> RealizedChannel {
         assert!(
-            (fs - self.bank.spec.fs).abs() < 1e-6,
+            (fs - self.spec.fs).abs() < 1e-6,
             "trial baseband rate {fs} does not match bank rate {}",
-            self.bank.spec.fs
+            self.spec.fs
         );
-        let span = self.bank.spec.span_s;
-        let t0 = if self.bank.spec.n_snapshots > 1 && span > 0.0 {
-            rng.random::<f64>() * span
-        } else {
-            0.0
-        };
+        let span = self.spec.span_s;
+        let t0 =
+            if self.spec.n_snapshots > 1 && span > 0.0 { rng.random::<f64>() * span } else { 0.0 };
+        let start = ReplayStart { rows: Arc::clone(&self.rows), t0 };
+        let retro = matches!(scenario.system, SystemKind::Vab { .. });
         RealizedChannel::Replayed {
-            one_way: Box::new(self.bank.one_way_channel(t0)),
-            round_trip: Box::new(self.bank.round_trip_channel(t0)),
+            one_way: (!retro).then(|| start.channel(false)),
+            round_trip: retro.then(|| start.channel(true)),
+            start,
         }
     }
 }
@@ -227,6 +275,40 @@ mod tests {
         // A different trial seed starts elsewhere in the bank timeline.
         let mut c = src.realize(&s, fs, &mut seeded(10));
         assert_ne!(a.apply_round_trip(&x), c.apply_round_trip(&x));
+    }
+
+    #[test]
+    fn bank_replay_builds_the_used_convolver_and_matches_a_copied_bank_bit_for_bit() {
+        let spec = BankSpec {
+            water: WaterSpec::River,
+            range_m: 120.0,
+            carrier_hz: 18_500.0,
+            fs: Scenario::river(SystemKind::Pab, Meters(120.0)).mod_params.baseband_fs(),
+            n_snapshots: 8,
+            span_s: 1.0,
+            seed: 21,
+        };
+        let bank = vab_replay::generate(&spec).unwrap();
+        let src = BankSource::new(bank.clone());
+        let x = test_wave(4_000);
+        let bits =
+            |v: &[C64]| v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect::<Vec<_>>();
+        for (system, retro) in [(SystemKind::Vab { n_pairs: 4 }, true), (SystemKind::Pab, false)] {
+            let s = Scenario::river(system, Meters(120.0));
+            let mut realized = src.realize(&s, spec.fs, &mut seeded(3));
+            let RealizedChannel::Replayed { one_way, round_trip, .. } = &realized else {
+                panic!("a bank source replays");
+            };
+            assert_eq!((one_way.is_some(), round_trip.is_some()), (!retro, retro), "{system:?}");
+            // The same start offset through channels over copied rows.
+            let t0 = seeded(3).random::<f64>() * spec.span_s;
+            let want_rt = bank.round_trip_channel(t0).apply(&x);
+            let want_ow = bank.one_way_channel(t0).apply(&x);
+            assert_eq!(bits(&realized.apply_round_trip(&x)), bits(&want_rt), "{system:?}");
+            assert_eq!(bits(&realized.apply_one_way(&x)), bits(&want_ow), "{system:?}");
+            // Built once, then reused: a second call replays the same bits.
+            assert_eq!(bits(&realized.apply_one_way(&x)), bits(&want_ow), "{system:?}");
+        }
     }
 
     #[test]

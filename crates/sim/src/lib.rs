@@ -43,7 +43,7 @@ pub mod session;
 
 pub use baseline::SystemKind;
 pub use campaign::{run_campaign, run_campaign_slice, CampaignConfig, CampaignReport};
-pub use chansource::{BankSource, ChannelSource, RealizedChannel, SyntheticSource};
+pub use chansource::{BankSource, ChannelSource, RealizedChannel, ReplayStart, SyntheticSource};
 pub use linkbudget::{LinkBudget, ReaderParams};
 pub use metrics::{BerPoint, CsvTable};
 pub use montecarlo::{run_ber_sweep, MonteCarloConfig, TrialEngine};

@@ -25,6 +25,7 @@ pub mod special;
 pub mod stats;
 pub mod threads;
 pub mod units;
+pub mod wide;
 pub mod window;
 
 pub use complex::C64;

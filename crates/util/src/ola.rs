@@ -60,18 +60,28 @@ impl OlaPlan {
     /// # Panics
     /// Panics when `taps` is empty.
     pub fn new(taps: &[C64]) -> Self {
-        assert!(!taps.is_empty(), "overlap-save needs at least one tap");
-        let fft_n = fft_len_for(taps.len());
-        let fft = plan(fft_n);
-        let mut h_spec = vec![C64::ZERO; fft_n];
-        h_spec[..taps.len()].copy_from_slice(taps);
-        fft.forward(&mut h_spec);
+        let mut plan = Self::untuned(taps.len());
+        plan.set_taps(taps);
+        plan
+    }
+
+    /// Plans overlap-save convolution for `taps_len` taps, with every
+    /// buffer allocated but no tap spectrum computed: a caller that sets
+    /// its taps with [`OlaPlan::set_taps`] before the first convolution
+    /// (a replay channel retunes per segment) skips one transform. Until
+    /// then the taps read as zero.
+    ///
+    /// # Panics
+    /// Panics when `taps_len` is zero.
+    pub fn untuned(taps_len: usize) -> Self {
+        assert!(taps_len > 0, "overlap-save needs at least one tap");
+        let fft_n = fft_len_for(taps_len);
         Self {
-            taps_len: taps.len(),
+            taps_len,
             fft_n,
-            step: fft_n - taps.len() + 1,
-            fft,
-            h_spec,
+            step: fft_n - taps_len + 1,
+            fft: plan(fft_n),
+            h_spec: vec![C64::ZERO; fft_n],
             scratch: vec![C64::ZERO; fft_n],
         }
     }
@@ -198,11 +208,7 @@ impl OlaPlan {
                 let dst = (lo as isize - start) as usize;
                 load(&mut self.scratch[dst..dst + (hi - lo)], lo..hi);
             }
-            self.fft.forward(&mut self.scratch);
-            for (s, h) in self.scratch.iter_mut().zip(&self.h_spec) {
-                *s *= *h;
-            }
-            self.fft.inverse(&mut self.scratch);
+            self.fft.filter(&mut self.scratch, &self.h_spec);
             let take = self.step.min(out_len - pos);
             emit(pos, &self.scratch[m - 1..m - 1 + take]);
             pos += take;
@@ -342,6 +348,23 @@ mod tests {
         let mut got = base;
         plan.convolve_add_into(&x, &mut got);
         // Bit for bit, including the untouched tail past the convolution.
+        let bits =
+            |v: &[C64]| v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn an_untuned_plan_set_to_taps_is_the_planned_one_bit_for_bit() {
+        let x: Vec<C64> = (0..900).map(|i| C64::new((i as f64 * 0.3).sin(), 0.5)).collect();
+        let h: Vec<C64> = (0..130).map(|i| C64::new(0.1, (i as f64 * 0.7).cos())).collect();
+        let mut untuned = OlaPlan::untuned(h.len());
+        let mut zeros = Vec::new();
+        untuned.convolve_into(&x, &mut zeros);
+        assert!(zeros.iter().all(|v| *v == C64::ZERO), "untuned taps read as zero");
+        untuned.set_taps(&h);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        untuned.convolve_into(&x, &mut got);
+        OlaPlan::new(&h).convolve_into(&x, &mut want);
         let bits =
             |v: &[C64]| v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want));

@@ -264,9 +264,10 @@ fn replay_apply_allocates_only_its_output() {
 /// One sample-level trial makes exactly 4 allocations while it transports
 /// the waveform and exactly 8 while it strips the carrier, acquires the
 /// preamble and demodulates: the per-call counts behind `gate.json`'s
-/// `f16_engine_validation` pins (80 and 160 over 20 calls). Acquisition's
-/// split re/im scratch buffer is one of the 8, so a scratch that grew per
-/// block or per offset would show here.
+/// `f16_engine_validation` pins (80 and 160 over 20 calls). The carrier
+/// strip's window-sized prefix-sum ring and acquisition's block-sized
+/// box-sum scratch are two of the 8, so a scratch that grew per block or
+/// per offset would show here.
 #[test]
 fn sample_level_trial_allocates_a_pinned_count_per_stage() {
     let _g = profile_lock();
