@@ -1122,30 +1122,15 @@ pub fn f19_fault_sweep(cfg: &ExpConfig) -> CsvTable {
     t
 }
 
-/// **FR1** — replay-substrate validation, two panels in one table.
-///
-/// `panel=ber` rows rerun the sample-level uncoded-BER sweep of F16 twice
-/// per range — once with the synthetic per-trial channel source and once
-/// replaying a recorded TVIR bank (`vab-replay`) of the same environment —
-/// so any drift between generation and replay shows up as a BER gap.
-/// `panel=conv` rows time direct vs overlap-save FFT convolution of a
-/// one-second 48 kHz waveform against growing tap counts; the work runs
-/// under the named stages `util.conv_direct` / `util.conv_fft`, which land
-/// in the `BENCH_<sha>.json` perf snapshot where `vab-obsctl gate` locks
-/// them.
+/// **FR1** — replay-substrate validation: the sample-level uncoded-BER
+/// sweep of F16 run twice per range — once with the synthetic per-trial
+/// channel source and once replaying a recorded TVIR bank (`vab-replay`)
+/// of the same environment — so any drift between generation and replay
+/// shows up as a BER gap.
 pub fn fr1_replay_validation(cfg: &ExpConfig) -> CsvTable {
-    use std::time::Instant;
     use vab_replay::{BankSpec, WaterSpec};
     use vab_sim::BankSource;
-    let mut t = CsvTable::new([
-        "panel",
-        "x",
-        "synthetic_ber",
-        "replayed_ber",
-        "direct_ms",
-        "fft_ms",
-        "speedup",
-    ]);
+    let mut t = CsvTable::new(["range_m", "synthetic_ber", "replayed_ber"]);
     let ranges = [260.0, 320.0, 380.0, 440.0];
     let scenarios = ranges.map(|d| {
         Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(d)).with_link(LinkConfig::uncoded())
@@ -1185,48 +1170,9 @@ pub fn fr1_replay_validation(cfg: &ExpConfig) -> CsvTable {
     for (d, pair) in ranges.iter().zip(results.chunks(2)) {
         let (synth, replayed) = (&pair[0], &pair[1]);
         t.row([
-            "ber".to_string(),
             format!("{d:.0}"),
             format!("{:.2e}", synth.ber.ber()),
             format!("{:.2e}", replayed.ber.ber()),
-            String::new(),
-            String::new(),
-            String::new(),
-        ]);
-    }
-    // Convolution throughput: one second of passband-rate signal against
-    // growing tap counts. Direct is O(N·M), overlap-save O(N log L).
-    let x: Vec<f64> =
-        (0..48_000).map(|i| (i as f64 * 0.013).sin() + 0.4 * (i as f64 * 0.171).cos()).collect();
-    for m in [64usize, 256, 1024, 4096] {
-        let h: Vec<f64> = (0..m).map(|i| (i as f64 * 0.37).cos() / m as f64).collect();
-        // Untimed warm-up populates the shared FFT plan cache so the timed
-        // pass measures steady-state convolution, not one-time planning.
-        let warm = vab_util::ola::convolve_fft(&x[..(4 * m).min(x.len())], &h);
-        assert!(warm[m].is_finite());
-        let started = Instant::now();
-        let y_direct = {
-            let _stage = vab_obs::time_stage("util.conv_direct");
-            vab_util::filter::convolve(&x, &h)
-        };
-        let direct_s = started.elapsed().as_secs_f64();
-        let started = Instant::now();
-        let y_fft = {
-            let _stage = vab_obs::time_stage("util.conv_fft");
-            vab_util::ola::convolve_fft(&x, &h)
-        };
-        let fft_s = started.elapsed().as_secs_f64();
-        // Keep both results live so neither path can be optimized away.
-        assert_eq!(y_direct.len(), y_fft.len());
-        assert!((y_direct[m] + y_fft[m]).is_finite());
-        t.row([
-            "conv".to_string(),
-            m.to_string(),
-            String::new(),
-            String::new(),
-            format!("{:.3}", direct_s * 1e3),
-            format!("{:.3}", fft_s * 1e3),
-            format!("{:.1}", direct_s / fft_s.max(1e-12)),
         ]);
     }
     t

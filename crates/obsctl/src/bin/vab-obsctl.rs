@@ -99,6 +99,16 @@ fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
     }
 }
 
+/// Extracts `--job <digest>`: a hex trace id, optionally `0x`-prefixed.
+fn take_job(args: &mut Vec<String>) -> Result<Option<u64>, String> {
+    take_flag_value(args, "--job")?
+        .map(|d| {
+            u64::from_str_radix(d.trim_start_matches("0x"), 16)
+                .map_err(|_| "--job needs a hex job digest".to_string())
+        })
+        .transpose()
+}
+
 fn load_trace(path: &str) -> Result<Trace, String> {
     let trace = Trace::load(Path::new(path)).map_err(|e| format!("cannot read {path}: {e}"))?;
     if trace.truncated_tail {
@@ -258,12 +268,8 @@ fn cmd_flame(mut args: Vec<String>) -> ExitCode {
         Ok(None) => Weight::TimeUs,
         Err(e) => return fail(&e),
     };
-    let job = match take_flag_value(&mut args, "--job") {
-        Ok(Some(d)) => match u64::from_str_radix(d.trim_start_matches("0x"), 16) {
-            Ok(d) => Some(d),
-            Err(_) => return fail("--job needs a hex job digest"),
-        },
-        Ok(None) => None,
+    let job = match take_job(&mut args) {
+        Ok(j) => j,
         Err(e) => return fail(&e),
     };
     if args.len() != 1 {
@@ -354,11 +360,8 @@ fn cmd_tail(mut args: Vec<String>) -> ExitCode {
 }
 
 fn cmd_trace(mut args: Vec<String>) -> ExitCode {
-    let digest = match take_flag_value(&mut args, "--job") {
-        Ok(Some(d)) => match u64::from_str_radix(d.trim_start_matches("0x"), 16) {
-            Ok(d) => d,
-            Err(_) => return fail("--job needs a hex job digest"),
-        },
+    let digest = match take_job(&mut args) {
+        Ok(Some(d)) => d,
         Ok(None) => return fail("trace needs --job <digest>"),
         Err(e) => return fail(&e),
     };
@@ -368,20 +371,20 @@ fn cmd_trace(mut args: Vec<String>) -> ExitCode {
     }
     // Label each input by file name (distinct labels are required for a
     // deterministic merge; fall back to the full path on collision).
-    let mut parts: Vec<(String, Trace)> = Vec::new();
+    let mut labels: Vec<String> = Vec::new();
+    let mut traces: Vec<Trace> = Vec::new();
     for path in &args {
-        let trace = match load_trace(path) {
-            Ok(t) => t,
+        match load_trace(path) {
+            Ok(t) => traces.push(t),
             Err(e) => return fail(&e),
-        };
+        }
         let base = Path::new(path)
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_else(|| path.clone());
-        let label = if parts.iter().any(|(l, _)| *l == base) { path.clone() } else { base };
-        parts.push((label, trace));
+        labels.push(if labels.contains(&base) { path.clone() } else { base });
     }
-    let merged = Trace::merge(parts.iter().map(|(l, t)| (l.as_str(), t.clone())));
+    let merged = Trace::merge(labels.iter().map(String::as_str).zip(traces));
     let waterfall = Waterfall::from_trace(&merged, digest);
     if waterfall.spans.is_empty() {
         return fail(&format!("no spans found for trace {digest:016x}"));

@@ -1,10 +1,10 @@
 //! The `flame` subcommand: collapsed-stack output from a span tree.
 //!
 //! `span_end` events carry the span's name, its content-derived
-//! `id`/`parent` pair (PR 7) and, when allocation profiling was on, the
+//! `id`/`parent` pair and, when allocation profiling was on, the
 //! allocations the span observed (`alloc_n`/`alloc_b`). This module
-//! folds them into the collapsed-stack format every standard flamegraph
-//! tool consumes:
+//! folds the [`SpanForest`] built from them into the collapsed-stack
+//! format every standard flamegraph tool consumes:
 //!
 //! ```text
 //! svc.handle;svc.job_execute;sim.montecarlo 10452
@@ -12,10 +12,11 @@
 //! ```
 //!
 //! One line per unique root-to-leaf path, weighted by the *self* share
-//! of the chosen metric (a parent's weight excludes its children, so
-//! summing every line reproduces the total). Spans without ids (the
-//! plain [`vab_obs::Span`] guard) cannot be placed in a tree; they
-//! render as root-level single-frame stacks.
+//! of the chosen metric summed over the span's ends (a parent's weight
+//! excludes its children, so summing every line reproduces the total).
+//! A span with no `span_end` is absent: a parent walk stops below it.
+//! Spans without ids (the plain [`vab_obs::Span`] guard) cannot be placed
+//! in a tree; they render as root-level single-frame stacks.
 //!
 //! Because span identities are content-derived, the collapsed output of
 //! a fixed-seed run is bit-identical at any worker count — the same
@@ -23,7 +24,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::trace::Trace;
+use crate::trace::{ForestSpan, SpanForest, Trace};
 
 /// What a stack's weight counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,20 +48,13 @@ impl Weight {
         }
     }
 
-    fn field(&self) -> &'static str {
+    fn of(self, span: &ForestSpan) -> u64 {
         match self {
-            Weight::TimeUs => "dur_us",
-            Weight::AllocBytes => "alloc_b",
-            Weight::AllocCount => "alloc_n",
+            Weight::TimeUs => span.sum_us,
+            Weight::AllocBytes => span.alloc_b,
+            Weight::AllocCount => span.alloc_n,
         }
     }
-}
-
-#[derive(Debug, Default)]
-struct Node {
-    name: String,
-    parent: Option<(u64, u64)>,
-    weight: u64,
 }
 
 /// Builds collapsed stacks from every `span_end` in `trace`, weighted by
@@ -68,84 +62,46 @@ struct Node {
 /// lexicographically; zero-self-weight paths are omitted (collapsed
 /// convention). Returns an error when no span matched.
 pub fn collapse(trace: &Trace, weight: Weight, job: Option<u64>) -> Result<Vec<String>, String> {
-    // Keyed by (trace_id, span_id): ids are only unique within a trace.
-    let mut nodes: BTreeMap<(u64, u64), Node> = BTreeMap::new();
-    // Id-less spans: flat, aggregated by name alone.
-    let mut flat: BTreeMap<String, u64> = BTreeMap::new();
-    let hex = |s: &str| u64::from_str_radix(s, 16).ok();
-    for e in trace.events.iter().filter(|e| e.name == "span_end") {
-        let name = match e.fields.str_field("span") {
-            Some(n) => n.to_string(),
-            None => continue,
-        };
-        let w = e.fields.u64_field(weight.field()).unwrap_or(0);
-        let ids =
-            e.fields.str_field("trace").and_then(hex).zip(e.fields.str_field("id").and_then(hex));
-        match ids {
-            Some((trace_id, span_id)) => {
-                if job.is_some_and(|j| j != trace_id) {
-                    continue;
-                }
-                let parent = e
-                    .fields
-                    .str_field("parent")
-                    .and_then(hex)
-                    .filter(|&p| p != 0)
-                    .map(|p| (trace_id, p));
-                let node = nodes.entry((trace_id, span_id)).or_default();
-                node.name = name;
-                node.parent = parent;
-                node.weight += w;
-            }
-            None => {
-                if job.is_none() {
-                    *flat.entry(name).or_insert(0) += w;
-                }
-            }
-        }
-    }
-    if nodes.is_empty() && flat.is_empty() {
+    let forest = SpanForest::build(trace, job);
+    if !forest.traces.values().flat_map(|t| t.values()).any(|s| s.ended)
+        && forest.unplaced.is_empty()
+    {
         return Err(match job {
             Some(j) => format!("no spans found for trace {j:016x}"),
             None => "no span_end events in trace".into(),
         });
     }
-    // Self weight: a span minus its direct children (clamped — clock
-    // jitter can make children sum past the parent).
-    let mut child_sum: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-    for node in nodes.values() {
-        if let Some(p) = node.parent {
-            if nodes.contains_key(&p) {
-                *child_sum.entry(p).or_insert(0) += node.weight;
-            }
-        }
-    }
     let mut lines: BTreeMap<String, u64> = BTreeMap::new();
-    for (key, node) in &nodes {
-        let self_w = node.weight.saturating_sub(child_sum.get(key).copied().unwrap_or(0));
-        if self_w == 0 {
-            continue;
-        }
-        // Root-to-leaf path by walking parents; orphaned parents (their
-        // span_end was truncated away) end the walk gracefully.
-        let mut path = vec![node.name.as_str()];
-        let mut cursor = node.parent;
-        let mut depth = 0;
-        while let Some(p) = cursor {
-            let Some(parent) = nodes.get(&p) else { break };
-            path.push(parent.name.as_str());
-            cursor = parent.parent;
-            depth += 1;
-            if depth > 64 {
-                break; // cycle guard: malformed trace, stop the walk
+    let mut add = |path: String, w: u64| {
+        lines.entry(path).and_modify(|sum: &mut u64| *sum = sum.saturating_add(w)).or_insert(w);
+    };
+    for spans in forest.traces.values() {
+        for span in spans.values().filter(|s| s.ended) {
+            // Self weight: a span minus its direct children (clamped —
+            // clock jitter can make children sum past the parent).
+            let kids =
+                span.children.iter().fold(0u64, |sum, c| sum.saturating_add(weight.of(&spans[c])));
+            let self_w = weight.of(span).saturating_sub(kids);
+            if self_w == 0 {
+                continue;
             }
+            let mut path = vec![span.name.as_str()];
+            let mut cursor = span.parent;
+            for _ in 0..=64 {
+                let Some(parent) = cursor.and_then(|p| spans.get(&p)).filter(|s| s.ended) else {
+                    break;
+                };
+                path.push(parent.name.as_str());
+                cursor = parent.parent;
+            }
+            path.reverse();
+            add(path.join(";"), self_w);
         }
-        path.reverse();
-        *lines.entry(path.join(";")).or_insert(0) += self_w;
     }
-    for (name, w) in flat {
+    for (name, cost) in &forest.unplaced {
+        let w = weight.of(cost);
         if w > 0 {
-            *lines.entry(name).or_insert(0) += w;
+            add(name.clone(), w);
         }
     }
     Ok(lines.into_iter().map(|(path, w)| format!("{path} {w}")).collect())
@@ -232,6 +188,16 @@ mod tests {
         let one = collapse(&t, Weight::TimeUs, Some(0xaa)).expect("filtered");
         assert_eq!(one, vec!["svc.handle 500".to_string()]);
         assert!(collapse(&t, Weight::TimeUs, Some(0xdead)).is_err());
+    }
+
+    #[test]
+    fn a_span_without_an_end_is_absent() {
+        // exec (id 2) began but never ended: mc's parent walk stops below it.
+        let exec = line(1, "svc.job_execute", "0000000000000002", "0000000000000001", 0, 0);
+        let mc = line(2, "sim.montecarlo", "0000000000000003", "0000000000000002", 700, 0);
+        let t = Trace::parse(&format!("{}\n{mc}\n", exec.replace("span_end", "span_begin")));
+        let lines = collapse(&t, Weight::TimeUs, None).expect("collapse");
+        assert_eq!(lines, vec!["sim.montecarlo 700".to_string()]);
     }
 
     #[test]

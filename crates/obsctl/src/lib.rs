@@ -20,6 +20,8 @@
 //!   is a behavior change). It is the workspace's one snapshot
 //!   comparison: two runs compare as `gate --write --baseline ref.json
 //!   A.json` then `gate --baseline ref.json B.json`.
+//! * [`trace`] — loads and merges JSONL traces, and builds the one
+//!   [`trace::SpanForest`] that [`waterfall`] and [`flame`] read.
 //! * [`waterfall`] — reconstructs one job's cross-process span tree
 //!   (client submit → wire → queue → execute → cache persist) from
 //!   merged daemon+client JSONL traces, with skew-immune critical-path

@@ -1,11 +1,19 @@
-//! Loading `trace.jsonl` event streams. (`metrics.json` snapshots load
-//! through `vab_obs::metrics::Snapshot::load`.)
+//! Loading `trace.jsonl` event streams, and the span tree they carry.
+//! (`metrics.json` snapshots load through `vab_obs::metrics::Snapshot::load`.)
 //!
 //! The JSONL sink shards its buffers per thread, so on-disk line order is
 //! *not* sequence order: [`Trace::load`] re-sorts by `seq` after parsing.
 //! A campaign killed mid-write leaves a truncated final line; the loader
 //! skips it (and any isolated corrupt line) with a warning instead of
 //! failing the whole analysis.
+//!
+//! [`SpanForest`], read by [`crate::flame`] and [`crate::waterfall`], is
+//! the one reader of span identity (`span`, `trace`, `id`, `parent`). The
+//! first event carrying an id names the span and sets its parent. A
+//! missing, non-hex, zero or self `parent`, or one never seen, makes a
+//! root. A `span_end` without a hex trace/id pair is kept by name. vab-obs
+//! writes every id with its parent, and a repeated id repeats both, so
+//! these rules only decide hand-made or damaged input.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -161,6 +169,105 @@ impl Trace {
             .filter(|(_, e)| e.target == target && e.name == name)
             .map(|(i, _)| i)
             .collect()
+    }
+}
+
+/// One span of a [`SpanForest`].
+#[derive(Debug, Clone, Default)]
+pub struct ForestSpan {
+    /// Span name (doubles as the stage-histogram instrument name).
+    pub name: String,
+    /// Parent span id in the same trace; `None` for a root.
+    pub parent: Option<u64>,
+    /// Whether any `span_end` was seen.
+    pub ended: bool,
+    /// The first `dur_us` a `span_end` carried.
+    pub dur_us: Option<u64>,
+    /// `dur_us` summed over every `span_end` (all sums saturate).
+    pub sum_us: u64,
+    /// `alloc_n` summed over every `span_end` (0 unless profiled).
+    pub alloc_n: u64,
+    /// `alloc_b` summed over every `span_end` (0 unless profiled).
+    pub alloc_b: u64,
+    /// `span_begin`/`span_end` events seen (a daemon can replay a span).
+    pub events: usize,
+    /// Labels of the traces (processes) that emitted them, sorted, unique.
+    pub sources: Vec<String>,
+    /// Child span ids, sorted by `(name, id)`: a content-only order.
+    pub children: Vec<u64>,
+}
+
+impl ForestSpan {
+    fn add_end(&mut self, fields: &Json) {
+        let add = |sum: u64, key| sum.saturating_add(fields.u64_field(key).unwrap_or(0));
+        self.ended = true;
+        self.dur_us = self.dur_us.or(fields.u64_field("dur_us"));
+        self.sum_us = add(self.sum_us, "dur_us");
+        self.alloc_n = add(self.alloc_n, "alloc_n");
+        self.alloc_b = add(self.alloc_b, "alloc_b");
+    }
+}
+
+/// The span tree of a (possibly [`Trace::merge`]d) trace, built once.
+#[derive(Debug, Clone, Default)]
+pub struct SpanForest {
+    /// Spans by trace id, then by span id (ids are unique only within a
+    /// trace).
+    pub traces: BTreeMap<u64, BTreeMap<u64, ForestSpan>>,
+    /// The `span_end`s without a hex trace/id pair (the plain
+    /// `vab_obs::Span` guard) by span name; kept only when `only` is `None`.
+    pub unplaced: BTreeMap<String, ForestSpan>,
+}
+
+impl SpanForest {
+    /// Builds the forest from every span event in `trace`, or only from
+    /// those of trace id `only`.
+    pub fn build(trace: &Trace, only: Option<u64>) -> SpanForest {
+        let mut forest = SpanForest::default();
+        for e in &trace.events {
+            let is_end = match e.name.as_str() {
+                "span_end" => true,
+                "span_begin" => false,
+                _ => continue,
+            };
+            let Some(name) = e.fields.str_field("span") else { continue };
+            let hex = |key: &str| u64::from_str_radix(e.fields.str_field(key)?, 16).ok();
+            let Some((trace_id, id)) = hex("trace").zip(hex("id")) else {
+                if is_end && only.is_none() {
+                    forest.unplaced.entry(name.to_string()).or_default().add_end(&e.fields);
+                }
+                continue;
+            };
+            if only.is_some_and(|t| t != trace_id) {
+                continue;
+            }
+            let spans = forest.traces.entry(trace_id).or_default();
+            let span = spans.entry(id).or_insert_with(|| ForestSpan {
+                name: name.to_string(),
+                parent: hex("parent").filter(|&p| p != 0 && p != id),
+                ..ForestSpan::default()
+            });
+            span.events += 1;
+            if let (false, Err(at)) = (e.source.is_empty(), span.sources.binary_search(&e.source)) {
+                span.sources.insert(at, e.source.clone());
+            }
+            if is_end {
+                span.add_end(&e.fields);
+            }
+        }
+        for spans in forest.traces.values_mut() {
+            let mut links: Vec<(u64, &str, u64)> = spans
+                .iter()
+                .filter_map(|(&id, s)| Some((s.parent?, s.name.as_str(), id)))
+                .filter(|(parent, ..)| spans.contains_key(parent))
+                .collect();
+            links.sort_unstable();
+            let links: Vec<(u64, u64)> = links.into_iter().map(|(p, _, id)| (p, id)).collect();
+            for (parent, id) in links {
+                spans.get_mut(&parent).expect("linked parent is present").children.push(id);
+            }
+        }
+        forest
     }
 }
 

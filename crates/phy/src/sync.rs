@@ -49,7 +49,7 @@ impl Preamble {
     ///
     /// Returns `(start_of_payload_sample, peak_metric)`.
     ///
-    /// The result is defined by the exact scan (see [`lane_scan`]): each
+    /// The result is defined by the exact scan (see `lane_scan`): each
     /// offset's correlation summed in reference order, its magnitude by
     /// `hypot`, the first largest offset, the mean of all magnitudes in
     /// offset order. [`Preamble::locate_fast`] decides almost every buffer

@@ -3,7 +3,7 @@
 //!
 //! The workspace builds for the baseline x86-64 target (SSE2), so a hot
 //! loop only reaches AVX2 or AVX-512 registers when a copy of it is
-//! compiled with those features enabled. [`wide_bodies!`] writes those
+//! compiled with those features enabled. [`wide_bodies!`](crate::wide_bodies) writes those
 //! copies for one `#[inline(always)]` body: a module with one accessor
 //! per instruction set, each handing out a plain `fn` pointer only where
 //! std's cached CPU detection finds every feature the copy enables.
@@ -13,7 +13,7 @@
 //! wider copy performs the same IEEE operations in the same order as the
 //! baseline build: every copy returns the same bits. Callers keep the
 //! baseline body as the fallback and as the oracle their tests compare
-//! every copy the host can run against (see [`wide_bodies!`]'s `all`).
+//! every copy the host can run against (see [`wide_bodies!`](crate::wide_bodies)'s `all`).
 
 /// Writes module `$module` around the `#[inline(always)]` function
 /// `$body` of the enclosing module:

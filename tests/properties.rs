@@ -604,6 +604,55 @@ fn trace_parser_flags_every_truncated_prefix_as_a_torn_tail() {
     }
 }
 
+/// Runs both span-tree readers over `trace`: the flame fold at every
+/// weight, and the waterfall of every trace id the trace holds. Returns
+/// the folds and the renders.
+fn read_spans(trace: &vab_obsctl::Trace) -> (Vec<Vec<String>>, Vec<String>) {
+    use vab_obsctl::flame::{collapse, Weight};
+    use vab_obsctl::trace::SpanForest;
+    use vab_obsctl::waterfall::Waterfall;
+    let folds = [Weight::TimeUs, Weight::AllocCount, Weight::AllocBytes]
+        .into_iter()
+        .map(|w| collapse(trace, w, None).unwrap_or_default())
+        .collect();
+    let ids = SpanForest::build(trace, None).traces.into_keys();
+    let renders = ids.map(|t| Waterfall::from_trace(trace, t).render()).collect();
+    (folds, renders)
+}
+
+#[test]
+fn span_readers_survive_forged_cycles_and_overflowing_sums() {
+    // Span 1 names itself as parent; spans 2 and 3 parent each other.
+    let end = |id: u64, parent: u64| {
+        format!(
+            "{{\"seq\":{id},\"t_us\":{id},\"target\":\"t\",\"event\":\"span_end\",\"fields\":\
+             {{\"span\":\"s{id}\",\"trace\":\"00000000000000aa\",\"id\":\"{id:016x}\",\
+             \"parent\":\"{parent:016x}\",\"dur_us\":{}}}}}",
+            10 * id
+        )
+    };
+    let trace = vab_obsctl::Trace::parse(&[end(1, 1), end(2, 3), end(3, 2)].join("\n"));
+    let (folds, renders) = read_spans(&trace);
+    // A self-parent is a root. In the pair only s3 (30 µs, child s2 of
+    // 20 µs) has self weight, and its walk stops at the cycle guard: its
+    // own frame plus 65 ancestors.
+    assert_eq!(folds[0].len(), 2, "{:?}", folds[0]);
+    assert_eq!(folds[0][0], "s1 10");
+    assert!(folds[0][1].ends_with(";s3 10"), "{}", folds[0][1]);
+    assert_eq!(folds[0][1].split(';').count(), 66, "{}", folds[0][1]);
+    // The waterfall renders only what hangs from a root.
+    assert_eq!(renders.len(), 1);
+    assert!(renders[0].starts_with("trace 00000000000000aa: 3 span(s), 1 root(s)\n"));
+    assert_eq!(renders[0].lines().count(), 2, "{}", renders[0]);
+    // A pair member has no root above it, yet its critical path ends.
+    let w = vab_obsctl::waterfall::Waterfall::from_trace(&trace, 0xaa);
+    assert_eq!(w.critical_path(2), vec![2, 3]);
+    // Costs saturate: two ends of u64::MAX µs fold to u64::MAX.
+    let huge = end(4, 0).replace("\"dur_us\":40", &format!("\"dur_us\":{}", u64::MAX));
+    let (folds, _) = read_spans(&vab_obsctl::Trace::parse(&format!("{huge}\n{huge}")));
+    assert_eq!(folds[0], vec![format!("s4 {}", u64::MAX)]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -626,6 +675,7 @@ proptest! {
             }
             let trace = Trace::parse(&text);
             prop_assert!(trace.events.len() <= text.lines().count());
+            read_spans(&trace);
         }
     }
 

@@ -155,7 +155,7 @@ fn waterfall_reconstructs_one_job_as_a_single_tree() {
     ];
     expected.sort_unstable_by_key(|id| {
         // children_of sorts by (name, id); rebuild that order here.
-        w.spans.get(id).map(|s| (s.name.clone(), s.id)).expect("span present")
+        w.spans.get(id).map(|s| (s.name.clone(), *id)).expect("span present")
     });
     assert_eq!(w.children_of(handle.span_id), expected);
     assert_eq!(w.children_of(execute.span_id), vec![execute.child("svc.cache_persist", 0).span_id]);
