@@ -56,8 +56,8 @@ struct RoundScratch {
     end: Vec<u32>,
     /// Respondents grouped by slot, each slot in `pending` order.
     bucket: Vec<Addr>,
-    /// The address each slot identified, if any.
-    winner: Vec<Option<Addr>>,
+    /// `(slot, pending index)` of each `bucket` entry.
+    origin: Vec<(u32, u32)>,
 }
 
 impl AlohaReader {
@@ -109,16 +109,21 @@ impl AlohaReader {
     /// "two respondents = collision" rule with physical-layer capture:
     /// superpose the respondents' received powers, decide capture by
     /// per-node SINR, and report `Single` only when one reply both captures
-    /// the hydrophone and decodes. The resolver must return `Idle` only for
-    /// empty slots and may return `Single(addr)` only for an `addr` that is
-    /// actually in the slot — window adaptation and identification both
+    /// the hydrophone and decodes. `resolve` is called once per *occupied*
+    /// slot, in slot order, and never with an empty slice: an empty slot
+    /// is idle without a call. The resolver must not return `Idle` for an
+    /// occupied slot and may return `Single(addr)` only for an `addr` that
+    /// is actually in the slot — window adaptation and identification both
     /// trust it. `pending` holds distinct addresses.
     ///
     /// Every node draws its slot in `pending` order; one stable counting
     /// sort then groups the respondents by slot (each slot's slice in
-    /// `pending` order), `resolve` sees the slots in slot order, and
-    /// `pending` is compacted once, keeping its order. The buffers belong
-    /// to the reader, so rounds allocate only while they grow.
+    /// `pending` order) and tags each with its slot and `pending` index.
+    /// The round walks those runs of equal slots, so past the O(w) offsets
+    /// pass it costs O(respondents), however sparse the window. A winner
+    /// leaves `pending` by its index, and `pending` is compacted once,
+    /// keeping its order. The buffers belong to the reader, so rounds
+    /// allocate only while they grow.
     pub fn run_round_with<R: Rng + ?Sized, F>(
         &mut self,
         pending: &mut Vec<Addr>,
@@ -128,7 +133,7 @@ impl AlohaReader {
         F: FnMut(&[Addr]) -> SlotOutcome,
     {
         let w = self.window;
-        let RoundScratch { slot_of, end, bucket, winner } = &mut self.scratch;
+        let RoundScratch { slot_of, end, bucket, origin } = &mut self.scratch;
         slot_of.clear();
         if w.is_power_of_two() {
             // `random_range(0..w)` draws `next_u64() % w`, which for a
@@ -139,7 +144,7 @@ impl AlohaReader {
             slot_of.extend(pending.iter().map(|_| rng.random_range(0..w) as u32));
         }
         // Counting sort: counts, exclusive prefix sums, then a stable
-        // placement that leaves `end[s]` one past slot `s`.
+        // placement that tags every entry with its slot and `pending` index.
         end.clear();
         end.resize(w, 0);
         for &s in slot_of.iter() {
@@ -151,25 +156,37 @@ impl AlohaReader {
             *e = start;
             start += count;
         }
+        let n = pending.len();
         bucket.clear();
-        bucket.resize(pending.len(), 0);
-        for (&addr, &s) in pending.iter().zip(slot_of.iter()) {
+        bucket.resize(n, 0);
+        origin.clear();
+        origin.resize(n, (0, 0));
+        for (i, (&addr, &s)) in pending.iter().zip(slot_of.iter()).enumerate() {
             let cursor = &mut end[s as usize];
             bucket[*cursor as usize] = addr;
+            origin[*cursor as usize] = (s, i as u32);
             *cursor += 1;
         }
-        winner.clear();
-        winner.resize(w, None);
+        // Walk the occupied slots, one run of equal slots at a time; every
+        // other slot of the window is idle. A winner's `slot_of` entry is
+        // no longer needed, so it marks the winner for removal.
+        const WON: u32 = u32::MAX;
+        let mut occupied = 0usize;
         let mut idles = 0usize;
         let mut colls = 0usize;
         let mut lo = 0;
-        for (&hi, won) in end.iter().zip(winner.iter_mut()) {
-            let hi = hi as usize;
-            match resolve(&bucket[lo..hi]) {
+        while lo < n {
+            let slot = origin[lo].0;
+            let hi = lo + origin[lo..].iter().take_while(|&&(s, _)| s == slot).count();
+            let respondents = &bucket[lo..hi];
+            occupied += 1;
+            match resolve(respondents) {
                 SlotOutcome::Idle => idles += 1,
                 SlotOutcome::Single(addr) => {
                     self.identified.push(addr);
-                    *won = Some(addr);
+                    if let Some(j) = respondents.iter().position(|&a| a == addr) {
+                        slot_of[origin[lo + j].1 as usize] = WON;
+                    }
                 }
                 SlotOutcome::Collision => {
                     colls += 1;
@@ -178,13 +195,13 @@ impl AlohaReader {
             }
             lo = hi;
         }
+        idles += w - occupied;
         self.slots_used += w as u64;
         // Identified nodes leave `pending`; everyone else keeps their place.
         let mut kept = 0;
-        for i in 0..pending.len() {
-            let addr = pending[i];
-            if winner[slot_of[i] as usize] != Some(addr) {
-                pending[kept] = addr;
+        for i in 0..n {
+            if slot_of[i] != WON {
+                pending[kept] = pending[i];
                 kept += 1;
             }
         }
@@ -267,16 +284,17 @@ mod tests {
         }
     }
 
-    /// A capture-style resolver: a slot's first respondent decodes with
-    /// probability 1/occupancy on a draw from `decode`, so the oracle
-    /// comparison also pins the order slots are resolved in and the
-    /// order of the respondents within each slot.
+    /// A capture-style resolver: with probability 1/occupancy on a draw
+    /// from `decode`, the respondent at a drawn position of the slot
+    /// decodes, so the oracle comparison also pins the order slots are
+    /// resolved in, the order of the respondents within each slot, and
+    /// which entry leaves `pending` when the winner is not the first.
     fn capture(decode: &mut rand::rngs::StdRng, resp: &[Addr]) -> SlotOutcome {
-        let Some(&first) = resp.first() else {
+        if resp.is_empty() {
             return SlotOutcome::Idle;
-        };
+        }
         if decode.random::<f64>() < 1.0 / resp.len() as f64 {
-            SlotOutcome::Single(first)
+            SlotOutcome::Single(resp[decode.random_range(0..resp.len())])
         } else {
             SlotOutcome::Collision
         }
@@ -293,7 +311,9 @@ mod tests {
                 for i in (1..members.len()).rev() {
                     members.swap(i, shuffle.random_range(0..=i));
                 }
-                for window in [1usize, 2, 4, 16, 64, 512] {
+                // 3, 5 and 100 (and the windows they grow into) draw
+                // through `random_range`, the powers of two through the mask.
+                for window in [1usize, 2, 3, 4, 5, 16, 64, 100, 512] {
                     for use_capture in [false, true] {
                         let mut fast = AlohaReader::with_max_window(window, 2048);
                         let mut slow = fast.clone();
@@ -332,6 +352,46 @@ mod tests {
                             if slow_pending.is_empty() {
                                 break;
                             }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `resolve` sees exactly the occupied slots, once each and in slot
+    /// order, with the slices the naive round hands it; the naive round's
+    /// calls on empty slots are the ones the fast round skips.
+    #[test]
+    fn resolve_is_called_once_per_occupied_slot() {
+        for seed in 0..4u64 {
+            for population in [1usize, 5, 40, 300] {
+                for window in [1usize, 3, 8, 100, 256] {
+                    let members: Vec<Addr> = (0..population as Addr).map(|i| 5 * i + 2).collect();
+                    let mut fast = AlohaReader::with_max_window(window, 1024);
+                    let mut slow = fast.clone();
+                    let (mut fast_pending, mut slow_pending) = (members.clone(), members);
+                    let (mut fast_rng, mut slow_rng) = (seeded(seed), seeded(seed));
+                    for round in 0..20 {
+                        let mut fast_calls: Vec<Vec<Addr>> = Vec::new();
+                        fast.run_round_with(&mut fast_pending, &mut fast_rng, |r| {
+                            assert!(!r.is_empty(), "an empty slot reached the resolver");
+                            fast_calls.push(r.to_vec());
+                            classify_slot(r)
+                        });
+                        let mut slow_calls: Vec<Vec<Addr>> = Vec::new();
+                        naive_round_with(&mut slow, &mut slow_pending, &mut slow_rng, |r| {
+                            if !r.is_empty() {
+                                slow_calls.push(r.to_vec());
+                            }
+                            classify_slot(r)
+                        });
+                        let at = format!("seed {seed}, n {population}, w {window}, round {round}");
+                        assert_eq!(fast_calls, slow_calls, "occupied slots: {at}");
+                        assert_eq!(fast_pending, slow_pending, "pending: {at}");
+                        assert_eq!(fast.window(), slow.window(), "window: {at}");
+                        if slow_pending.is_empty() {
+                            break;
                         }
                     }
                 }

@@ -12,6 +12,9 @@
 //! Collisions are abstract here (any two respondents in a slot collide);
 //! `vab-net` swaps in physical-layer capture through
 //! [`AlohaReader::run_round_with`] without changing any of the policy code.
+//! A round hands its resolver only the occupied slots, in slot order; an
+//! empty slot is idle without a call, so a round past its O(w) offsets
+//! pass costs O(respondents).
 //!
 //! Addresses are [`Addr`] (`u32`): inventory, TDMA and rate control all
 //! operate on the full ocean-scale address space `vab-net` deploys

@@ -100,6 +100,23 @@ impl CaptureModel {
         let sinr_lin = p / (noise_lin + (total - p));
         self.clears(sinr_lin).then_some((addr, sinr_lin))
     }
+
+    /// [`CaptureModel::capture_candidate`] for a slot with one respondent,
+    /// `addr` at power `p`, bit for bit and without the slice. The float
+    /// `Sum` of one power is `p` (it folds from −0.0, and `−0.0 + p` is
+    /// `p` for every `p`, zero included), so the SINR is the general
+    /// `p / (noise + (total − p))` with `total = p`: `NaN` for an infinite
+    /// `p`, as there.
+    pub(crate) fn capture_lone(
+        &self,
+        addr: vab_mac::Addr,
+        p: f64,
+        noise_lin: f64,
+    ) -> Option<(vab_mac::Addr, f64)> {
+        let total = p;
+        let sinr_lin = p / (noise_lin + (total - p));
+        self.clears(sinr_lin).then_some((addr, sinr_lin))
+    }
 }
 
 /// Jain's fairness index of a non-negative allocation:

@@ -198,6 +198,21 @@ pub struct NodeChannel {
     pub direct_success: f64,
 }
 
+/// The part of a [`NodeChannel`] a contention slot reads: one dense
+/// 16-byte row per member of an interaction class, so resolving a slot
+/// never touches the 64-byte node table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SlotRow {
+    rx_reader_lin: f64,
+    direct_success: f64,
+}
+
+impl SlotRow {
+    fn of(node: &NodeChannel) -> Self {
+        Self { rx_reader_lin: node.rx_reader_lin, direct_success: node.direct_success }
+    }
+}
+
 /// A fully derived deployment — a cell plan — ready to run inventory and
 /// steady state over.
 #[derive(Debug, Clone)]
@@ -261,30 +276,34 @@ impl Network {
     /// without a frame, exactly the signal the ALOHA window controller
     /// keys on.
     ///
-    /// Respondents are indices into `table`, an interaction class's dense
-    /// `(address, rx_reader_lin)` rows, and a `Single` names the winner's
-    /// index. `powers` is scratch space, reused across slots.
-    pub fn slot_outcome(
+    /// Respondents are indices into `table`, a cell's dense [`SlotRow`]s,
+    /// and a `Single` names the winner's index. A lone respondent is
+    /// resolved without copying its power; `powers` is scratch space for
+    /// crowded slots, reused across slots.
+    pub(crate) fn slot_outcome(
         &self,
         respondents: &[Addr],
-        table: &[(Addr, f64)],
+        table: &[SlotRow],
         noise_lin: f64,
         decode: &mut StdRng,
         powers: &mut Vec<(Addr, f64)>,
     ) -> SlotOutcome {
-        if respondents.is_empty() {
-            return SlotOutcome::Idle;
-        }
-        powers.clear();
-        powers.extend(respondents.iter().map(|&i| (i, table[i as usize].1)));
-        let Some((winner, sinr_lin)) = self.capture.capture_candidate(powers, noise_lin) else {
+        let candidate = match *respondents {
+            [] => return SlotOutcome::Idle,
+            [i] => self.capture.capture_lone(i, table[i as usize].rx_reader_lin, noise_lin),
+            _ => {
+                powers.clear();
+                powers.extend(respondents.iter().map(|&i| (i, table[i as usize].rx_reader_lin)));
+                self.capture.capture_candidate(powers, noise_lin)
+            }
+        };
+        let Some((winner, sinr_lin)) = candidate else {
             return SlotOutcome::Collision;
         };
         let u = decode.random::<f64>();
         // The clean-SNR bound holds only at or above the clean noise: the
         // s-matrix floor can cancel to a tiny negative.
-        let bound = (noise_lin >= self.noise_lin)
-            .then(|| self.nodes[table[winner as usize].0 as usize].direct_success);
+        let bound = (noise_lin >= self.noise_lin).then(|| table[winner as usize].direct_success);
         if self.phy.decodes(u, sinr_lin, bound) {
             SlotOutcome::Single(winner)
         } else {
@@ -425,25 +444,24 @@ impl Network {
         }
         let k = cells.len();
         let local = |c: u32| cells.binary_search(&c).expect("sinks stay inside their class");
-        // The class's members as dense `(address, rx_reader_lin)` rows,
-        // cells ascending and each cell's members in order. Rounds run on
-        // row indices: `AlohaReader` treats addresses as opaque tokens and
-        // draws slots in `pending` order, and each cell's rows keep its
+        // The class's members as dense [`SlotRow`]s, cells ascending and
+        // each cell's members in order. Rounds run on indices into the
+        // cell's members: `AlohaReader` treats addresses as opaque tokens
+        // and draws slots in `pending` order, and each cell's rows keep its
         // members' order, so every draw and decision is the one the
         // addresses themselves would get.
         let n_rows = cells.iter().map(|&c| self.cell_members[c as usize].len()).sum();
-        let mut table: Vec<(Addr, f64)> = Vec::with_capacity(n_rows);
+        let mut table: Vec<SlotRow> = Vec::with_capacity(n_rows);
         let mut states: Vec<Cell> = cells
             .iter()
             .map(|&c| {
                 let members = &self.cell_members[c as usize];
                 let (contention, decode) = self.cell_seeds[c as usize];
                 let w = members.len().next_power_of_two().clamp(4, self.max_window);
-                let first = table.len() as Addr;
-                table.extend(members.iter().map(|&a| (a, self.nodes[a as usize].rx_reader_lin)));
+                table.extend(members.iter().map(|&a| SlotRow::of(&self.nodes[a as usize])));
                 Cell {
                     reader: AlohaReader::with_max_window(w, self.max_window),
-                    pending: (first..table.len() as Addr).collect(),
+                    pending: (0..members.len() as Addr).collect(),
                     contention: seeded(contention),
                     decode: seeded(decode),
                 }
@@ -471,7 +489,11 @@ impl Network {
                 *duty =
                     if cell.pending.is_empty() { 0.0 } else { 1.0 / cell.reader.window() as f64 };
             }
+            let mut first = 0;
             for (c, cell) in states.iter_mut().enumerate() {
+                let members = &self.cell_members[cells[c] as usize];
+                let rows = &table[first..first + members.len()];
+                first += members.len();
                 if cell.pending.is_empty() {
                     continue;
                 }
@@ -485,18 +507,18 @@ impl Network {
                 let Cell { reader, pending, contention, decode } = cell;
                 let before = reader.identified.len();
                 reader.run_round_with(pending, contention, |resp| {
-                    self.slot_outcome(resp, &table, noise, decode, &mut powers)
+                    self.slot_outcome(resp, rows, noise, decode, &mut powers)
                 });
                 // Newly discovered nodes stop contending: retire their
                 // energy from every victim reader's pending bucket.
                 let new = &reader.identified[before..];
                 for &i in new {
-                    for &(victim, rx) in self.sinks_of(table[i as usize].0) {
+                    for &(victim, rx) in self.sinks_of(members[i as usize]) {
                         s_matrix[local(victim) * k + c] -= rx;
                     }
                 }
                 let round = out.rounds;
-                out.found.extend(new.iter().map(|&i| (round, cells[c], table[i as usize].0)));
+                out.found.extend(new.iter().map(|&i| (round, cells[c], members[i as usize])));
             }
             out.rounds += 1;
         }
@@ -710,6 +732,7 @@ pub fn run_deployment(spec: &NetworkSpec) -> DeploymentReport {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::Rng;
     use vab_util::db::db_to_lin_pow;
 
     // The decode-draw shortcut decides every slot whose noise is at least
@@ -752,6 +775,86 @@ mod tests {
         }
     }
 
+    /// A one-reader plan whose PHY, clean noise and capture rule the
+    /// slot-resolver properties run against.
+    fn river_net() -> &'static Network {
+        static NET: OnceLock<Network> = OnceLock::new();
+        NET.get_or_init(|| Network::build_link_budget(&NetworkSpec::river(8, 3)))
+    }
+
+    /// The slot resolver's general path (`capture_candidate` over a
+    /// copied slice) for one respondent: the lone-respondent oracle.
+    fn general_outcome(
+        net: &Network,
+        row: SlotRow,
+        noise: f64,
+        decode: &mut StdRng,
+    ) -> SlotOutcome {
+        let Some((winner, sinr)) = net.capture.capture_candidate(&[(0, row.rx_reader_lin)], noise)
+        else {
+            return SlotOutcome::Collision;
+        };
+        let u = decode.random::<f64>();
+        let bound = (noise >= net.noise_lin).then_some(row.direct_success);
+        if net.phy.decodes(u, sinr, bound) {
+            SlotOutcome::Single(winner)
+        } else {
+            SlotOutcome::Collision
+        }
+    }
+
+    // A lone respondent's branch decides exactly what the general path
+    // decides: the same capture SINR bits, the same outcome and the decode
+    // stream left at the same place, for random powers and noises and at
+    // the edges (zero, subnormal, huge and infinite powers; the clean noise
+    // and its neighbours, where the decode bound switches on).
+    proptest! {
+        #[test]
+        fn a_lone_respondent_resolves_like_the_general_path(
+            power_db in -80.0f64..80.0,
+            noise_db in -20.0f64..20.0,
+            success in 0.0f64..1.0,
+            seed in any::<u64>(),
+        ) {
+            let net = river_net();
+            let clean = net.noise_lin;
+            let subnormal = f64::MIN_POSITIVE / 3.0;
+            let powers =
+                [clean * db_to_lin_pow(power_db), 0.0, subnormal, 1e300, f64::INFINITY];
+            let noises = [
+                clean * db_to_lin_pow(noise_db),
+                clean,
+                clean.next_down(),
+                clean.next_up(),
+                0.0,
+                subnormal,
+                1e300,
+            ];
+            for p in powers {
+                for direct_success in [success, net.phy.frame_success(p / clean)] {
+                    let row = SlotRow { rx_reader_lin: p, direct_success };
+                    for noise in noises {
+                        let bits = |c: Option<(Addr, f64)>| c.map(|(a, sinr)| (a, sinr.to_bits()));
+                        prop_assert_eq!(
+                            bits(net.capture.capture_lone(0, p, noise)),
+                            bits(net.capture.capture_candidate(&[(0, p)], noise)),
+                            "sinr at p {:e}, noise {:e}", p, noise
+                        );
+                        let (mut lone, mut general) = (seeded(seed), seeded(seed));
+                        let got = net.slot_outcome(&[0], &[row], noise, &mut lone, &mut Vec::new());
+                        let want = general_outcome(net, row, noise, &mut general);
+                        prop_assert_eq!(got, want, "outcome at p {:e}, noise {:e}", p, noise);
+                        prop_assert_eq!(
+                            lone.next_u64(),
+                            general.next_u64(),
+                            "decode stream at p {:e}, noise {:e}", p, noise
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn deployment_is_deterministic() {
         let spec = NetworkSpec::river(24, 5);
@@ -782,7 +885,7 @@ mod tests {
         let strongest = net.nodes.iter().max_by(by_power).unwrap();
         let weakest = net.nodes.iter().min_by(by_power).unwrap();
         let mut rng = seeded(1);
-        let table: Vec<(Addr, f64)> = net.nodes.iter().map(|n| (n.addr, n.rx_reader_lin)).collect();
+        let table: Vec<SlotRow> = net.nodes.iter().map(SlotRow::of).collect();
         let respondents = [strongest.addr, weakest.addr];
         match net.slot_outcome(&respondents, &table, net.noise_lin, &mut rng, &mut Vec::new()) {
             SlotOutcome::Single(a) => assert_eq!(a, strongest.addr),

@@ -132,6 +132,24 @@ fn pre_widening_specs_keep_digests_and_reports() {
     }
 }
 
+/// Whole ocean-tier reports, pinned before inventory rounds stopped
+/// visiting idle slots: the round and the slot resolver are bit-exact
+/// rewrites, so every byte of these reports must survive them.
+#[test]
+fn ocean_report_digests_are_pinned() {
+    for (n, seed, want) in [
+        (4_096, 2023, 0x7282_489d_b90b_1247_u64),
+        (4_096, 7, 0xb7b5_9e6e_f449_3148),
+        (4_096, 99, 0xd363_d3f3_72f4_166f),
+        (10_000, 2023, 0x9e41_4212_ab3d_2033),
+        (10_000, 7, 0x9c15_06bb_cc08_2260),
+        (10_000, 99, 0x62af_4bde_44b1_5757),
+    ] {
+        let report = run_scale_deployment(&ScaleSpec::ocean(n, seed)).to_json().render();
+        assert_eq!(fnv1a64(report.as_bytes()), want, "ocean({n}, {seed}) report drifted");
+    }
+}
+
 /// Whether any node of the plan has a co-channel interference sink.
 fn has_sinks(net: &Network) -> bool {
     net.nodes.iter().any(|n| !net.sinks_of(n.addr).is_empty())
@@ -300,9 +318,12 @@ fn production_sinks_match_the_pairwise_oracle_inside_and_past_the_horizon() {
 
 /// The BENCH target for FN3's dominant point: one 65,536-node ocean
 /// deployment (build, inventory and steady state) on one worker costs at
-/// most 0.5 s, best of three. Gated behind `VAB_BENCH=1` like the other
-/// wall-clock gates; run it `--release` (see `SCALING.md` §4 for
-/// measured numbers).
+/// most 0.35 s, best of three. On a shared 2-core AVX-512 host, 17
+/// repeats of the engine whose rounds visit only occupied slots read
+/// 0.197–0.295 s; the engine that resolved every slot read 0.298–0.425 s
+/// over 5 repeats alternated with them. Gated behind `VAB_BENCH=1` like
+/// the other wall-clock gates; run it `--release` (see `SCALING.md` §6
+/// for measured numbers).
 #[test]
 fn ocean_65k_deployment_meets_the_bench_target() {
     if std::env::var("VAB_BENCH").is_err() {
@@ -323,7 +344,7 @@ fn ocean_65k_deployment_meets_the_bench_target() {
         .fold(f64::INFINITY, f64::min);
     set_jobs(0);
     eprintln!("ocean(65536) deployment on one worker: best of 3 {best:.3} s");
-    assert!(best <= 0.5, "need <= 0.5 s, measured {best:.3} s");
+    assert!(best <= 0.35, "need <= 0.35 s, measured {best:.3} s");
 }
 
 #[test]
