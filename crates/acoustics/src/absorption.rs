@@ -7,15 +7,6 @@
 
 use vab_util::units::Hertz;
 
-/// Thorp (1967) absorption in **dB/km** for frequency `f`.
-///
-/// Fit is for salt water at ~4 °C near the surface. `f` is converted to kHz
-/// internally as the formula expects.
-pub fn thorp_db_per_km(f: Hertz) -> f64 {
-    let f2 = f.khz() * f.khz();
-    0.11 * f2 / (1.0 + f2) + 44.0 * f2 / (4100.0 + f2) + 2.75e-4 * f2 + 0.003
-}
-
 /// Francois & Garrison (1982) absorption in **dB/km**.
 ///
 /// Sum of boric-acid, magnesium-sulfate and pure-water contributions, each
@@ -66,32 +57,17 @@ pub fn francois_garrison_db_per_km(
     boric + mgso4 + water
 }
 
-/// Total absorption loss in dB along a path of `distance_m` metres given a
-/// coefficient in dB/km.
-#[inline]
-pub fn path_absorption_db(alpha_db_per_km: f64, distance_m: f64) -> f64 {
-    alpha_db_per_km * distance_m / 1000.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vab_util::approx_eq;
     use vab_util::units::Hertz;
 
-    #[test]
-    fn thorp_at_vab_carrier() {
-        // 18.5 kHz: boric ≈0.11, MgSO4 ≈3.39, water ≈0.094 → ≈3.6 dB/km.
-        let a = thorp_db_per_km(Hertz::from_khz(18.5));
-        assert!(approx_eq(a, 3.6, 0.1), "got {a}");
-    }
-
-    #[test]
-    fn thorp_increases_with_frequency() {
-        let a10 = thorp_db_per_km(Hertz::from_khz(10.0));
-        let a20 = thorp_db_per_km(Hertz::from_khz(20.0));
-        let a50 = thorp_db_per_km(Hertz::from_khz(50.0));
-        assert!(a10 < a20 && a20 < a50);
+    /// Thorp (1967) absorption in dB/km: the salt-water fit (about 4 °C,
+    /// near the surface) that Francois–Garrison must agree with in order
+    /// of magnitude.
+    fn thorp_db_per_km(f: Hertz) -> f64 {
+        let f2 = f.khz() * f.khz();
+        0.11 * f2 / (1.0 + f2) + 44.0 * f2 / (4100.0 + f2) + 2.75e-4 * f2 + 0.003
     }
 
     #[test]
@@ -119,11 +95,5 @@ mod tests {
         let f = Hertz::from_khz(18.5);
         let a = francois_garrison_db_per_km(f, 15.0, 0.0, 2.0, 7.0);
         assert!(a > 0.01 && a < 0.5, "got {a} dB/km");
-    }
-
-    #[test]
-    fn path_absorption_scales_linearly() {
-        assert!(approx_eq(path_absorption_db(3.6, 1000.0), 3.6, 1e-12));
-        assert!(approx_eq(path_absorption_db(3.6, 300.0), 1.08, 1e-12));
     }
 }

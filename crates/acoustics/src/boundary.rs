@@ -23,7 +23,7 @@ impl Medium {
     }
 
     /// Air (for the water→air pressure-release surface).
-    pub fn air() -> Self {
+    fn air() -> Self {
         Self { density: 1.225, sound_speed: 343.0 }
     }
 
@@ -35,11 +35,6 @@ impl Medium {
     /// Sandy coastal bottom.
     pub fn sand() -> Self {
         Self { density: 1900.0, sound_speed: 1650.0 }
-    }
-
-    /// Rock bottom.
-    pub fn rock() -> Self {
-        Self { density: 2500.0, sound_speed: 3000.0 }
     }
 }
 
@@ -90,6 +85,9 @@ mod tests {
     use super::*;
     use vab_util::approx_eq;
 
+    /// A rock bottom.
+    const ROCK: Medium = Medium { density: 2500.0, sound_speed: 3000.0 };
+
     #[test]
     fn water_air_is_pressure_release() {
         let r = rayleigh_reflection(Medium::water(), Medium::air(), 0.5);
@@ -98,7 +96,7 @@ mod tests {
 
     #[test]
     fn water_rock_is_strongly_reflective() {
-        let r = rayleigh_reflection(Medium::water(), Medium::rock(), 1.2);
+        let r = rayleigh_reflection(Medium::water(), ROCK, 1.2);
         assert!(r.re > 0.3, "hard bottom should reflect strongly, got {r}");
     }
 
@@ -113,14 +111,14 @@ mod tests {
     #[test]
     fn beyond_critical_angle_total_reflection() {
         // Water→rock at very shallow grazing: cosθ2 > 1 → |R| = 1.
-        let r = rayleigh_reflection(Medium::water(), Medium::rock(), 0.05);
+        let r = rayleigh_reflection(Medium::water(), ROCK, 0.05);
         assert!(approx_eq(r.abs(), 1.0, 1e-9), "|R| = {}", r.abs());
     }
 
     #[test]
     fn reflection_magnitude_bounded() {
         for g in [0.01, 0.3, 0.8, 1.5] {
-            for m in [Medium::air(), Medium::mud(), Medium::sand(), Medium::rock()] {
+            for m in [Medium::air(), Medium::mud(), Medium::sand(), ROCK] {
                 let r = rayleigh_reflection(Medium::water(), m, g).abs();
                 assert!(r <= 1.0 + 1e-9, "unphysical |R| = {r}");
             }

@@ -66,7 +66,7 @@ impl SurfaceMod {
 
     /// Instantaneous extra phase at time `t` seconds.
     #[inline]
-    pub fn phase_at(&self, t: f64) -> f64 {
+    fn phase_at(&self, t: f64) -> f64 {
         if self.beta_rad == 0.0 {
             0.0
         } else {
@@ -75,7 +75,7 @@ impl SurfaceMod {
     }
 
     /// True when the path does not move.
-    pub fn is_static(&self) -> bool {
+    fn is_static(&self) -> bool {
         self.beta_rad == 0.0
     }
 
@@ -108,56 +108,11 @@ pub struct ChannelModel {
     bounce_scattering_db: f64,
 }
 
-/// Why a channel geometry is unusable by the image method.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum GeometryError {
-    /// A coordinate or the carrier is NaN/infinite.
-    NonFinite,
-    /// The water column has zero or negative depth.
-    BadDepth {
-        /// The offending depth, metres.
-        depth_m: f64,
-    },
-    /// An endpoint lies outside the water column (above the surface or
-    /// below the bottom).
-    OutOfColumn {
-        /// The offending endpoint depth, metres (positive down).
-        z_m: f64,
-        /// The column depth, metres.
-        depth_m: f64,
-    },
-    /// The carrier frequency is not positive.
-    BadCarrier {
-        /// The offending carrier, Hz.
-        carrier_hz: f64,
-    },
-}
-
-impl std::fmt::Display for GeometryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GeometryError::NonFinite => write!(f, "non-finite coordinate or carrier"),
-            GeometryError::BadDepth { depth_m } => {
-                write!(f, "water column depth {depth_m} m must be positive")
-            }
-            GeometryError::OutOfColumn { z_m, depth_m } => {
-                write!(f, "endpoint at z = {z_m} m outside the 0–{depth_m} m water column")
-            }
-            GeometryError::BadCarrier { carrier_hz } => {
-                write!(f, "carrier {carrier_hz} Hz must be positive")
-            }
-        }
-    }
-}
-
-impl std::error::Error for GeometryError {}
-
 impl ChannelModel {
     /// Creates a channel between `tx` and `rx` at carrier `f`.
     ///
-    /// Infallible by construction for the scenario builders (which only
-    /// produce in-column geometries); external callers with untrusted
-    /// coordinates should prefer [`ChannelModel::try_new`].
+    /// The scenario builders only produce in-column geometries; the image
+    /// method silently produces nonsense (or NaN delays) on others.
     pub fn new(env: Environment, tx: Position, rx: Position, carrier: Hertz) -> Self {
         Self {
             env,
@@ -168,36 +123,6 @@ impl ChannelModel {
             amplitude_floor: 1e-3,
             bounce_scattering_db: 2.0,
         }
-    }
-
-    /// [`ChannelModel::new`] with the geometry validated: coordinates and
-    /// carrier finite, depth positive, both endpoints inside the water
-    /// column. The image method silently produces nonsense (or NaN delays)
-    /// on such inputs, so untrusted deployment descriptions go through
-    /// here.
-    pub fn try_new(
-        env: Environment,
-        tx: Position,
-        rx: Position,
-        carrier: Hertz,
-    ) -> Result<Self, GeometryError> {
-        let depth = env.depth.value();
-        let coords = [tx.x, tx.y, tx.z, rx.x, rx.y, rx.z, depth, carrier.value()];
-        if coords.iter().any(|v| !v.is_finite()) {
-            return Err(GeometryError::NonFinite);
-        }
-        if depth <= 0.0 {
-            return Err(GeometryError::BadDepth { depth_m: depth });
-        }
-        for z in [tx.z, rx.z] {
-            if !(0.0..=depth).contains(&z) {
-                return Err(GeometryError::OutOfColumn { z_m: z, depth_m: depth });
-            }
-        }
-        if carrier.value() <= 0.0 {
-            return Err(GeometryError::BadCarrier { carrier_hz: carrier.value() });
-        }
-        Ok(Self::new(env, tx, rx, carrier))
     }
 
     /// Environment reference.
@@ -386,7 +311,7 @@ impl ImpulseResponse {
 
     /// Number of baseband taps needed to represent the response as an FIR
     /// vector: the last arrival's integer delay plus interpolation slack.
-    pub fn tap_count(&self) -> usize {
+    fn tap_count(&self) -> usize {
         let max_delay = self.arrivals.last().map_or(0.0, |a| a.delay_s);
         (max_delay * self.fs).ceil() as usize + 2
     }
@@ -751,46 +676,5 @@ mod tests {
             assert!((r.gain.abs() - eff * a.gain.norm_sq()).abs() < 1e-12);
             assert!((r.surface_mod.beta_rad - 2.0 * a.surface_mod.beta_rad).abs() < 1e-15);
         }
-    }
-
-    #[test]
-    fn try_new_accepts_in_column_geometry() {
-        let env = Environment::river(); // 4 m column
-        let ch = ChannelModel::try_new(
-            env,
-            Position::new(0.0, 0.0, 2.0),
-            Position::new(50.0, 0.0, 2.0),
-            F,
-        );
-        assert!(ch.is_ok());
-    }
-
-    #[test]
-    fn try_new_rejects_bad_geometry() {
-        let env = Environment::river();
-        let inside = Position::new(0.0, 0.0, 2.0);
-        // Above the surface.
-        let above = Position::new(10.0, 0.0, -1.0);
-        assert_eq!(
-            ChannelModel::try_new(env.clone(), inside, above, F).err(),
-            Some(GeometryError::OutOfColumn { z_m: -1.0, depth_m: 4.0 })
-        );
-        // Below the bottom.
-        let below = Position::new(10.0, 0.0, 9.0);
-        assert!(matches!(
-            ChannelModel::try_new(env.clone(), below, inside, F),
-            Err(GeometryError::OutOfColumn { .. })
-        ));
-        // NaN coordinate.
-        let nan = Position::new(f64::NAN, 0.0, 2.0);
-        assert_eq!(
-            ChannelModel::try_new(env.clone(), nan, inside, F).err(),
-            Some(GeometryError::NonFinite)
-        );
-        // Silly carrier.
-        assert!(matches!(
-            ChannelModel::try_new(env, inside, inside, Hertz(0.0)),
-            Err(GeometryError::BadCarrier { .. })
-        ));
     }
 }

@@ -1,6 +1,6 @@
 //! Deployment geometry: 3-D positions with a depth-positive-down convention.
 
-use vab_util::units::{Degrees, Meters};
+use vab_util::units::Meters;
 
 /// A point in the water column. `x`, `y` are horizontal metres; `z` is depth
 /// in metres, positive **downward** (surface at z = 0).
@@ -39,30 +39,6 @@ impl Position {
         let dy = self.y - other.y;
         Meters((dx * dx + dy * dy).sqrt())
     }
-
-    /// Azimuth from this position to `other`, measured in the horizontal
-    /// plane from the +x axis.
-    pub fn azimuth_to(&self, other: &Position) -> Degrees {
-        Degrees::from_radians((other.y - self.y).atan2(other.x - self.x))
-    }
-
-    /// Elevation angle to `other` above the horizontal (negative = deeper).
-    pub fn elevation_to(&self, other: &Position) -> Degrees {
-        let h = self.horizontal_range(other).value();
-        // z is positive down, so a deeper target has negative elevation.
-        Degrees::from_radians((-(other.z - self.z)).atan2(h))
-    }
-
-    /// Mirror image across the surface plane (z → −z); used by the image
-    /// method for surface bounces.
-    pub fn mirror_surface(&self) -> Position {
-        Position::new(self.x, self.y, -self.z)
-    }
-
-    /// Mirror image across the bottom plane at `depth` (z → 2·depth − z).
-    pub fn mirror_bottom(&self, depth: f64) -> Position {
-        Position::new(self.x, self.y, 2.0 * depth - self.z)
-    }
 }
 
 #[cfg(test)]
@@ -84,34 +60,5 @@ mod tests {
         let a = Position::new(1.0, -2.0, 3.0);
         let b = Position::new(-4.0, 5.0, 0.5);
         assert_eq!(a.distance_to(&b), b.distance_to(&a));
-    }
-
-    #[test]
-    fn azimuth_cardinal_directions() {
-        let o = Position::default();
-        assert!(approx_eq(o.azimuth_to(&Position::new(1.0, 0.0, 0.0)).value(), 0.0, 1e-9));
-        assert!(approx_eq(o.azimuth_to(&Position::new(0.0, 1.0, 0.0)).value(), 90.0, 1e-9));
-        assert!(approx_eq(o.azimuth_to(&Position::new(-1.0, 0.0, 0.0)).value(), 180.0, 1e-9));
-    }
-
-    #[test]
-    fn elevation_sign_convention() {
-        let o = Position::at_depth(5.0);
-        // Target at same depth → 0 elevation.
-        assert!(approx_eq(o.elevation_to(&Position::new(10.0, 0.0, 5.0)).value(), 0.0, 1e-9));
-        // Deeper target → negative elevation.
-        assert!(o.elevation_to(&Position::new(10.0, 0.0, 8.0)).value() < 0.0);
-        // Shallower target → positive.
-        assert!(o.elevation_to(&Position::new(10.0, 0.0, 2.0)).value() > 0.0);
-    }
-
-    #[test]
-    fn mirrors() {
-        let p = Position::new(1.0, 2.0, 3.0);
-        assert_eq!(p.mirror_surface(), Position::new(1.0, 2.0, -3.0));
-        assert_eq!(p.mirror_bottom(10.0), Position::new(1.0, 2.0, 17.0));
-        // Mirroring twice is identity.
-        assert_eq!(p.mirror_surface().mirror_surface(), p);
-        assert_eq!(p.mirror_bottom(10.0).mirror_bottom(10.0), p);
     }
 }

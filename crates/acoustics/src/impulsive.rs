@@ -29,11 +29,6 @@ pub struct ImpulsiveNoise {
 }
 
 impl ImpulsiveNoise {
-    /// A lively tropical bottom: 30 dB snaps, 50 snaps/s, 0.5 ms each.
-    pub fn shrimp_colony(sigma_bg: f64) -> Self {
-        Self { sigma_bg, snap_ratio: 31.6, snap_rate_hz: 50.0, snap_duration_s: 0.5e-3 }
-    }
-
     /// Sparse snapping: 5 snaps/s (temperate water near structure).
     pub fn sparse(sigma_bg: f64) -> Self {
         Self { sigma_bg, snap_ratio: 31.6, snap_rate_hz: 5.0, snap_duration_s: 0.5e-3 }
@@ -42,12 +37,6 @@ impl ImpulsiveNoise {
     /// Fraction of samples inside a snap.
     pub fn duty(&self) -> f64 {
         (self.snap_rate_hz * self.snap_duration_s).min(1.0)
-    }
-
-    /// Average noise power relative to pure background power.
-    pub fn power_penalty_lin(&self) -> f64 {
-        let d = self.duty();
-        (1.0 - d) + d * self.snap_ratio * self.snap_ratio
     }
 
     /// Generates `n` complex noise samples at sample rate `fs`.
@@ -90,29 +79,45 @@ mod tests {
     use vab_util::rng::seeded;
     use vab_util::stats::RunningStats;
 
+    /// A lively tropical bottom: 30 dB snaps, 50 snaps/s, 0.5 ms each.
+    fn shrimp_colony() -> ImpulsiveNoise {
+        ImpulsiveNoise {
+            sigma_bg: 1.0,
+            snap_ratio: 31.6,
+            snap_rate_hz: 50.0,
+            snap_duration_s: 0.5e-3,
+        }
+    }
+
+    /// Average noise power relative to pure background power.
+    fn power_penalty_lin(n: &ImpulsiveNoise) -> f64 {
+        let d = n.duty();
+        (1.0 - d) + d * n.snap_ratio * n.snap_ratio
+    }
+
     #[test]
     fn duty_and_penalty_arithmetic() {
-        let n = ImpulsiveNoise::shrimp_colony(1.0);
+        let n = shrimp_colony();
         // 50 snaps/s × 0.5 ms = 2.5 % duty.
         assert!((n.duty() - 0.025).abs() < 1e-12);
         // Power penalty = 0.975 + 0.025·1000 ≈ 26× (14 dB!).
-        assert!((n.power_penalty_lin() - 25.95).abs() < 0.5, "{}", n.power_penalty_lin());
+        assert!((power_penalty_lin(&n) - 25.95).abs() < 0.5, "{}", power_penalty_lin(&n));
     }
 
     #[test]
     fn generated_power_matches_theory() {
-        let model = ImpulsiveNoise::shrimp_colony(1.0);
+        let model = shrimp_colony();
         let mut rng = seeded(1);
         let fs = 16_000.0;
         let samples = model.generate(400_000, fs, &mut rng);
         let mean_pow: f64 = samples.iter().map(|c| c.norm_sq()).sum::<f64>() / samples.len() as f64;
-        let want = model.power_penalty_lin();
+        let want = power_penalty_lin(&model);
         assert!((mean_pow / want - 1.0).abs() < 0.25, "measured {mean_pow:.1} vs theory {want:.1}");
     }
 
     #[test]
     fn snaps_are_bursty_not_scattered() {
-        let model = ImpulsiveNoise::shrimp_colony(1.0);
+        let model = shrimp_colony();
         let mut rng = seeded(2);
         let fs = 16_000.0;
         let samples = model.generate(200_000, fs, &mut rng);

@@ -9,25 +9,25 @@ use vab_util::db::power_db_sum;
 use vab_util::units::{Db, Hertz};
 
 /// Turbulence noise PSD (significant only below ~10 Hz).
-pub fn turbulence_psd(f: Hertz) -> Db {
+fn turbulence_psd(f: Hertz) -> Db {
     Db(17.0 - 30.0 * f.khz().log10())
 }
 
 /// Distant-shipping noise PSD. `shipping` is the activity factor in [0, 1].
-pub fn shipping_psd(f: Hertz, shipping: f64) -> Db {
+fn shipping_psd(f: Hertz, shipping: f64) -> Db {
     let fk = f.khz();
     Db(40.0 + 20.0 * (shipping.clamp(0.0, 1.0) - 0.5) + 26.0 * fk.log10()
         - 60.0 * (fk + 0.03).log10())
 }
 
 /// Wind / sea-surface noise PSD. `wind_mps` is wind speed in m/s.
-pub fn wind_psd(f: Hertz, wind_mps: f64) -> Db {
+fn wind_psd(f: Hertz, wind_mps: f64) -> Db {
     let fk = f.khz();
     Db(50.0 + 7.5 * wind_mps.max(0.0).sqrt() + 20.0 * fk.log10() - 40.0 * (fk + 0.4).log10())
 }
 
 /// Thermal (molecular agitation) noise PSD.
-pub fn thermal_psd(f: Hertz) -> Db {
+fn thermal_psd(f: Hertz) -> Db {
     Db(-15.0 + 20.0 * f.khz().log10())
 }
 
@@ -39,13 +39,6 @@ pub fn total_psd(f: Hertz, shipping: f64, wind_mps: f64) -> Db {
         wind_psd(f, wind_mps).value(),
         thermal_psd(f).value(),
     ]))
-}
-
-/// Band noise level: PSD integrated over a receiver bandwidth,
-/// `NL = PSD + 10·log10(BW)` assuming the PSD is flat over the band — a good
-/// approximation for the narrow backscatter bandwidths (≤ a few kHz).
-pub fn band_level(psd: Db, bandwidth: Hertz) -> Db {
-    psd + Db(10.0 * bandwidth.value().max(1.0).log10())
 }
 
 #[cfg(test)]
@@ -87,15 +80,6 @@ mod tests {
     fn thermal_rises_with_frequency_and_wins_high() {
         let f = Hertz::from_khz(300.0);
         assert!(thermal_psd(f).value() > wind_psd(f, 5.0).value());
-    }
-
-    #[test]
-    fn band_level_integrates_bandwidth() {
-        let psd = Db(50.0);
-        let nl = band_level(psd, Hertz(1000.0));
-        assert!(approx_eq(nl.value(), 80.0, 1e-9));
-        // 1 Hz band adds nothing.
-        assert!(approx_eq(band_level(psd, Hertz(1.0)).value(), 50.0, 1e-9));
     }
 
     #[test]

@@ -15,11 +15,9 @@
 //! ```
 //!
 //! (θ measured from the horizontal, z positive down, midpoint integration)
-//! with specular reflections at the surface and bottom, and finds eigenrays
-//! between two points by bisecting launch angles.
+//! with specular reflections at the surface and bottom.
 
 use crate::soundspeed::Profile;
-use vab_util::units::Meters;
 
 /// One traced ray path.
 #[derive(Debug, Clone)]
@@ -36,13 +34,6 @@ pub struct RayPath {
     pub n_bottom: u32,
     /// Launch angle, radians from horizontal (positive down).
     pub launch_rad: f64,
-}
-
-impl RayPath {
-    /// Final depth reached at the target range.
-    pub fn final_depth(&self) -> f64 {
-        self.points.last().map(|p| p.1).unwrap_or(f64::NAN)
-    }
 }
 
 /// Ray-tracing configuration.
@@ -121,60 +112,6 @@ impl RayTracer {
             }
         }
     }
-
-    /// Finds eigenrays from `(0, z_src)` to `(range, z_rcv)`: scans launch
-    /// angles in ±`max_angle_rad`, then bisects every sign change of the
-    /// depth error at the target range. Returns the refined paths (at most
-    /// one per bracketing pair), sorted by travel time.
-    pub fn eigenrays(
-        &self,
-        profile: &Profile,
-        z_src: f64,
-        z_rcv: f64,
-        range: Meters,
-        max_angle_rad: f64,
-        n_scan: usize,
-    ) -> Vec<RayPath> {
-        assert!(n_scan >= 8);
-        let range_m = range.value();
-        let err = |angle: f64| -> f64 {
-            let p = self.trace(profile, z_src, angle, range_m);
-            p.final_depth() - z_rcv
-        };
-        let mut found = Vec::new();
-        let mut prev_angle = -max_angle_rad;
-        let mut prev_err = err(prev_angle);
-        for k in 1..=n_scan {
-            let angle = -max_angle_rad + 2.0 * max_angle_rad * k as f64 / n_scan as f64;
-            let e = err(angle);
-            if prev_err == 0.0 || (prev_err < 0.0) != (e < 0.0) {
-                // Bisect the bracket.
-                let (mut lo, mut hi) = (prev_angle, angle);
-                let (mut elo, _) = (prev_err, e);
-                for _ in 0..40 {
-                    let mid = 0.5 * (lo + hi);
-                    let em = err(mid);
-                    if (em < 0.0) == (elo < 0.0) {
-                        lo = mid;
-                        elo = em;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                let angle_star = 0.5 * (lo + hi);
-                let path = self.trace(profile, z_src, angle_star, range_m);
-                if (path.final_depth() - z_rcv).abs() < 1.0 {
-                    found.push(path);
-                }
-            }
-            prev_angle = angle;
-            prev_err = e;
-        }
-        found.sort_by(|a, b| a.travel_time_s.partial_cmp(&b.travel_time_s).expect("finite"));
-        // Merge duplicates (adjacent brackets converging to the same ray).
-        found.dedup_by(|a, b| (a.travel_time_s - b.travel_time_s).abs() < 1e-5);
-        found
-    }
 }
 
 #[cfg(test)]
@@ -189,7 +126,7 @@ mod tests {
         let p = tracer.trace(&profile, 25.0, 0.0, 200.0);
         // Horizontal launch at mid-depth: stays flat, no bounces.
         assert_eq!(p.n_surface + p.n_bottom, 0);
-        assert!(approx_eq(p.final_depth(), 25.0, 1e-6));
+        assert!(approx_eq(p.points.last().expect("traced").1, 25.0, 1e-6));
         assert!(approx_eq(p.travel_time_s, 200.0 / 1500.0, 1e-4));
         assert!(approx_eq(p.length_m, 200.0, 0.01));
     }
@@ -207,22 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn iso_eigenray_matches_image_method_delay() {
-        let tracer = RayTracer::new(30.0);
-        let c = 1500.0;
-        let profile = Profile::Iso(c);
-        let rays = tracer.eigenrays(&profile, 10.0, 12.0, Meters(150.0), 0.5, 160);
-        assert!(!rays.is_empty(), "must find at least the direct eigenray");
-        // The earliest eigenray is the direct path: t = √(150² + 2²)/c.
-        let want = (150.0f64.powi(2) + 2.0f64.powi(2)).sqrt() / c;
-        let got = rays[0].travel_time_s;
-        assert!((got - want).abs() < 2e-4, "direct eigenray {got:.6}s vs geometric {want:.6}s");
-        // And a surface- or bottom-bounce eigenray should exist too.
-        assert!(rays.len() >= 2, "expected bounce eigenrays, got {}", rays.len());
-        assert!(rays[1].travel_time_s > rays[0].travel_time_s);
-    }
-
-    #[test]
     fn downward_gradient_bends_rays_down() {
         // Sound speed increasing with depth bends rays *upward* (toward the
         // slow side); decreasing with depth bends them downward.
@@ -232,14 +153,14 @@ mod tests {
         let up = tracer.trace(&faster_down, 100.0, 0.0, 400.0);
         let down = tracer.trace(&slower_down, 100.0, 0.0, 400.0);
         assert!(
-            up.final_depth() < 99.0,
+            up.points.last().expect("traced").1 < 99.0,
             "positive gradient should bend the ray up, got z = {}",
-            up.final_depth()
+            up.points.last().expect("traced").1
         );
         assert!(
-            down.final_depth() > 101.0,
+            down.points.last().expect("traced").1 > 101.0,
             "negative gradient should bend the ray down, got z = {}",
-            down.final_depth()
+            down.points.last().expect("traced").1
         );
     }
 
@@ -263,21 +184,6 @@ mod tests {
             (inv_end / inv0 - 1.0).abs() < 1e-3,
             "Snell invariant drifted: {inv0:.6e} → {inv_end:.6e}"
         );
-    }
-
-    #[test]
-    fn refraction_changes_eigenray_count_or_timing() {
-        // Same geometry, iso vs gradient: travel times must differ measurably
-        // (the gradient lengthens/bends the paths).
-        let tracer = RayTracer::new(60.0);
-        let iso = Profile::Iso(1500.0);
-        let grad = Profile::Linear { surface: 1500.0, gradient: -0.3 };
-        let a = tracer.eigenrays(&iso, 20.0, 20.0, Meters(400.0), 0.6, 200);
-        let b = tracer.eigenrays(&grad, 20.0, 20.0, Meters(400.0), 0.6, 200);
-        assert!(!a.is_empty() && !b.is_empty());
-        let da = a[0].travel_time_s;
-        let db = b[0].travel_time_s;
-        assert!((da - db).abs() > 1e-5, "refraction should shift arrival time: {da} vs {db}");
     }
 
     #[test]

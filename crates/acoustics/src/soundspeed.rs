@@ -40,22 +40,6 @@ impl Profile {
             Profile::Linear { surface, gradient } => surface + gradient * depth_m,
         }
     }
-
-    /// Harmonic-mean speed over 0..depth — the right average for travel time.
-    pub fn mean_to(&self, depth_m: f64) -> f64 {
-        match *self {
-            Profile::Iso(c) => c,
-            Profile::Linear { surface, gradient } => {
-                if gradient.abs() < 1e-12 || depth_m <= 0.0 {
-                    surface
-                } else {
-                    // depth / ∫ dz/c(z)
-                    let c1 = surface + gradient * depth_m;
-                    gradient * depth_m / (c1 / surface).ln()
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -92,14 +76,11 @@ mod tests {
         let p = Profile::Iso(1500.0);
         assert_eq!(p.at(0.0), 1500.0);
         assert_eq!(p.at(100.0), 1500.0);
-        assert_eq!(p.mean_to(50.0), 1500.0);
     }
 
     #[test]
-    fn linear_profile_gradient_and_mean() {
+    fn linear_profile_gradient() {
         let p = Profile::Linear { surface: 1500.0, gradient: 0.1 };
         assert!(approx_eq(p.at(10.0), 1501.0, 1e-9));
-        let m = p.mean_to(10.0);
-        assert!(m > 1500.0 && m < 1501.0, "mean {m} should be between endpoints");
     }
 }

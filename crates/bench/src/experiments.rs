@@ -16,8 +16,7 @@ use vab_sim::baseline::{FrontEnd, SystemKind};
 use vab_sim::linkbudget::{harvest_at, LinkBudget};
 use vab_sim::metrics::CsvTable;
 use vab_sim::montecarlo::{
-    run_grid, run_grid_ebn0, run_point_with_front_end, GridPoint, MonteCarloConfig, PointResult,
-    TrialEngine,
+    run_grid, run_grid_ebn0, try_run_point, GridPoint, MonteCarloConfig, PointResult, TrialEngine,
 };
 use vab_sim::scenario::Scenario;
 use vab_util::rng::seeded;
@@ -83,7 +82,7 @@ fn grid_points<'a, R: Copy, C: Copy>(
 
 /// Maximum range at which the measured BER stays at or below `target`,
 /// found by bisection over Monte Carlo points on front end `fe`.
-pub fn max_range_mc(
+fn max_range_mc(
     scenario_at: impl Fn(Meters) -> Scenario,
     fe: &FrontEnd,
     target_ber: f64,
@@ -93,7 +92,8 @@ pub fn max_range_mc(
         // Median-deployment BER: the statistic the paper's "range at BER
         // 10⁻³" reports (a field campaign quotes the typical deployment;
         // fade outliers show up as scatter, not as a mean penalty).
-        let r = run_point_with_front_end(&scenario_at(Meters(d)), fe, &cfg.mc());
+        let r = try_run_point(GridPoint::new(scenario_at(Meters(d)), fe), &cfg.mc())
+            .unwrap_or_else(|e| panic!("{e}"));
         r.median_ber() <= target_ber
     };
     let (mut lo, mut hi) = (2.0f64, 5_000.0f64);
@@ -117,7 +117,7 @@ pub fn max_range_mc(
 /// Battery-free *continuous* operating range of front end `fe`: the
 /// farthest distance at which harvested power covers the listen-mode
 /// budget.
-pub fn harvest_sustain_range(fe: &FrontEnd) -> Meters {
+fn harvest_sustain_range(fe: &FrontEnd) -> Meters {
     let budget = PowerBudget::vab_node().total(NodeMode::Listen);
     let rect = vab_harvest::rectifier::Rectifier::schottky_doubler();
     let ok = |d: f64| {
@@ -297,7 +297,7 @@ pub fn f8_orientation(cfg: &ExpConfig) -> CsvTable {
 }
 
 /// **F9** — scalability: retro gain and max range vs number of pairs.
-pub fn f9_scalability(cfg: &ExpConfig) -> CsvTable {
+fn f9_scalability(cfg: &ExpConfig) -> CsvTable {
     let mut t = CsvTable::new(["n_pairs", "n_elements", "retro_gain_db", "max_range_m_ber1e3"]);
     for pairs in [1usize, 2, 3, 4, 6, 8] {
         let fe = FrontEnd::new(SystemKind::Vab { n_pairs: pairs }, F0);
@@ -314,7 +314,7 @@ pub fn f9_scalability(cfg: &ExpConfig) -> CsvTable {
 }
 
 /// **F10** — the ocean validation: BER vs range across sea states.
-pub fn f10_ocean(cfg: &ExpConfig) -> CsvTable {
+fn f10_ocean(cfg: &ExpConfig) -> CsvTable {
     let mut t = CsvTable::new(["range_m", "ber_calm", "ber_smooth", "ber_slight", "ber_moderate"]);
     let fe = FrontEnd::new(SystemKind::Vab { n_pairs: 4 }, F0);
     let ranges = [25.0, 50.0, 75.0, 100.0, 125.0, 150.0, 200.0, 250.0];
@@ -332,7 +332,7 @@ pub fn f10_ocean(cfg: &ExpConfig) -> CsvTable {
 
 /// **F11** — the electro-mechanical co-design: modulation depth and harvest
 /// fraction vs frequency for the three load strategies.
-pub fn f11_modulation_depth() -> CsvTable {
+fn f11_modulation_depth() -> CsvTable {
     let bvd = Bvd::vab_default();
     let f0 = bvd.series_resonance();
     let naive = ModulationStates::open_short();
@@ -373,7 +373,7 @@ pub fn f11_modulation_depth() -> CsvTable {
 
 /// **F12** — energy: harvested power vs range for VAB and PAB, against the
 /// node budget, plus cold-start time.
-pub fn f12_harvesting() -> CsvTable {
+fn f12_harvesting() -> CsvTable {
     use vab_core::scheduler::min_period_s;
     use vab_harvest::rectifier::Rectifier;
     use vab_util::units::Seconds;
@@ -418,7 +418,7 @@ pub fn f12_harvesting() -> CsvTable {
 
 /// **F13** — throughput vs range: highest rate whose PER stays under 10 %,
 /// and the resulting goodput.
-pub fn f13_throughput(cfg: &ExpConfig) -> CsvTable {
+fn f13_throughput(cfg: &ExpConfig) -> CsvTable {
     let rates = [100.0, 250.0, 500.0, 1000.0];
     let mut t = CsvTable::new(["range_m", "best_rate_bps", "per_at_best", "goodput_bps"]);
     let fe = FrontEnd::new(SystemKind::Vab { n_pairs: 4 }, F0);
@@ -456,7 +456,7 @@ pub fn f13_throughput(cfg: &ExpConfig) -> CsvTable {
 /// strong reply *capture* a contended slot, weak nodes can fail their
 /// decode draw even when alone, and TDMA goodput reflects each node's
 /// actual per-frame delivery probability. The CSV schema is unchanged.
-pub fn f14_multinode(cfg: &ExpConfig) -> CsvTable {
+fn f14_multinode(cfg: &ExpConfig) -> CsvTable {
     let mut t = CsvTable::new([
         "n_nodes",
         "inventory_slots",
@@ -480,7 +480,7 @@ pub fn f14_multinode(cfg: &ExpConfig) -> CsvTable {
 
 /// **A1** — ablation: Van Atta line-delay mismatch (random per pair, std in
 /// fractions of a carrier period) vs retro gain.
-pub fn a1_ablation_delay(cfg: &ExpConfig) -> CsvTable {
+fn a1_ablation_delay(cfg: &ExpConfig) -> CsvTable {
     let mut t = CsvTable::new(["mismatch_std_periods", "mean_retro_gain_db", "loss_vs_ideal_db"]);
     let nominal = VanAttaArray::vab_default(4, F0);
     let ideal = nominal.retro_gain_db(Degrees(0.0), F0);
@@ -502,7 +502,7 @@ pub fn a1_ablation_delay(cfg: &ExpConfig) -> CsvTable {
 }
 
 /// **A2** — ablation: FEC choice on the VAB front end vs range.
-pub fn a2_ablation_fec(cfg: &ExpConfig) -> CsvTable {
+fn a2_ablation_fec(cfg: &ExpConfig) -> CsvTable {
     let stacks: [(&str, LinkConfig); 5] = [
         ("uncoded", LinkConfig::uncoded()),
         ("repetition3", LinkConfig { fec: Fec::Repetition(3), interleaver: None, whitening: true }),
@@ -548,7 +548,7 @@ pub fn a2_ablation_fec(cfg: &ExpConfig) -> CsvTable {
 
 /// **A3** — ablation: how good must the reader's carrier cancellation be?
 /// Sweeps the residual self-interference floor and reports VAB's range.
-pub fn a3_ablation_cancellation(cfg: &ExpConfig) -> CsvTable {
+fn a3_ablation_cancellation(cfg: &ExpConfig) -> CsvTable {
     let mut t =
         CsvTable::new(["si_floor_dbc_per_hz", "noise_floor_db_upa2hz", "max_range_m_ber1e3"]);
     let fe = FrontEnd::new(SystemKind::Vab { n_pairs: 4 }, F0);
@@ -571,7 +571,7 @@ pub fn a3_ablation_cancellation(cfg: &ExpConfig) -> CsvTable {
 
 /// **A4** — ablation: element failures. Dead transducers kill whole pairs;
 /// how gracefully does the array (and the link) degrade?
-pub fn a4_ablation_failures(cfg: &ExpConfig) -> CsvTable {
+fn a4_ablation_failures(cfg: &ExpConfig) -> CsvTable {
     let mut t = CsvTable::new(["failed_elements", "live_elements", "retro_gain_db", "ber_at_300m"]);
     let nominal = VanAttaArray::vab_default(4, F0);
     let front_ends: Vec<FrontEnd> = (0..=3usize)
@@ -601,7 +601,7 @@ pub fn a4_ablation_failures(cfg: &ExpConfig) -> CsvTable {
 
 /// **A5** — manufacturing tolerance: modulation-depth yield across build
 /// quality classes (lab-trimmed vs. commercial vs. loose).
-pub fn a5_tolerance_yield(cfg: &ExpConfig) -> CsvTable {
+fn a5_tolerance_yield(cfg: &ExpConfig) -> CsvTable {
     use vab_piezo::tolerance::{depth_yield, Tolerances};
     let nominal = Bvd::vab_default();
     let f0 = nominal.series_resonance();
@@ -663,7 +663,7 @@ pub fn f15_rate_adaptation(cfg: &ExpConfig) -> CsvTable {
             engine: TrialEngine::LinkBudget,
             threads: 1,
         };
-        1.0 - run_point_with_front_end(&s, &fe, &mc).per()
+        1.0 - try_run_point(GridPoint::new(s, &fe), &mc).unwrap_or_else(|e| panic!("{e}")).per()
     })
     .into_iter()
     .map(|p| p.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
@@ -716,7 +716,7 @@ pub fn f15_rate_adaptation(cfg: &ExpConfig) -> CsvTable {
 /// **F16** — engine cross-validation: uncoded BER vs range from (i) the
 /// closed-form budget (no fading), (ii) the link-budget Monte Carlo and
 /// (iii) the sample-level waveform engine.
-pub fn f16_engine_validation(cfg: &ExpConfig) -> CsvTable {
+fn f16_engine_validation(cfg: &ExpConfig) -> CsvTable {
     let mut t =
         CsvTable::new(["range_m", "theory_static_ber", "link_budget_mc_ber", "sample_level_ber"]);
     let fe = FrontEnd::new(SystemKind::Vab { n_pairs: 4 }, F0);
@@ -746,7 +746,7 @@ pub fn f16_engine_validation(cfg: &ExpConfig) -> CsvTable {
 
 /// **F17** — the campaign aggregate: the abstract's "over 1,500 real-world
 /// experimental trials", as randomized deployments bucketed by range.
-pub fn f17_campaign(cfg: &ExpConfig) -> CsvTable {
+fn f17_campaign(cfg: &ExpConfig) -> CsvTable {
     use vab_sim::campaign::{run_campaign, CampaignConfig};
     // Scale the campaign with the fidelity knob (full = the paper's 1,500).
     let n_trials = (cfg.trials * 10).max(150);
@@ -788,7 +788,7 @@ pub fn f17_campaign(cfg: &ExpConfig) -> CsvTable {
 /// FM0 concentrates energy near DC (cheap, but it must survive the carrier
 /// strip); FSK moves it to clean subcarrier offsets at the cost of switch
 /// activity. The comparison runs at the waveform level.
-pub fn f18_modulation_comparison(cfg: &ExpConfig) -> CsvTable {
+fn f18_modulation_comparison(cfg: &ExpConfig) -> CsvTable {
     use vab_phy::carrier::remove_dc_sliding;
     use vab_phy::demod::{count_bit_errors, Demodulator};
     use vab_phy::fsk::{FskDemodulator, FskModulator, FskParams};
@@ -868,7 +868,7 @@ pub fn f18_modulation_comparison(cfg: &ExpConfig) -> CsvTable {
 /// wipes out *bursts* of chips; the block interleaver spreads each burst
 /// across many codewords. Sweeps the snap rate at a fixed background SNR
 /// and compares the coded link with and without interleaving.
-pub fn a6_ablation_interleaver(cfg: &ExpConfig) -> CsvTable {
+fn a6_ablation_interleaver(cfg: &ExpConfig) -> CsvTable {
     use vab_acoustics::impulsive::ImpulsiveNoise;
     use vab_phy::demod::{count_bit_errors, Demodulator};
     use vab_phy::modulation::{BackscatterModulator, ModParams};
@@ -950,7 +950,6 @@ fn fault_protocol_goodput(
     use vab_link::arq::{ArqReceiver, ArqSender, ReceiveOutcome, SenderAction};
     use vab_mac::inventory::SilenceMonitor;
     use vab_mac::rate_adapt::RateController;
-    use vab_sim::montecarlo::run_point_with_trial_faults;
     use vab_util::rng::derive_seed;
 
     const NODES: [vab_mac::Addr; 4] = [1, 2, 3, 4];
@@ -1027,7 +1026,8 @@ fn fault_protocol_goodput(
             engine: TrialEngine::LinkBudget,
             threads: 1,
         };
-        let point = run_point_with_trial_faults(&s, fe, &mc, &faults);
+        let point = try_run_point(GridPoint::new(s, fe).with_faults(&faults), &mc)
+            .unwrap_or_else(|e| panic!("{e}"));
         let ok = point.packet_errors == 0;
         elapsed += PAYLOAD_BITS / bps + OVERHEAD_S;
         if ok {
@@ -1178,13 +1178,12 @@ pub fn fr1_replay_validation(cfg: &ExpConfig) -> CsvTable {
     t
 }
 
-/// Every experiment with its identifier and a closure to produce it — the
-/// registry `run_all` and the smoke tests iterate.
-/// One entry of the lazy experiment registry.
+/// One entry of the experiment registry.
 pub type ExperimentFn = fn(&ExpConfig) -> CsvTable;
 
-/// The registry as unevaluated functions, so callers (`run_all`, the
-/// observability harness) can time or interleave per-experiment work.
+/// Every experiment with its identifier, as unevaluated functions, so
+/// callers (`run_all`, the observability harness, the smoke tests) can
+/// time or interleave per-experiment work.
 /// Config-free experiments ignore the `ExpConfig` they are handed.
 pub fn all_experiments_lazy() -> Vec<(&'static str, ExperimentFn)> {
     vec![
@@ -1233,13 +1232,10 @@ pub fn experiment(name: &str) -> Result<(&'static str, ExperimentFn), String> {
     }
 }
 
-pub fn all_experiments(cfg: &ExpConfig) -> Vec<(&'static str, CsvTable)> {
-    all_experiments_lazy().into_iter().map(|(name, run)| (name, run(cfg))).collect()
-}
-
 /// Extracts a float cell for assertions in tests (`row`, `col` 0-based on
 /// data rows).
-pub fn cell_f64(table: &CsvTable, row: usize, col: usize) -> f64 {
+#[cfg(test)]
+pub(crate) fn cell_f64(table: &CsvTable, row: usize, col: usize) -> f64 {
     let csv = table.to_csv();
     let line = csv.lines().nth(row + 1).expect("row exists");
     let cell = line.split(',').nth(col).expect("col exists");
@@ -1379,10 +1375,10 @@ mod tests {
     #[test]
     fn registry_contains_every_experiment() {
         let quick = ExpConfig { trials: 4, bits: 64, seed: 7 };
-        let all = all_experiments(&quick);
+        let all = all_experiments_lazy();
         assert_eq!(all.len(), 28);
-        for (name, table) in &all {
-            assert!(!table.is_empty(), "{name} produced no rows");
+        for (name, run) in all {
+            assert!(!run(&quick).is_empty(), "{name} produced no rows");
         }
     }
 }

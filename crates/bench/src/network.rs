@@ -29,7 +29,7 @@ const JOB_TIMEOUT: Duration = Duration::from_secs(600);
 /// Builds the service job for one river deployment, mirroring
 /// [`NetworkSpec::river`] so the pool's content address matches the spec
 /// the in-process path would use.
-pub fn net_topology_job(spec: &NetworkSpec) -> JobSpec {
+fn net_topology_job(spec: &NetworkSpec) -> JobSpec {
     JobSpec::NetTopology {
         n_nodes: spec.n_nodes,
         x_m: spec.volume.x_m,
@@ -47,7 +47,7 @@ pub fn net_topology_job(spec: &NetworkSpec) -> JobSpec {
 /// Builds the service job for one ocean-scale deployment. Geometry and
 /// reader count are pure functions of `n_nodes` (see
 /// [`ScaleSpec::ocean`]), so the job only carries the knobs that vary.
-pub fn net_scale_job(spec: &ScaleSpec) -> JobSpec {
+fn net_scale_job(spec: &ScaleSpec) -> JobSpec {
     JobSpec::NetScale { n_nodes: spec.n_nodes, policy: spec.policy, seed: spec.seed }
 }
 
@@ -57,7 +57,7 @@ pub fn net_scale_job(spec: &ScaleSpec) -> JobSpec {
 ///
 /// Panics if a job fails or times out — figure generation has no useful
 /// partial-result story, and the determinism tests rely on all-or-nothing.
-pub fn run_topology_jobs(jobs: Vec<JobSpec>, cache: Arc<ResultCache>) -> Vec<Json> {
+fn run_topology_jobs(jobs: Vec<JobSpec>, cache: Arc<ResultCache>) -> Vec<Json> {
     let pool = WorkerPool::start(
         PoolConfig { workers: 0, queue_cap: jobs.len().max(8), retry_after_ms: 10 },
         Executor::new(),

@@ -12,7 +12,7 @@ use crate::experiments::ExpConfig;
 /// Resolves the git revision tag for snapshot filenames: `VAB_GIT_SHA`
 /// when set (CI passes the exact revision), else `git rev-parse --short
 /// HEAD`, else `local`. The tag is sanitized to `[0-9a-zA-Z._-]`.
-pub fn git_sha() -> String {
+fn git_sha() -> String {
     let raw = std::env::var("VAB_GIT_SHA").ok().filter(|s| !s.trim().is_empty()).or_else(|| {
         std::process::Command::new("git")
             .args(["rev-parse", "--short", "HEAD"])

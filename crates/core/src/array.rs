@@ -54,13 +54,13 @@ impl ArrayGeometry {
     }
 
     /// Position of element `i` along the array axis, centred on zero.
-    pub fn element_x(&self, i: usize) -> f64 {
+    fn element_x(&self, i: usize) -> f64 {
         assert!(i < self.n_elements);
         (i as f64 - (self.n_elements as f64 - 1.0) / 2.0) * self.spacing.value()
     }
 
     /// The Van Atta partner of element `i`.
-    pub fn pair_of(&self, i: usize) -> usize {
+    fn pair_of(&self, i: usize) -> usize {
         self.n_elements - 1 - i
     }
 
@@ -117,14 +117,6 @@ impl VanAttaArray {
             stuck: vec![false; 2 * n_pairs],
             element_pattern_exp: 0.35,
         }
-    }
-
-    /// Sets a uniform line-delay mismatch on every pair (ablation A1).
-    pub fn with_uniform_mismatch(mut self, frac_of_period: f64) -> Self {
-        for m in self.delay_mismatch.iter_mut() {
-            *m = frac_of_period;
-        }
-        self
     }
 
     /// Marks an element (and hence its pair) failed.
@@ -209,13 +201,6 @@ impl VanAttaArray {
             self.states.absorb,
             f,
         )
-    }
-
-    /// The single complex scalar the link-budget and sample-level simulators
-    /// need: backscattered *modulated* amplitude per unit incident amplitude,
-    /// at incidence θ — `modulation_depth × AF(θ,θ)`.
-    pub fn effective_modulated_amplitude(&self, theta: Degrees, f: Hertz) -> f64 {
-        self.modulation_depth(f) * self.retro_gain(theta, f)
     }
 
     /// Number of live elements (for harvesting aperture: every live element
@@ -397,7 +382,8 @@ mod tests {
         // A *uniform* extra delay on all pairs only rotates the global
         // phase; |AF| is unchanged. (Per-pair random mismatch is what
         // hurts — covered in the next test.)
-        let a = arr(4).with_uniform_mismatch(0.25);
+        let mut a = arr(4);
+        a.delay_mismatch.iter_mut().for_each(|m| *m = 0.25);
         let b = arr(4);
         assert!(approx_eq(a.retro_gain(Degrees(33.0), F0), b.retro_gain(Degrees(33.0), F0), 1e-9));
     }
@@ -457,7 +443,7 @@ mod tests {
         let a = arr(4);
         let depth = a.modulation_depth(F0);
         assert!(depth > 0.6, "depth {depth}");
-        assert!(a.effective_modulated_amplitude(Degrees(0.0), F0) > 4.0);
+        assert!(depth * a.retro_gain(Degrees(0.0), F0) > 4.0);
     }
 
     #[test]

@@ -128,11 +128,6 @@ impl Node {
         self.assigned_slot
     }
 
-    /// Queued readings.
-    pub fn queue_len(&self) -> usize {
-        self.readings.len()
-    }
-
     /// Queues a sensor reading for the next query. Oldest readings drop
     /// when the queue is full (fresh data beats stale data for monitoring).
     pub fn queue_reading(&mut self, bytes: Vec<u8>) {
@@ -372,7 +367,7 @@ mod tests {
         n.queue_reading(vec![1]);
         n.queue_reading(vec![2]);
         n.queue_reading(vec![3]);
-        assert_eq!(n.queue_len(), 2);
+        assert_eq!(n.readings.len(), 2);
         assert_eq!(n.dropped_readings, 1);
         let NodeEvent::Reply { channel_bits, .. } = n.handle_downlink(&query_frame(1)) else {
             panic!()

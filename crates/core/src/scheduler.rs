@@ -16,16 +16,6 @@ use vab_util::units::{Seconds, Watts};
 /// every harvested microwatt browns out on the first bad estimate.
 pub const ENERGY_MARGIN: f64 = 0.9;
 
-/// Relative tolerance when comparing harvest against average draw, so a
-/// schedule planned exactly at the energy-neutral boundary still reports
-/// itself sustainable despite floating-point rounding.
-pub const SUSTAIN_REL_TOL: f64 = 1e-9;
-
-/// Extra derating applied to the harvest estimate when re-planning after
-/// a brownout: the estimate just proved optimistic, so plan the next
-/// schedule as if only half the margin-adjusted harvest were available.
-pub const BROWNOUT_DERATE: f64 = 0.5;
-
 /// A periodic wake schedule: `period` seconds between wake-ups, each with a
 /// listen window and (at most) one reply.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,26 +26,6 @@ pub struct DutySchedule {
     pub listen: Seconds,
     /// Reply (backscatter) window per wake-up.
     pub reply: Seconds,
-}
-
-impl DutySchedule {
-    /// Fraction of time spent listening.
-    pub fn listen_duty(&self) -> f64 {
-        self.listen.value() / self.period.value()
-    }
-
-    /// Average power drawn under this schedule for a given budget.
-    pub fn average_power(&self, budget: &PowerBudget) -> Watts {
-        let p = self.period.value();
-        budget.duty_cycled(self.listen.value() / p, self.reply.value() / p)
-    }
-
-    /// Whether `harvested` sustains this schedule indefinitely
-    /// (energy-neutral operation with the [`ENERGY_MARGIN`] headroom).
-    pub fn sustainable(&self, budget: &PowerBudget, harvested: Watts) -> bool {
-        harvested.value() * ENERGY_MARGIN
-            >= self.average_power(budget).value() * (1.0 - SUSTAIN_REL_TOL)
-    }
 }
 
 /// Plans the most responsive energy-neutral schedule: the shortest wake
@@ -100,36 +70,6 @@ pub fn min_period_s(
         .map(|s| s.period.value())
 }
 
-/// Re-plans after a brownout: the previous schedule drained the capacitor,
-/// which means the harvest estimate it was planned against was optimistic.
-/// Derates the estimate by [`BROWNOUT_DERATE`] and plans again with the
-/// same windows and cap.
-///
-/// Returns `None` when even the derated re-plan cannot be funded — the
-/// node should fall back to opportunistic (cold-start) operation.
-pub fn replan_after_brownout(
-    budget: &PowerBudget,
-    harvested: Watts,
-    previous: &DutySchedule,
-    max_period: Seconds,
-) -> Option<DutySchedule> {
-    let derated = Watts(harvested.value() * BROWNOUT_DERATE);
-    let next = plan_schedule(budget, derated, previous.listen, previous.reply, max_period);
-    vab_obs::event!(
-        "core.scheduler",
-        "brownout_replan",
-        harvested_uw = harvested.value() * 1e6,
-        derated_uw = derated.value() * 1e6,
-        prev_period_s = previous.period.value(),
-        fundable = next.is_some(),
-    );
-    vab_obs::metrics::inc("scheduler.brownout_replans", 1);
-    let next = next?;
-    // Monotonicity guard: the recovery schedule must never be more
-    // aggressive than the one that browned out.
-    Some(DutySchedule { period: Seconds(next.period.value().max(previous.period.value())), ..next })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,6 +77,20 @@ mod tests {
 
     fn budget() -> PowerBudget {
         PowerBudget::vab_node()
+    }
+
+    /// Whether `harvested` sustains `s` indefinitely (energy-neutral with
+    /// the [`ENERGY_MARGIN`] headroom), with a relative tolerance so that a
+    /// schedule planned exactly at the boundary still passes despite
+    /// floating-point rounding.
+    fn sustainable(s: &DutySchedule, budget: &PowerBudget, harvested: Watts) -> bool {
+        harvested.value() * ENERGY_MARGIN >= average_power(s, budget).value() * (1.0 - 1e-9)
+    }
+
+    /// Average power drawn under `s`.
+    fn average_power(s: &DutySchedule, budget: &PowerBudget) -> Watts {
+        let p = s.period.value();
+        budget.duty_cycled(s.listen.value() / p, s.reply.value() / p)
     }
 
     #[test]
@@ -151,7 +105,7 @@ mod tests {
         )
         .expect("sustainable");
         assert!(approx_eq(s.period.value(), 3.0, 1e-9), "period {}", s.period);
-        assert!(s.sustainable(&budget(), Watts::from_uw(50.0)));
+        assert!(sustainable(&s, &budget(), Watts::from_uw(50.0)));
     }
 
     #[test]
@@ -167,10 +121,10 @@ mod tests {
         )
         .expect("sustainable with duty cycling");
         assert!(s.period.value() > 10.0, "period {}", s.period);
-        assert!(s.listen_duty() < 0.2);
-        assert!(s.sustainable(&budget(), Watts::from_uw(2.0)));
+        assert!(s.listen.value() / s.period.value() < 0.2);
+        assert!(sustainable(&s, &budget(), Watts::from_uw(2.0)));
         // And the schedule really is energy-neutral.
-        assert!(s.average_power(&budget()).value() <= 2e-6);
+        assert!(average_power(&s, &budget()).value() <= 2e-6);
     }
 
     #[test]
@@ -201,43 +155,5 @@ mod tests {
         let s =
             plan_schedule(&budget(), Watts::from_uw(1.5), Seconds(2.0), Seconds(1.0), Seconds(5.0));
         assert!(s.is_none(), "should refuse schedules beyond the responsiveness cap");
-    }
-
-    #[test]
-    fn brownout_replan_is_strictly_more_conservative() {
-        let b = budget();
-        let first =
-            plan_schedule(&b, Watts::from_uw(4.0), Seconds(2.0), Seconds(1.0), Seconds(3600.0))
-                .expect("sustainable");
-        let replanned = replan_after_brownout(&b, Watts::from_uw(4.0), &first, Seconds(3600.0))
-            .expect("derated plan still fundable at 4 µW");
-        assert!(
-            replanned.period.value() > first.period.value(),
-            "recovery period {} must exceed the browned-out period {}",
-            replanned.period,
-            first.period
-        );
-        // The derated schedule is sustainable under the *derated* harvest.
-        assert!(replanned.sustainable(&b, Watts::from_uw(4.0 * BROWNOUT_DERATE)));
-    }
-
-    #[test]
-    fn brownout_replan_gives_up_near_the_sleep_floor() {
-        // 1.5 µW is fundable, but half of it (0.75 µW) is below the 1 µW
-        // sleep floor — the re-plan must refuse rather than promise a
-        // schedule that browns out again.
-        let b = budget();
-        let first =
-            plan_schedule(&b, Watts::from_uw(1.5), Seconds(2.0), Seconds(1.0), Seconds(1e6))
-                .expect("sustainable");
-        assert!(replan_after_brownout(&b, Watts::from_uw(1.5), &first, Seconds(1e6)).is_none());
-    }
-
-    #[test]
-    fn average_power_matches_budget_duty_cycle() {
-        let s = DutySchedule { period: Seconds(100.0), listen: Seconds(5.0), reply: Seconds(2.0) };
-        let avg = s.average_power(&budget());
-        let manual = budget().duty_cycled(0.05, 0.02);
-        assert!(approx_eq(avg.value(), manual.value(), 1e-12));
     }
 }

@@ -115,12 +115,12 @@ impl TrialFaults {
     }
 
     /// `true` when nothing is faulted this trial.
-    pub fn is_nominal(&self) -> bool {
+    fn is_nominal(&self) -> bool {
         self == &Self::nominal()
     }
 
     /// Total count of discrete fault events (for reporting).
-    pub fn event_count(&self) -> usize {
+    fn event_count(&self) -> usize {
         self.elements.len()
             + usize::from(self.channel.burst.is_some())
             + usize::from(self.channel.fade_db > 0.0)

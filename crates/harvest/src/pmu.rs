@@ -154,26 +154,6 @@ impl Pmu {
     pub fn set_leak(&mut self, leak: Watts) {
         self.cap.set_leak(leak);
     }
-
-    /// Forces an immediate brown-out (fault injection: a supply glitch or
-    /// latch-up dumping the capacitor mid-operation). The node returns to
-    /// cold start with an empty cap; counts as a brown-out only if the
-    /// logic was actually running.
-    pub fn force_brownout(&mut self) {
-        if self.state == PmuState::Active {
-            self.brownouts += 1;
-            vab_obs::event!(
-                "harvest.pmu",
-                "brownout",
-                forced = true,
-                t_s = self.elapsed,
-                total = self.brownouts,
-            );
-            vab_obs::metrics::inc("pmu.brownouts", 1);
-        }
-        self.state = PmuState::ColdStart;
-        self.cap.set_voltage(Volts(0.0));
-    }
 }
 
 #[cfg(test)]
@@ -257,21 +237,6 @@ mod tests {
     #[test]
     fn availability_zero_before_any_time() {
         assert_eq!(Pmu::vab_default().availability(), 0.0);
-    }
-
-    #[test]
-    fn forced_brownout_resets_to_cold_start() {
-        let mut pmu = Pmu::vab_default();
-        // A forced brown-out during cold start is not counted (nothing ran).
-        pmu.force_brownout();
-        assert_eq!(pmu.brownouts, 0);
-        while !pmu.is_active() {
-            pmu.step(Watts::from_uw(200.0), NodeMode::Sleep, Seconds(0.05));
-        }
-        pmu.force_brownout();
-        assert_eq!(pmu.brownouts, 1);
-        assert_eq!(pmu.state(), PmuState::ColdStart);
-        assert_eq!(pmu.voltage().value(), 0.0, "cap dumped");
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl StorageCap {
         Watts(self.leak)
     }
 
-    /// Directly sets the voltage (test setup / pre-charged deployments).
-    pub fn set_voltage(&mut self, v: Volts) {
-        self.v = v.value().clamp(0.0, self.v_max.value());
-    }
-
     /// Time to charge from empty to `v_target` at constant net power.
     pub fn charge_time(&self, v_target: Volts, net: Watts) -> Option<Seconds> {
         if net.value() <= 0.0 {
@@ -101,7 +96,7 @@ mod tests {
     #[test]
     fn discharges_under_load_and_floors_at_zero() {
         let mut c = StorageCap::vab_default();
-        c.set_voltage(Volts(3.0));
+        c.v = 3.0;
         let e0 = c.energy().value();
         c.step(Watts(0.0), Watts::from_uw(100.0), Seconds(1.0));
         assert!(approx_eq(e0 - c.energy().value(), 1e-4, 1e-9));
@@ -114,7 +109,7 @@ mod tests {
     #[test]
     fn energy_voltage_relation() {
         let mut c = StorageCap::new(100e-6, Volts(3.0));
-        c.set_voltage(Volts(2.0));
+        c.v = 2.0;
         assert!(approx_eq(c.energy().value(), 0.5 * 100e-6 * 4.0, 1e-12));
     }
 
@@ -142,8 +137,8 @@ mod tests {
     fn leakage_drains_the_cap() {
         let mut leaky = StorageCap::vab_default();
         let mut clean = StorageCap::vab_default();
-        leaky.set_voltage(Volts(3.0));
-        clean.set_voltage(Volts(3.0));
+        leaky.v = 3.0;
+        clean.v = 3.0;
         leaky.set_leak(Watts::from_uw(5.0));
         for _ in 0..1000 {
             leaky.step(Watts(0.0), Watts(0.0), Seconds(0.01));

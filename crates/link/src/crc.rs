@@ -2,18 +2,6 @@
 //! and CRC-32 (IEEE 802.3). Bitwise implementations — frame sizes here are
 //! tens of bytes, table lookups would be tuning for the wrong bottleneck.
 
-/// CRC-8, polynomial 0x07, init 0x00 (SMBus/ATM style).
-pub fn crc8(data: &[u8]) -> u8 {
-    let mut crc: u8 = 0;
-    for &byte in data {
-        crc ^= byte;
-        for _ in 0..8 {
-            crc = if crc & 0x80 != 0 { (crc << 1) ^ 0x07 } else { crc << 1 };
-        }
-    }
-    crc
-}
-
 /// CRC-16-CCITT-FALSE: polynomial 0x1021, init 0xFFFF, no reflection.
 pub fn crc16_ccitt(data: &[u8]) -> u16 {
     let mut crc: u16 = 0xFFFF;
@@ -43,11 +31,6 @@ mod tests {
     use super::*;
 
     const CHECK: &[u8] = b"123456789";
-
-    #[test]
-    fn crc8_check_value() {
-        assert_eq!(crc8(CHECK), 0xF4);
-    }
 
     #[test]
     fn crc16_check_value() {
@@ -83,7 +66,6 @@ mod tests {
 
     #[test]
     fn empty_inputs_defined() {
-        assert_eq!(crc8(&[]), 0x00);
         assert_eq!(crc16_ccitt(&[]), 0xFFFF);
         assert_eq!(crc32(&[]), 0x0000_0000);
     }

@@ -188,7 +188,7 @@ pub fn conv_encode(bits: &[bool]) -> Vec<bool> {
 }
 
 /// Hard-decision Viterbi: wraps the soft decoder with ±1 metrics.
-pub fn conv_decode_hard(bits: &[bool]) -> Vec<bool> {
+fn conv_decode_hard(bits: &[bool]) -> Vec<bool> {
     let soft: Vec<f64> = bits.iter().map(|&b| if b { 1.0 } else { -1.0 }).collect();
     conv_decode_soft(&soft)
 }

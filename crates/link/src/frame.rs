@@ -14,7 +14,7 @@
 
 use crate::bits::{bits_to_bytes, bytes_to_bits};
 use crate::crc::crc16_ccitt;
-use crate::fec::Fec;
+use crate::fec::{conv_decode_soft, Fec};
 use crate::interleave::Interleaver;
 use crate::whiten::whiten;
 
@@ -166,19 +166,48 @@ impl LinkConfig {
 
     /// Decodes channel bits back into a frame.
     pub fn decode(&self, channel_bits: &[bool]) -> Result<Frame, FrameError> {
-        let mut bits = channel_bits.to_vec();
-        if let Some(il) = &self.interleaver {
-            let block = il.block_len();
-            let whole = bits.len() / block * block;
-            bits.truncate(whole);
-            bits = il.deinterleave(&bits);
-        }
-        bits = self.fec.decode(&bits);
-        if self.whitening {
-            bits = whiten(&bits);
-        }
-        Frame::from_bytes(&bits_to_bytes(&bits))
+        Frame::from_bytes(&bits_to_bytes(&self.decode_bits(channel_bits)))
     }
+
+    /// The inverse of [`LinkConfig::encode_bits`] on hard decisions: drops
+    /// a trailing partial interleaver block, deinterleaves, FEC-decodes
+    /// ([`Fec::decode`]) and de-whitens.
+    pub fn decode_bits(&self, channel_bits: &[bool]) -> Vec<bool> {
+        let deinterleaved;
+        let bits = match &self.interleaver {
+            Some(il) => {
+                deinterleaved = il.deinterleave(whole_blocks(il, channel_bits));
+                &deinterleaved
+            }
+            None => channel_bits,
+        };
+        self.dewhiten(self.fec.decode(bits))
+    }
+
+    /// [`LinkConfig::decode_bits`] on soft metrics (positive meaning "probably
+    /// 1") for the convolutional code: soft Viterbi
+    /// ([`crate::fec::conv_decode_soft`]) replaces the hard FEC decode.
+    pub fn decode_soft(&self, metrics: &[f64]) -> Vec<bool> {
+        debug_assert_eq!(self.fec, Fec::Conv, "soft decoding is for the convolutional code");
+        let bits = match &self.interleaver {
+            Some(il) => conv_decode_soft(&il.deinterleave_soft(whole_blocks(il, metrics))),
+            None => conv_decode_soft(metrics),
+        };
+        self.dewhiten(bits)
+    }
+
+    fn dewhiten(&self, bits: Vec<bool>) -> Vec<bool> {
+        if self.whitening {
+            whiten(&bits)
+        } else {
+            bits
+        }
+    }
+}
+
+/// The leading whole interleaver blocks of `symbols`.
+fn whole_blocks<'a, T>(il: &Interleaver, symbols: &'a [T]) -> &'a [T] {
+    &symbols[..symbols.len() / il.block_len() * il.block_len()]
 }
 
 #[cfg(test)]

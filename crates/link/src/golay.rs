@@ -45,7 +45,7 @@ fn mul_b(v: u16) -> u16 {
 
 /// Encodes 12 information bits into a 24-bit codeword `(m, m·B)`,
 /// packed as `(m << 12) | parity`.
-pub fn golay24_encode_word(m: u16) -> u32 {
+fn golay24_encode_word(m: u16) -> u32 {
     let m = m & 0x0FFF;
     ((m as u32) << 12) | mul_b(m) as u32
 }
@@ -53,7 +53,7 @@ pub fn golay24_encode_word(m: u16) -> u32 {
 /// Decodes a 24-bit word, correcting up to 3 bit errors.
 /// Returns `(info_bits, corrected_errors)`, or `None` when the error
 /// pattern is uncorrectable (≥ 4 errors detected).
-pub fn golay24_decode_word(r: u32) -> Option<(u16, u32)> {
+fn golay24_decode_word(r: u32) -> Option<(u16, u32)> {
     let x = ((r >> 12) & 0x0FFF) as u16; // received info half
     let y = (r & 0x0FFF) as u16; // received parity half
     let s = mul_b(x) ^ y; // syndrome = e₁·B + e₂

@@ -24,7 +24,7 @@ impl Pn9 {
     }
 
     /// Next keystream bit.
-    pub fn next_bit(&mut self) -> bool {
+    fn next_bit(&mut self) -> bool {
         let out = self.state & 1 == 1;
         let fb = (self.state & 1) ^ ((self.state >> 5) & 1);
         self.state = (self.state >> 1) | (fb << 8);

@@ -22,7 +22,7 @@ pub enum SlotOutcome {
 }
 
 /// Classifies a slot given the addresses that chose it.
-pub fn classify_slot(respondents: &[Addr]) -> SlotOutcome {
+fn classify_slot(respondents: &[Addr]) -> SlotOutcome {
     match respondents {
         [] => SlotOutcome::Idle,
         [one] => SlotOutcome::Single(*one),
@@ -94,7 +94,7 @@ impl AlohaReader {
     ///
     /// `pending` is mutated: identified nodes are removed.
     ///
-    /// Slots are resolved with the abstract [`classify_slot`] rule (any two
+    /// Slots are resolved with the abstract `classify_slot` rule (any two
     /// respondents collide). Use [`AlohaReader::run_round_with`] to plug in
     /// a physical-layer resolver instead.
     pub fn run_round<R: Rng + ?Sized>(&mut self, pending: &mut Vec<Addr>, rng: &mut R) {
@@ -213,17 +213,6 @@ impl AlohaReader {
             self.window = (self.window / 2).max(self.min_window);
         }
     }
-}
-
-/// Theoretical throughput of framed slotted ALOHA: the success probability
-/// per slot with `n` contenders in `w` slots, `n/w·(1−1/w)^{n−1}`.
-pub fn slot_success_probability(n: usize, w: usize) -> f64 {
-    if n == 0 || w == 0 {
-        return 0.0;
-    }
-    let n = n as f64;
-    let w = w as f64;
-    n / w * (1.0 - 1.0 / w).powf(n - 1.0)
 }
 
 #[cfg(test)]
@@ -476,21 +465,5 @@ mod tests {
             slots_per_node > 1.5 && slots_per_node < 6.0,
             "slots/node = {slots_per_node} (theory ≈ e ≈ 2.7)"
         );
-    }
-
-    #[test]
-    fn success_probability_peaks_at_w_equals_n() {
-        let n = 16;
-        let at_n = slot_success_probability(n, n);
-        assert!(at_n > slot_success_probability(n, 4));
-        assert!(at_n > slot_success_probability(n, 128));
-        // Peak value tends to 1/e for large n.
-        assert!((at_n - (-1.0f64).exp()).abs() < 0.05, "{at_n}");
-    }
-
-    #[test]
-    fn degenerate_inputs() {
-        assert_eq!(slot_success_probability(0, 8), 0.0);
-        assert_eq!(slot_success_probability(8, 0), 0.0);
     }
 }

@@ -50,14 +50,6 @@ impl SilenceMonitor {
         crossed
     }
 
-    /// Nodes currently at or past the silence threshold.
-    pub fn silent_nodes(&self) -> Vec<Addr> {
-        let mut v: Vec<Addr> =
-            self.misses.iter().filter(|(_, &m)| m >= self.threshold).map(|(&a, _)| a).collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Clears the miss counter for `addr` (e.g. after re-inventory).
     pub fn reset(&mut self, addr: Addr) {
         self.misses.remove(&addr);
@@ -210,9 +202,7 @@ mod tests {
         assert!(!mon.on_poll(5, false));
         assert!(mon.on_poll(5, false), "third miss crosses the threshold");
         assert!(!mon.on_poll(5, false), "fires only once per spell");
-        assert_eq!(mon.silent_nodes(), vec![5]);
         assert!(!mon.on_poll(5, true), "a reply clears the counter");
-        assert!(mon.silent_nodes().is_empty());
     }
 
     #[test]

@@ -19,17 +19,6 @@ pub struct NodeStats {
     pub consecutive_misses: u32,
 }
 
-impl NodeStats {
-    /// Delivery ratio (1.0 when never queried).
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.queries == 0 {
-            1.0
-        } else {
-            self.replies as f64 / self.queries as f64
-        }
-    }
-}
-
 /// Reader-side polling state machine.
 #[derive(Debug, Clone)]
 pub struct PollingMac {
@@ -176,7 +165,7 @@ mod tests {
         mac.on_reply(1);
         mac.next_query();
         mac.on_timeout();
-        assert!((mac.stats(1).delivery_ratio() - 1.0).abs() < 1e-12);
+        assert_eq!((mac.stats(1).queries, mac.stats(1).replies), (1, 1));
         assert_eq!(mac.stats(2).replies, 0);
         assert!((mac.total_delivery_ratio() - 0.5).abs() < 1e-12);
     }

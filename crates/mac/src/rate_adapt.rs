@@ -90,15 +90,6 @@ impl RateController {
         }
     }
 
-    /// Custom BER thresholds for the spike-fallback / clean-probe path.
-    pub fn with_ber_policy(mut self, ber_spike: f64, ber_clean: f64, clean_to_probe: u32) -> Self {
-        assert!(ber_spike > ber_clean && clean_to_probe >= 1);
-        self.ber_spike = ber_spike;
-        self.ber_clean = ber_clean;
-        self.clean_to_probe = clean_to_probe;
-        self
-    }
-
     /// Emits the rate-change event/metric for one decision.
     fn trace_change(addr: Addr, rate_code: u8, reason: &'static str) {
         vab_obs::event!(
@@ -288,7 +279,12 @@ mod tests {
 
     #[test]
     fn clean_windows_probe_back_up() {
-        let mut rc = RateController::new().with_ber_policy(1e-2, 1e-4, 3);
+        let mut rc = RateController {
+            ber_spike: 1e-2,
+            ber_clean: 1e-4,
+            clean_to_probe: 3,
+            ..RateController::new()
+        };
         rc.on_ber_sample(1, 0.0);
         rc.on_ber_sample(1, 0.0);
         assert_eq!(rc.on_ber_sample(1, 0.0), RateDecision::Change { rate_code: 1 });
@@ -303,7 +299,12 @@ mod tests {
 
     #[test]
     fn spike_then_clean_recovers_the_rate() {
-        let mut rc = RateController::new().with_ber_policy(1e-2, 1e-4, 2);
+        let mut rc = RateController {
+            ber_spike: 1e-2,
+            ber_clean: 1e-4,
+            clean_to_probe: 2,
+            ..RateController::new()
+        };
         rc.on_ber_sample(3, 0.0);
         rc.on_ber_sample(3, 0.0); // → code 1
         rc.on_ber_sample(3, 0.5); // spike → back to 0

@@ -21,9 +21,9 @@ pub struct TdmaSchedule {
     /// Guard interval appended to each slot (propagation spread).
     guard: Seconds,
     assignments: HashMap<Addr, u32>, // addr → slot
-    /// Occupancy bitmap, indexed by slot — keeps [`TdmaSchedule::assign`]
-    /// and [`TdmaSchedule::assign_all`] O(1) per assignment instead of a
-    /// scan over all existing assignments (O(N²) at 65k nodes).
+    /// Occupancy bitmap, indexed by slot — keeps
+    /// [`TdmaSchedule::assign_all`] O(1) per assignment instead of a scan
+    /// over all existing assignments (O(N²) at 65k nodes).
     occupied: Vec<bool>,
     n_slots: u32,
 }
@@ -57,17 +57,6 @@ impl TdmaSchedule {
         Self::new(n_slots, Seconds(tx_time), Seconds(guard))
     }
 
-    /// Assigns `addr` to `slot`. Returns `false` if the slot is taken or
-    /// out of range.
-    pub fn assign(&mut self, addr: Addr, slot: u32) -> bool {
-        if slot >= self.n_slots || self.occupied[slot as usize] {
-            return false;
-        }
-        self.assignments.insert(addr, slot);
-        self.occupied[slot as usize] = true;
-        true
-    }
-
     /// Assigns every address in order to the first free slots. Returns the
     /// number assigned (stops when slots run out).
     pub fn assign_all(&mut self, addrs: &[Addr]) -> usize {
@@ -93,27 +82,6 @@ impl TdmaSchedule {
         self.assignments.get(&addr).copied()
     }
 
-    /// Which slot is active at time `t` since the round beacon, or `None`
-    /// if `t` is past the end of the round.
-    pub fn slot_at(&self, t: Seconds) -> Option<u32> {
-        let per_slot = self.slot_duration.value() + self.guard.value();
-        if t.value() < 0.0 {
-            return None;
-        }
-        let idx = (t.value() / per_slot) as u64;
-        if idx < self.n_slots as u64 {
-            Some(idx as u32)
-        } else {
-            None
-        }
-    }
-
-    /// Which node owns the slot active at `t`.
-    pub fn owner_at(&self, t: Seconds) -> Option<Addr> {
-        let slot = self.slot_at(t)?;
-        self.assignments.iter().find(|(_, &s)| s == slot).map(|(&a, _)| a)
-    }
-
     /// Full round duration.
     pub fn round_duration(&self) -> Seconds {
         Seconds((self.slot_duration.value() + self.guard.value()) * self.n_slots as f64)
@@ -123,13 +91,6 @@ impl TdmaSchedule {
     pub fn efficiency(&self) -> f64 {
         self.slot_duration.value() / (self.slot_duration.value() + self.guard.value())
     }
-
-    /// Aggregate network throughput for `payload_bits` of useful payload per
-    /// slot, bits/s across the whole round.
-    pub fn network_throughput(&self, payload_bits: usize) -> f64 {
-        let used = self.assignments.len() as f64;
-        used * payload_bits as f64 / self.round_duration().value()
-    }
 }
 
 #[cfg(test)]
@@ -138,37 +99,20 @@ mod tests {
     use vab_util::approx_eq;
 
     #[test]
-    fn assignment_rejects_conflicts() {
-        let mut t = TdmaSchedule::new(4, Seconds(1.0), Seconds(0.1));
-        assert!(t.assign(10, 0));
-        assert!(!t.assign(11, 0), "slot already taken");
-        assert!(!t.assign(12, 4), "slot out of range");
-        assert!(t.assign(11, 3));
-        assert_eq!(t.slot_of(10), Some(0));
-        assert_eq!(t.slot_of(11), Some(3));
-        assert_eq!(t.slot_of(99), None);
-    }
-
-    #[test]
     fn assign_all_fills_free_slots() {
         let mut t = TdmaSchedule::new(3, Seconds(1.0), Seconds(0.0));
-        t.assign(7, 1);
+        assert_eq!(t.assign_all(&[7]), 1);
         let n = t.assign_all(&[1, 2, 3]);
-        assert_eq!(n, 2, "only slots 0 and 2 were free");
-        assert_eq!(t.slot_of(1), Some(0));
+        assert_eq!(n, 2, "only slots 1 and 2 were free");
+        assert_eq!(t.slot_of(7), Some(0));
+        assert_eq!(t.slot_of(1), Some(1));
         assert_eq!(t.slot_of(2), Some(2));
         assert_eq!(t.slot_of(3), None);
     }
 
     #[test]
-    fn slot_timing() {
-        let mut t = TdmaSchedule::new(3, Seconds(2.0), Seconds(0.5));
-        t.assign(42, 1);
-        assert_eq!(t.slot_at(Seconds(0.0)), Some(0));
-        assert_eq!(t.slot_at(Seconds(2.6)), Some(1));
-        assert_eq!(t.owner_at(Seconds(2.6)), Some(42));
-        assert_eq!(t.owner_at(Seconds(0.5)), None, "slot 0 unowned");
-        assert_eq!(t.slot_at(Seconds(8.0)), None, "past round end");
+    fn round_duration_counts_every_guard() {
+        let t = TdmaSchedule::new(3, Seconds(2.0), Seconds(0.5));
         assert!(approx_eq(t.round_duration().value(), 7.5, 1e-12));
     }
 
@@ -192,13 +136,5 @@ mod tests {
         assert_eq!(t.assign_all(&addrs), n as usize);
         assert_eq!(t.slot_of(0), Some(0));
         assert_eq!(t.slot_of(n - 1), Some(n - 1));
-    }
-
-    #[test]
-    fn throughput_scales_with_assignments() {
-        let mut t = TdmaSchedule::new(10, Seconds(1.0), Seconds(0.0));
-        t.assign_all(&[1, 2, 3, 4, 5]);
-        let thr = t.network_throughput(100);
-        assert!(approx_eq(thr, 5.0 * 100.0 / 10.0, 1e-9));
     }
 }

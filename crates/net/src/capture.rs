@@ -65,11 +65,6 @@ impl CaptureModel {
         }
     }
 
-    /// Minimum SINR for a reply to capture the hydrophone, dB.
-    pub fn threshold_db(&self) -> f64 {
-        self.threshold_db
-    }
-
     /// Whether a reply at linear SINR `sinr_lin` captures: the same
     /// decision as `10·log10(sinr_lin) ≥ threshold_db`, which is taken
     /// only inside the band (and for NaN, which fails both edges).
@@ -141,7 +136,7 @@ mod tests {
 
     /// The dB capture test the linear one replaces: the oracle.
     fn clears_db(m: &CaptureModel, sinr_lin: f64) -> bool {
-        10.0 * sinr_lin.log10() >= m.threshold_db()
+        10.0 * sinr_lin.log10() >= m.threshold_db
     }
 
     /// `x` moved by `k` units in the last place (positive `x` only).
@@ -157,7 +152,7 @@ mod tests {
         // dB test a few ULPs from some of these thresholds.
         for step in -4000..=4000 {
             let m = CaptureModel::new(step as f64 * 0.01);
-            let t = db_to_lin_pow(m.threshold_db());
+            let t = db_to_lin_pow(m.threshold_db);
             let mut probes = vec![t, m.below, m.above];
             for k in 1..=64 {
                 probes.extend([ulps(t, k), ulps(t, -k)]);
@@ -170,7 +165,7 @@ mod tests {
                     m.clears(x),
                     clears_db(&m, x),
                     "threshold {} dB, sinr {x:e}",
-                    m.threshold_db()
+                    m.threshold_db
                 );
             }
         }

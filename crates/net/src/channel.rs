@@ -37,7 +37,7 @@ pub const MAX_INVENTORY_ROUNDS: u32 = 200;
 /// Builds the `vab-sim` scenario for one placed node: the canonical
 /// reader/PHY parameters with this deployment's environment and the
 /// node's own position and orientation.
-pub fn scenario_for_node(spec: &NetworkSpec, topology: &Topology, site: &NodeSite) -> Scenario {
+fn scenario_for_node(spec: &NetworkSpec, topology: &Topology, site: &NodeSite) -> Scenario {
     let system = SystemKind::Vab { n_pairs: spec.n_pairs };
     let mut s = Scenario::river(system, Meters(1.0));
     s.env = spec.env.environment();

@@ -13,7 +13,7 @@
 //!
 //! **Exactness contract**: production sinks equal
 //! [`pairwise_interference_lin`]. The oracle sums
-//! [`reply_contribution_lin`] — `env.transmission_loss` in full — over the
+//! `reply_contribution_lin` — `env.transmission_loss` in full — over the
 //! sources in ascending address order. Production computes the same term
 //! through `NetPhy::tl_db`, the same spreading-plus-absorption loss with
 //! the absorption evaluated once per plan, so a reader's sink total, summed
@@ -51,7 +51,7 @@ pub struct PointSource {
 /// Linear received power of `src` at `at` under spreading + absorption
 /// (`env.transmission_loss`), with the standard 1 m reference clamp: the
 /// oracle's per-source term.
-pub fn reply_contribution_lin(env: &Environment, f: Hertz, src: &PointSource, at: Position) -> f64 {
+fn reply_contribution_lin(env: &Environment, f: Hertz, src: &PointSource, at: Position) -> f64 {
     let d = src.pos.distance_to(&at).value().max(1.0);
     db_to_lin_pow(src.level_db_at_1m - env.transmission_loss(f, Meters(d)).value())
 }

@@ -56,7 +56,7 @@ impl DeploymentVolume {
     }
 
     /// Horizontal footprint, m².
-    pub fn footprint_m2(&self) -> f64 {
+    fn footprint_m2(&self) -> f64 {
         self.x_m * self.y_m
     }
 }

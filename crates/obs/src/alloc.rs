@@ -106,7 +106,7 @@ pub fn profiling() -> bool {
 }
 
 /// Turns allocation accounting on, and makes the compute pool run every
-/// task in [`fresh_thread_context`].
+/// task in `fresh_thread_context`.
 pub fn enable() {
     vab_util::threads::set_task_context(fresh_thread_context);
     PROFILING.store(true, Ordering::Release);
@@ -167,7 +167,7 @@ impl Drop for PauseGuard {
 /// task context (`vab_util::threads::set_task_context`): a task run by a
 /// waiting caller profiles exactly as one run by a helper thread, and the
 /// pool's own bookkeeping stays out of the caller's stages.
-pub fn fresh_thread_context(f: &mut dyn FnMut()) {
+fn fresh_thread_context(f: &mut dyn FnMut()) {
     struct Saved {
         stack: Vec<Frame>,
         allocs: u64,

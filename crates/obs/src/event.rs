@@ -3,7 +3,7 @@
 //! An [`Event`] is a borrowed view — target, name, and a slice of typed
 //! key=value fields — so emitting allocates nothing on the caller side
 //! beyond what the values themselves need. Sinks render it however they
-//! like; [`Event::to_json_line`] is the canonical JSONL form.
+//! like; [`Event::write_json_line`] is the canonical JSONL form.
 //!
 //! This line writer is the one JSON writer kept outside
 //! `vab_util::json::Json`: it streams borrowed fields on the traced hot
@@ -127,15 +127,9 @@ pub struct Event<'a> {
 }
 
 impl Event<'_> {
-    /// Canonical JSONL rendering (one line, no trailing newline):
+    /// Appends the canonical JSONL rendering (one line, no trailing
+    /// newline) to an existing buffer:
     /// `{"seq":…,"t_us":…,"target":…,"event":…,"fields":{…}}`.
-    pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(96);
-        self.write_json_line(&mut out);
-        out
-    }
-
-    /// Appends the JSONL rendering to an existing buffer.
     pub fn write_json_line(&self, out: &mut String) {
         let _ = write!(out, "{{\"seq\":{},\"t_us\":{},\"target\":", self.seq, self.t_us);
         write_json_string(out, self.target);
@@ -175,11 +169,17 @@ mod tests {
         Event { seq: 3, t_us: 1500, target: "sim.test", name: "e", fields }
     }
 
+    fn json_line(e: &Event<'_>) -> String {
+        let mut out = String::new();
+        e.write_json_line(&mut out);
+        out
+    }
+
     #[test]
     fn json_line_shape() {
         let fields =
             [("a", Value::from(1u64)), ("b", Value::from(-2i64)), ("c", Value::from(true))];
-        let line = event(&fields).to_json_line();
+        let line = json_line(&event(&fields));
         assert_eq!(
             line,
             "{\"seq\":3,\"t_us\":1500,\"target\":\"sim.test\",\"event\":\"e\",\
@@ -190,14 +190,14 @@ mod tests {
     #[test]
     fn string_escaping_covers_quotes_backslashes_and_controls() {
         let fields = [("msg", Value::from(String::from("a\"b\\c\nd\te\r\u{1}")))];
-        let line = event(&fields).to_json_line();
+        let line = json_line(&event(&fields));
         assert!(line.contains(r#""msg":"a\"b\\c\nd\te\r\u0001""#), "line: {line}");
     }
 
     #[test]
     fn floats_round_trip_and_nonfinite_become_strings() {
         let fields = [("x", Value::from(0.1f64)), ("y", Value::from(f64::NAN))];
-        let line = event(&fields).to_json_line();
+        let line = json_line(&event(&fields));
         assert!(line.contains("\"x\":0.1"), "line: {line}");
         assert!(line.contains("\"y\":\"NaN\""), "line: {line}");
     }

@@ -248,7 +248,9 @@ mod tests {
 
     impl Sink for CaptureSink {
         fn record(&self, e: &Event<'_>) {
-            self.lines.lock().expect("capture lock").push(e.to_json_line());
+            let mut line = String::new();
+            e.write_json_line(&mut line);
+            self.lines.lock().expect("capture lock").push(line);
         }
     }
 

@@ -117,7 +117,7 @@ impl Histogram {
     }
 
     /// Per-bucket counts (`bounds().len() + 1` entries).
-    pub fn bucket_counts(&self) -> Vec<u64> {
+    fn bucket_counts(&self) -> Vec<u64> {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
     }
 }

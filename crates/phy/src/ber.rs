@@ -86,20 +86,6 @@ impl BerCounter {
             self.errors as f64 / self.bits as f64
         }
     }
-
-    /// Upper bound of the ~95 % Clopper-Pearson-ish interval using the
-    /// rule-of-three for zero observed errors, normal approx otherwise.
-    pub fn ber_upper95(&self) -> f64 {
-        if self.bits == 0 {
-            return 1.0;
-        }
-        if self.errors == 0 {
-            return 3.0 / self.bits as f64;
-        }
-        let p = self.ber();
-        let se = (p * (1.0 - p) / self.bits as f64).sqrt();
-        (p + 1.96 * se).min(1.0)
-    }
 }
 
 #[cfg(test)]
@@ -160,14 +146,6 @@ mod tests {
         assert_eq!(a.errors(), 4);
         assert_eq!(a.bits(), 2000);
         assert!(approx_eq(a.ber(), 2e-3, 1e-12));
-    }
-
-    #[test]
-    fn rule_of_three_for_zero_errors() {
-        let mut c = BerCounter::new();
-        c.record(0, 30_000);
-        assert!(approx_eq(c.ber_upper95(), 1e-4, 1e-9));
-        assert_eq!(c.ber(), 0.0);
     }
 
     #[test]

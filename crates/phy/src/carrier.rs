@@ -12,7 +12,8 @@ use vab_util::filter::{Band, Fir};
 use vab_util::window::Window;
 
 /// Subtracts the complex mean — ideal static-carrier cancellation.
-pub fn remove_dc(x: &[C64]) -> Vec<C64> {
+#[cfg(test)]
+pub(crate) fn remove_dc(x: &[C64]) -> Vec<C64> {
     if x.is_empty() {
         return Vec::new();
     }
@@ -78,25 +79,6 @@ pub fn carrier_notch(carrier_hz: f64, half_width_hz: f64, fs: f64, taps: usize) 
     Fir::design(Band::Bandstop { lo, hi }, taps, Window::Hamming)
 }
 
-/// Residual carrier rejection in dB achieved by [`remove_dc`] on a given
-/// block (for diagnostics): carrier power before vs. after.
-pub fn rejection_db(before: &[C64], after: &[C64]) -> f64 {
-    let p = |v: &[C64]| {
-        if v.is_empty() {
-            return 0.0;
-        }
-        let m = v.iter().copied().sum::<C64>() / v.len() as f64;
-        m.norm_sq()
-    };
-    let b = p(before);
-    let a = p(after);
-    if a <= 0.0 {
-        200.0
-    } else {
-        10.0 * (b / a).log10()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,15 +126,6 @@ mod tests {
             resid(&sliding),
             resid(&global)
         );
-    }
-
-    #[test]
-    fn rejection_reported_in_db() {
-        let mut rng = seeded(9);
-        let x: Vec<C64> =
-            (0..500).map(|_| C64::real(30.0) + complex_gaussian(&mut rng, 1.0)).collect();
-        let y = remove_dc(&x);
-        assert!(rejection_db(&x, &y) > 40.0);
     }
 
     #[test]

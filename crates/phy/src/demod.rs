@@ -37,7 +37,7 @@ impl Demodulator {
 
     /// Integrates the baseband into per-chip soft symbols starting at
     /// `start` (sample index of the first payload chip).
-    pub fn chip_integrate(&self, baseband: &[C64], start: usize, n_bits: usize) -> Vec<C64> {
+    fn chip_integrate(&self, baseband: &[C64], start: usize, n_bits: usize) -> Vec<C64> {
         let spc = self.params.samples_per_chip;
         let n_chips = n_bits * 2;
         let mut out = Vec::with_capacity(n_chips);

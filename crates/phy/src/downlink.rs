@@ -36,18 +36,6 @@ impl PieParams {
     fn tari_samples(&self) -> usize {
         (self.tari_s * self.fs).round() as usize
     }
-
-    /// Mean downlink bit rate for balanced data, bits/s.
-    pub fn mean_bit_rate(&self) -> f64 {
-        // 0 → 1.5 tari, 1 → 2.5 tari, average 2 tari per bit.
-        1.0 / (2.0 * self.tari_s)
-    }
-
-    /// Fraction of downlink time at full carrier power (harvest duty).
-    pub fn power_duty(&self) -> f64 {
-        // average high time 1.5 tari of average 2.0 tari
-        0.75
-    }
 }
 
 /// Encodes bits into the carrier's on/off envelope (1.0 = full power).
@@ -262,13 +250,6 @@ mod tests {
         let env = pie_encode(&bits, &p());
         let duty = env.iter().sum::<f64>() / env.len() as f64;
         assert!(duty > 0.65, "downlink power duty {duty}");
-        assert!((p().power_duty() - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mean_bit_rate_matches_timing() {
-        // 5 ms tari, avg 2 tari/bit → 100 bps.
-        assert!((p().mean_bit_rate() - 100.0).abs() < 1e-9);
     }
 
     #[test]

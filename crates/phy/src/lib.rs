@@ -20,7 +20,6 @@ pub mod downlink;
 pub mod fm0;
 pub mod fsk;
 pub mod modulation;
-pub mod snr;
 pub mod sync;
 pub mod waveform;
 

@@ -39,12 +39,6 @@ impl ModParams {
         self.chip_rate() * self.samples_per_chip as f64
     }
 
-    /// Occupied (main-lobe) bandwidth of the backscatter sidebands, ≈ 2×
-    /// chip rate around the carrier.
-    pub fn occupied_bandwidth(&self) -> Hertz {
-        Hertz(2.0 * self.chip_rate())
-    }
-
     /// Samples in a whole bit.
     pub fn samples_per_bit(&self) -> usize {
         2 * self.samples_per_chip
@@ -85,7 +79,7 @@ impl BackscatterModulator {
 
     /// The reflection-coefficient stream seen by the incident wave, given
     /// the two state coefficients: `Γ(t) ∈ {γ_reflect, γ_absorb}`.
-    pub fn gamma_stream(&self, bits: &[bool], g_reflect: C64, g_absorb: C64) -> Vec<C64> {
+    fn gamma_stream(&self, bits: &[bool], g_reflect: C64, g_absorb: C64) -> Vec<C64> {
         self.switch_waveform(bits)
             .into_iter()
             .map(|s| if s > 0.0 { g_reflect } else { g_absorb })
@@ -126,7 +120,6 @@ mod tests {
         assert_eq!(params.chip_rate(), 200.0);
         assert_eq!(params.baseband_fs(), 1600.0);
         assert_eq!(params.samples_per_bit(), 16);
-        assert_eq!(params.occupied_bandwidth().value(), 400.0);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Waveform synthesis: tones, pulses and chirps for the reader transmitter.
 
-use vab_util::complex::C64;
 use vab_util::TAU;
 
 /// A real sinusoid `amp·sin(2πft + φ)` of `n` samples at rate `fs`.
@@ -40,11 +39,6 @@ pub fn apply_ramps(x: &mut [f64], ramp: usize) {
         x[i] *= w;
         x[n - 1 - i] *= w;
     }
-}
-
-/// Complex-baseband constant envelope (a CW carrier at baseband is DC).
-pub fn cw_baseband(n: usize, amp: f64) -> Vec<C64> {
-    vec![C64::real(amp); n]
 }
 
 /// RMS of a real signal.
@@ -117,11 +111,5 @@ mod tests {
         assert_eq!(x[99], 0.0);
         assert!(x[5] > 0.0 && x[5] < 1.0);
         assert_eq!(x[50], 1.0);
-    }
-
-    #[test]
-    fn cw_baseband_is_dc() {
-        let x = cw_baseband(16, 3.0);
-        assert!(x.iter().all(|c| *c == C64::real(3.0)));
     }
 }

@@ -61,7 +61,8 @@ impl Bvd {
     }
 
     /// Parallel (anti-)resonance frequency — impedance maximum.
-    pub fn parallel_resonance(&self) -> Hertz {
+    #[cfg(test)]
+    fn parallel_resonance(&self) -> Hertz {
         let c_eff = self.c0 * self.cm / (self.c0 + self.cm);
         Hertz(1.0 / (TAU * (self.lm * c_eff).sqrt()))
     }
@@ -69,14 +70,6 @@ impl Bvd {
     /// Mechanical quality factor `ω_s·Lm / Rm`.
     pub fn q_factor(&self) -> f64 {
         TAU * self.series_resonance().value() * self.lm / self.rm
-    }
-
-    /// Effective electromechanical coupling estimate `k_eff²` from the
-    /// resonance spacing: `(fp² − fs²)/fp²`.
-    pub fn coupling_k2(&self) -> f64 {
-        let fs = self.series_resonance().value();
-        let fp = self.parallel_resonance().value();
-        (fp * fp - fs * fs) / (fp * fp)
     }
 }
 
@@ -115,12 +108,6 @@ mod tests {
     fn parallel_above_series_resonance() {
         let b = Bvd::vab_default();
         assert!(b.parallel_resonance().value() > b.series_resonance().value());
-    }
-
-    #[test]
-    fn coupling_positive_and_below_one() {
-        let k2 = Bvd::vab_default().coupling_k2();
-        assert!(k2 > 0.0 && k2 < 1.0, "k_eff² = {k2}");
     }
 
     #[test]

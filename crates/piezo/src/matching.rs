@@ -7,10 +7,8 @@
 //! frequency — feeding the "matching ablation" experiment.
 
 use crate::bvd::Bvd;
-use crate::reflection::{gamma, Load};
 use vab_util::complex::C64;
 use vab_util::units::Hertz;
-use vab_util::TAU;
 
 /// Which side of the L carries the shunt element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,47 +109,18 @@ impl LSection {
             }
         }
     }
-
-    /// The [`Load`] this network + resistor presents at frequency `f`.
-    pub fn as_load(&self, r_load: f64, f: Hertz) -> Load {
-        Load::Custom(self.input_impedance(r_load, f))
-    }
-
-    /// Reflection coefficient achieved at `f` with this network in place.
-    pub fn achieved_gamma(&self, transducer: &Bvd, r_load: f64, f: Hertz) -> C64 {
-        gamma(transducer, self.as_load(r_load, f), f)
-    }
-
-    /// Physical element values at the design frequency:
-    /// `(series_element, shunt_element)`.
-    pub fn element_values(&self) -> (ElementValue, ElementValue) {
-        let w = TAU * self.f0.value();
-        let series = if self.series_reactance >= 0.0 {
-            ElementValue::Inductor(self.series_reactance / w)
-        } else {
-            ElementValue::Capacitor(-1.0 / (w * self.series_reactance))
-        };
-        let shunt = if self.shunt_susceptance >= 0.0 {
-            ElementValue::Capacitor(self.shunt_susceptance / w)
-        } else {
-            ElementValue::Inductor(-1.0 / (w * self.shunt_susceptance))
-        };
-        (series, shunt)
-    }
-}
-
-/// A concrete passive element.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ElementValue {
-    /// Henries.
-    Inductor(f64),
-    /// Farads.
-    Capacitor(f64),
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reflection::Load;
+
+    /// Reflection coefficient achieved at `f` with `net` and its load
+    /// resistor in place.
+    fn achieved_gamma(net: &LSection, transducer: &Bvd, r_load: f64, f: Hertz) -> C64 {
+        crate::reflection::gamma(transducer, Load::Custom(net.input_impedance(r_load, f)), f)
+    }
 
     fn t() -> Bvd {
         Bvd::vab_default()
@@ -166,7 +135,7 @@ mod tests {
             let net = LSection::design(&tr, r_load, f0)
                 .unwrap_or_else(|| panic!("design failed for {r_load} Ω"));
             assert_eq!(net.topology, Topology::ShuntAtLoad);
-            let g = net.achieved_gamma(&tr, r_load, f0).abs();
+            let g = achieved_gamma(&net, &tr, r_load, f0).abs();
             assert!(g < 1e-6, "|Γ| = {g} for r_load = {r_load}");
         }
     }
@@ -178,7 +147,7 @@ mod tests {
         for r_load in [10.0, 50.0, 200.0] {
             let net = LSection::design(&tr, r_load, f0)
                 .unwrap_or_else(|| panic!("design failed for {r_load} Ω"));
-            let g = net.achieved_gamma(&tr, r_load, f0).abs();
+            let g = achieved_gamma(&net, &tr, r_load, f0).abs();
             assert!(g < 1e-6, "|Γ| = {g} for r_load = {r_load} ({:?})", net.topology);
         }
     }
@@ -188,8 +157,8 @@ mod tests {
         let tr = t();
         let f0 = tr.series_resonance();
         let net = LSection::design(&tr, 1000.0, f0).expect("design");
-        let at = net.achieved_gamma(&tr, 1000.0, f0).abs();
-        let off = net.achieved_gamma(&tr, 1000.0, Hertz(f0.value() * 1.15)).abs();
+        let at = achieved_gamma(&net, &tr, 1000.0, f0).abs();
+        let off = achieved_gamma(&net, &tr, 1000.0, Hertz(f0.value() * 1.15)).abs();
         assert!(off > at + 0.1, "mismatch should grow off-frequency: {at} → {off}");
     }
 
@@ -217,25 +186,8 @@ mod tests {
         // …and degrading off-frequency exactly like the raw network.
         let f_off = Hertz(f0.value() * 1.1);
         let via_load = gamma(&tr, load, f_off).abs();
-        let via_net = net.achieved_gamma(&tr, 1000.0, f_off).abs();
+        let via_net = achieved_gamma(&net, &tr, 1000.0, f_off).abs();
         assert!((via_load - via_net).abs() < 1e-12);
         assert!(via_load > 0.05, "off-frequency mismatch should be visible");
-    }
-
-    #[test]
-    fn element_values_are_buildable() {
-        let tr = t();
-        let f0 = tr.series_resonance();
-        for r_load in [100.0, 1000.0, 10_000.0] {
-            let net = LSection::design(&tr, r_load, f0).expect("design");
-            let (series, shunt) = net.element_values();
-            // Components should be in a realistic nH–H / pF–µF range.
-            for e in [series, shunt] {
-                match e {
-                    ElementValue::Inductor(l) => assert!(l > 1e-9 && l < 10.0, "L = {l} H"),
-                    ElementValue::Capacitor(c) => assert!(c > 1e-13 && c < 1e-3, "C = {c} F"),
-                }
-            }
-        }
     }
 }

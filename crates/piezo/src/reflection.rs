@@ -79,7 +79,7 @@ pub fn gamma(transducer: &Bvd, load: Load, f: Hertz) -> C64 {
 
 /// Fraction of incident acoustic power absorbed into the electrical load
 /// (available for harvesting): `1 − |Γ|²`.
-pub fn absorbed_fraction(transducer: &Bvd, load: Load, f: Hertz) -> f64 {
+fn absorbed_fraction(transducer: &Bvd, load: Load, f: Hertz) -> f64 {
     (1.0 - gamma(transducer, load, f).norm_sq()).clamp(0.0, 1.0)
 }
 
@@ -103,7 +103,7 @@ pub fn gamma_to_load(transducer: &Bvd, g: C64, f: Hertz) -> C64 {
 /// `(transducer, f)` is fixed and pass the resulting states down. It runs
 /// under the `piezo.co_design` stage, whose per-figure call count the
 /// allocation gate pins: a search rebuilt inside a trial loop shows there.
-pub fn best_reactive_pair(transducer: &Bvd, f: Hertz) -> (C64, C64, f64) {
+fn best_reactive_pair(transducer: &Bvd, f: Hertz) -> (C64, C64, f64) {
     let _t = vab_obs::time_stage("piezo.co_design");
     let mut candidates: Vec<C64> = Vec::with_capacity(130);
     candidates.push(C64::new(1e12, 0.0)); // open
@@ -186,7 +186,7 @@ impl ModulationStates {
     }
 
     /// Complex modulation difference ΔΓ = Γ_reflect − Γ_absorb at `f`.
-    pub fn delta_gamma(&self, transducer: &Bvd, f: Hertz) -> C64 {
+    fn delta_gamma(&self, transducer: &Bvd, f: Hertz) -> C64 {
         gamma(transducer, self.reflect, f) - gamma(transducer, self.absorb, f)
     }
 
@@ -201,26 +201,6 @@ impl ModulationStates {
     pub fn harvest_fraction(&self, transducer: &Bvd, f: Hertz) -> f64 {
         absorbed_fraction(transducer, self.absorb, f)
     }
-}
-
-/// Exhaustively searches a candidate load set for the pair with the largest
-/// |ΔΓ| at `f`. Returns `(reflect, absorb, modulation_depth)` with the
-/// more-absorptive load reported as `absorb`.
-pub fn best_pair(transducer: &Bvd, candidates: &[Load], f: Hertz) -> (Load, Load, f64) {
-    assert!(candidates.len() >= 2, "need at least two candidate loads");
-    let mut best = (candidates[0], candidates[1], -1.0);
-    for (i, &a) in candidates.iter().enumerate() {
-        for &b in candidates.iter().skip(i + 1) {
-            let d = (gamma(transducer, a, f) - gamma(transducer, b, f)).abs() / 2.0;
-            if d > best.2 {
-                // Order so the state with more absorption harvests.
-                let (ga, gb) =
-                    (gamma(transducer, a, f).norm_sq(), gamma(transducer, b, f).norm_sq());
-                best = if ga >= gb { (a, b, d) } else { (b, a, d) };
-            }
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -337,32 +317,6 @@ mod tests {
             assert!((back - g).abs() < 1e-9, "γ {g} → Z {z} → {back}");
             assert!(z.re >= -1e-6, "passive load must have Re Z ≥ 0, got {z}");
         }
-    }
-
-    #[test]
-    fn best_pair_finds_at_least_vab_depth() {
-        let tr = t();
-        let vab_states = ModulationStates::vab(&tr, f0());
-        let candidates = [
-            Load::Open,
-            Load::Short,
-            Load::Resistor(100.0),
-            Load::Resistor(1000.0),
-            Load::ConjugateMatch,
-            vab_states.reflect,
-            vab_states.absorb,
-        ];
-        let (_, _, depth) = best_pair(&tr, &candidates, f0());
-        let vab = vab_states.modulation_depth(&tr, f0());
-        assert!(depth >= vab - 1e-12);
-    }
-
-    #[test]
-    fn best_pair_orders_absorber_second() {
-        let tr = t();
-        let (reflect, absorb, _) = best_pair(&tr, &[Load::Open, Load::ConjugateMatch], f0());
-        assert_eq!(absorb, Load::ConjugateMatch);
-        assert_eq!(reflect, Load::Open);
     }
 
     #[test]

@@ -40,7 +40,7 @@ impl Switch {
     /// Impedance presented by an SPDT arrangement with `selected` connected
     /// through the on-resistance and `deselected` hanging in parallel behind
     /// the off-capacitance of its (open) switch.
-    pub fn presented_impedance(
+    fn presented_impedance(
         &self,
         transducer: &Bvd,
         selected: Load,
@@ -77,17 +77,6 @@ impl Switch {
             f,
         );
         (g_r - g_a).abs() / 2.0
-    }
-
-    /// Average switching power at a toggle rate (W) — every bit boundary
-    /// costs `energy_per_toggle`.
-    pub fn switching_power(&self, toggle_rate_hz: f64) -> f64 {
-        self.energy_per_toggle * toggle_rate_hz.max(0.0)
-    }
-
-    /// Fraction of a bit period lost to transitions at `bit_rate`.
-    pub fn transition_overhead(&self, bit_rate: f64) -> f64 {
-        (self.transition_time * bit_rate).min(1.0)
     }
 }
 
@@ -133,22 +122,5 @@ mod tests {
         let good =
             Switch::typical().realized_modulation_depth(&tr, states.reflect, states.absorb, f0);
         assert!(depth < good, "100 nF C_off should hurt: {depth} vs {good}");
-    }
-
-    #[test]
-    fn switching_power_scales_with_rate() {
-        let s = Switch::typical();
-        // 1 kbps OOK toggles at most once per bit.
-        let p = s.switching_power(1000.0);
-        assert!(approx_eq(p, 50e-9, 1e-12), "P = {p} W");
-        assert_eq!(s.switching_power(0.0), 0.0);
-    }
-
-    #[test]
-    fn transition_overhead_negligible_at_backscatter_rates() {
-        let s = Switch::typical();
-        assert!(s.transition_overhead(1000.0) < 1e-3);
-        // But a hypothetical MHz rate would hurt.
-        assert!(s.transition_overhead(2e6) > 0.05);
     }
 }

@@ -7,8 +7,7 @@
 //! "how reproducible is a 4-pair node build?".
 
 use crate::bvd::Bvd;
-use crate::matching::LSection;
-use crate::reflection::{gamma, Load, ModulationStates};
+use crate::reflection::ModulationStates;
 use rand::Rng;
 use vab_util::rng::gaussian;
 use vab_util::stats::RunningStats;
@@ -49,20 +48,6 @@ pub fn sample_transducer<R: Rng + ?Sized>(nominal: &Bvd, tol: &Tolerances, rng: 
     Bvd::from_resonance(Hertz(fs.max(1.0)), q, c0.max(1e-12), ratio)
 }
 
-/// Perturbs an L-section's element values (reactance/susceptance scale
-/// linearly with L and C).
-pub fn sample_network<R: Rng + ?Sized>(
-    nominal: &LSection,
-    tol: &Tolerances,
-    rng: &mut R,
-) -> LSection {
-    LSection {
-        series_reactance: nominal.series_reactance * (1.0 + tol.network * gaussian(rng)),
-        shunt_susceptance: nominal.shunt_susceptance * (1.0 + tol.network * gaussian(rng)),
-        ..*nominal
-    }
-}
-
 /// Distribution summary of a figure of merit across builds.
 #[derive(Debug, Clone)]
 pub struct YieldReport {
@@ -98,21 +83,6 @@ pub fn depth_yield<R: Rng + ?Sized>(
         }
     }
     YieldReport { depth, yield_fraction: pass as f64 / n.max(1) as f64, depth_spec }
-}
-
-/// Match quality |Γ| achieved by a *sampled* network on a *sampled*
-/// transducer — the harvesting-path tolerance stack-up.
-pub fn match_quality_sample<R: Rng + ?Sized>(
-    nominal: &Bvd,
-    f0: Hertz,
-    r_load: f64,
-    tol: &Tolerances,
-    rng: &mut R,
-) -> Option<f64> {
-    let net = LSection::design(nominal, r_load, f0)?;
-    let unit = sample_transducer(nominal, tol, rng);
-    let built = sample_network(&net, tol, rng);
-    Some(gamma(&unit, Load::Matched { network: built, r_load }, f0).abs())
 }
 
 #[cfg(test)]
@@ -159,29 +129,5 @@ mod tests {
         assert!(rep.depth.std_dev() > 0.005, "spread {}", rep.depth.std_dev());
         assert!(rep.depth.mean() > 0.6, "mean depth {}", rep.depth.mean());
         assert!(rep.depth.min() > 0.2, "worst unit {}", rep.depth.min());
-    }
-
-    #[test]
-    fn matched_network_degrades_with_tolerance() {
-        let mut rng = seeded(94);
-        let f0 = nominal().series_resonance();
-        let perfect = match_quality_sample(
-            &nominal(),
-            f0,
-            1000.0,
-            &Tolerances { resonance: 0.0, q_factor: 0.0, c0: 0.0, network: 0.0 },
-            &mut rng,
-        )
-        .expect("design");
-        assert!(perfect < 1e-6, "nominal build should match: |Γ| = {perfect}");
-        let mut worst = 0.0f64;
-        for _ in 0..100 {
-            let g =
-                match_quality_sample(&nominal(), f0, 1000.0, &Tolerances::commercial(), &mut rng)
-                    .expect("design");
-            worst = worst.max(g);
-        }
-        assert!(worst > 0.05, "tolerances must cost some match, worst |Γ| = {worst}");
-        assert!(worst < 0.9, "but not destroy it, worst |Γ| = {worst}");
     }
 }

@@ -40,29 +40,6 @@ impl Transducer {
         1.0 / (1.0 + (q * x).powi(2))
     }
 
-    /// Transmit voltage response at `f` (dB re 1 µPa·m/V).
-    pub fn tvr(&self, f: Hertz) -> Db {
-        Db(self.tvr_peak_db + 10.0 * self.resonance_shape(f).log10())
-    }
-
-    /// Receive voltage sensitivity at `f` (dB re 1 V/µPa).
-    pub fn rvs(&self, f: Hertz) -> Db {
-        Db(self.rvs_peak_db + 10.0 * self.resonance_shape(f).log10())
-    }
-
-    /// Source level for a drive voltage (dB re 1 µPa @ 1 m):
-    /// `SL = TVR + 20·log10(V)`.
-    pub fn source_level(&self, f: Hertz, volts_rms: f64) -> Db {
-        assert!(volts_rms > 0.0);
-        Db(self.tvr(f).value() + 20.0 * volts_rms.log10())
-    }
-
-    /// Open-circuit voltage produced by an incident pressure level
-    /// (dB re 1 µPa → volts RMS).
-    pub fn received_voltage(&self, f: Hertz, level_db_upa: Db) -> f64 {
-        10f64.powf((level_db_upa.value() + self.rvs(f).value()) / 20.0)
-    }
-
     /// Electrical power available to a conjugate-matched load from an
     /// incident pressure level, watts.
     ///
@@ -99,48 +76,13 @@ mod tests {
     }
 
     #[test]
-    fn tvr_peaks_at_resonance() {
-        let tr = t();
-        let f0 = tr.bvd.series_resonance();
-        assert!(approx_eq(tr.tvr(f0).value(), tr.tvr_peak_db, 1e-6));
-        assert!(tr.tvr(Hertz(f0.value() * 1.2)).value() < tr.tvr_peak_db - 3.0);
-    }
-
-    #[test]
     fn half_power_at_band_edge() {
         let tr = t();
         let f0 = tr.bvd.series_resonance().value();
         let bw = tr.bandwidth().value();
-        let edge = tr.tvr(Hertz(f0 + bw / 2.0)).value();
+        let edge = tr.tvr_peak_db + 10.0 * tr.resonance_shape(Hertz(f0 + bw / 2.0)).log10();
         // Lorentzian −3 dB point (approximately, thanks to the symmetric x).
         assert!(approx_eq(tr.tvr_peak_db - edge, 3.0, 0.15), "edge drop {}", tr.tvr_peak_db - edge);
-    }
-
-    #[test]
-    fn source_level_scales_with_voltage() {
-        let tr = t();
-        let f0 = tr.bvd.series_resonance();
-        let sl1 = tr.source_level(f0, 1.0).value();
-        let sl10 = tr.source_level(f0, 10.0).value();
-        assert!(approx_eq(sl10 - sl1, 20.0, 1e-9));
-        assert!(approx_eq(sl1, 140.0, 1e-9));
-    }
-
-    #[test]
-    fn projector_reaches_practical_source_levels() {
-        // ~180 dB re µPa @ 1 m needs 100 V drive — realistic for a projector.
-        let tr = t();
-        let sl = tr.source_level(tr.bvd.series_resonance(), 100.0).value();
-        assert!(approx_eq(sl, 180.0, 1e-9));
-    }
-
-    #[test]
-    fn received_voltage_plausible() {
-        // 120 dB re µPa arriving: V = 10^((120−193)/20) ≈ 0.22 mV.
-        let tr = t();
-        let v = tr.received_voltage(tr.bvd.series_resonance(), Db(120.0));
-        assert!(approx_eq(v, 10f64.powf(-73.0 / 20.0), 1e-9));
-        assert!(v > 1e-4 && v < 1e-3);
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl BankStore {
     }
 
     /// File path a spec's bank lives at.
-    pub fn path_for(&self, spec: &BankSpec) -> PathBuf {
+    fn path_for(&self, spec: &BankSpec) -> PathBuf {
         self.dir.join(format!("{}.json", self.id_for(spec)))
     }
 

@@ -80,7 +80,7 @@ impl SystemKind {
 /// The co-design search behind the co-designed states is the costly part of
 /// construction, so a caller that sweeps range, rate or trials builds one
 /// front end per system and reuses it
-/// ([`crate::montecarlo::run_point_with_front_end`]).
+/// ([`crate::montecarlo::GridPoint::borrowed`]).
 #[derive(Debug, Clone)]
 pub struct FrontEnd {
     kind: SystemKind,
@@ -134,6 +134,22 @@ impl FrontEnd {
             transducer,
             f0,
         }
+    }
+
+    /// This front end's array with the element `faults` applied, rebuilt at
+    /// carrier `f0`; `None` when there is no fault to apply or no array
+    /// (single-element systems have no switches to fail).
+    pub fn with_element_faults(
+        &self,
+        faults: &[vab_fault::ElementFault],
+        f0: Hertz,
+    ) -> Option<FrontEnd> {
+        if faults.is_empty() {
+            return None;
+        }
+        let mut faulted = self.array.clone()?;
+        faulted.apply_element_faults(faults);
+        Some(Self::from_array(faulted, f0))
     }
 
     /// System variant.

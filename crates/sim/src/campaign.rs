@@ -7,9 +7,7 @@
 //! bucketed summaries.
 
 use crate::baseline::{FrontEnd, SystemKind};
-use crate::montecarlo::{
-    run_point_with_front_end, run_point_with_trial_faults, MonteCarloConfig, TrialEngine,
-};
+use crate::montecarlo::{try_run_point, GridPoint, MonteCarloConfig, TrialEngine};
 use crate::scenario::Scenario;
 use rand::{Rng, RngExt};
 use vab_acoustics::environment::SeaState;
@@ -189,15 +187,15 @@ pub fn run_campaign_slice(cfg: &CampaignConfig, lo: usize, hi: usize) -> Vec<Tri
             engine: TrialEngine::LinkBudget,
             threads: 1,
         };
-        let point = match &plan {
-            None => run_point_with_front_end(&scenario, &fe, &mc),
-            Some(p) => {
-                // Deployment `id` indexes the plan, so its faults do not
-                // depend on how many deployments ran before it.
-                let faults = p.trial_faults(id as u64, cfg.system.n_elements());
-                run_point_with_trial_faults(&scenario, &fe, &mc, &faults)
-            }
+        // Deployment `id` indexes the plan, so its faults do not depend on
+        // how many deployments ran before it.
+        let faults = plan.as_ref().map(|p| p.trial_faults(id as u64, cfg.system.n_elements()));
+        let point = GridPoint::borrowed(&scenario, &fe);
+        let point = match &faults {
+            None => point,
+            Some(f) => point.with_faults(f),
         };
+        let point = try_run_point(point, &mc).unwrap_or_else(|e| panic!("{e}"));
         let record = TrialRecord {
             id,
             river,

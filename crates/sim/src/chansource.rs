@@ -8,7 +8,7 @@
 //! the trial RNG exactly as the engine always has, while [`BankSource`]
 //! replays a recorded TVIR bank (`vab-replay`) starting at a random
 //! offset into its snapshot timeline. Experiments thread a
-//! `&dyn ChannelSource` through [`crate::montecarlo::run_point_with_source`]
+//! `&dyn ChannelSource` through [`crate::montecarlo::GridPoint::with_source`]
 //! and the rest of the DSP stack cannot tell the difference.
 
 use crate::baseline::SystemKind;

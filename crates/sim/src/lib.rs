@@ -45,7 +45,7 @@ pub use baseline::SystemKind;
 pub use campaign::{run_campaign, run_campaign_slice, CampaignConfig, CampaignReport};
 pub use chansource::{BankSource, ChannelSource, RealizedChannel, ReplayStart, SyntheticSource};
 pub use linkbudget::{LinkBudget, ReaderParams};
-pub use metrics::{BerPoint, CsvTable};
-pub use montecarlo::{run_ber_sweep, MonteCarloConfig, TrialEngine};
+pub use metrics::CsvTable;
+pub use montecarlo::{MonteCarloConfig, TrialEngine};
 pub use scenario::Scenario;
 pub use session::{run_exchange, SessionError, SessionOutcome};

@@ -8,23 +8,6 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
 
-/// One point of a BER-vs-X sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct BerPoint {
-    /// The swept quantity (range in m, angle in degrees, …).
-    pub x: f64,
-    /// Measured bit error rate.
-    pub ber: f64,
-    /// Measured packet error rate.
-    pub per: f64,
-    /// Mean Eb/N0 across trials, dB.
-    pub ebn0_db: f64,
-    /// Bits observed.
-    pub bits: u64,
-    /// Trials run.
-    pub trials: u64,
-}
-
 /// A simple CSV table builder.
 #[derive(Debug, Clone)]
 pub struct CsvTable {
@@ -45,11 +28,6 @@ impl CsvTable {
         let row: Vec<String> = cells.into_iter().map(Into::into).collect();
         assert_eq!(row.len(), self.header.len(), "row width mismatch");
         self.rows.push(row);
-    }
-
-    /// Appends a row of floats with `prec` decimal places.
-    pub fn row_f64<I: IntoIterator<Item = f64>>(&mut self, cells: I, prec: usize) {
-        self.row(cells.into_iter().map(|v| format!("{v:.prec$}")));
     }
 
     /// Number of data rows.
@@ -125,7 +103,7 @@ mod tests {
     #[test]
     fn csv_rendering() {
         let mut t = CsvTable::new(["range_m", "ber"]);
-        t.row_f64([100.0, 0.001234], 4);
+        t.row(["100.0000", "0.0012"]);
         t.row(["300", "1e-3"]);
         let csv = t.to_csv();
         assert!(csv.starts_with("range_m,ber\n"));

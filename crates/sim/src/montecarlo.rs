@@ -14,7 +14,6 @@
 use crate::baseline::FrontEnd;
 use crate::chansource::{ChannelSource, SyntheticSource};
 use crate::linkbudget::LinkBudget;
-use crate::metrics::BerPoint;
 use crate::samplelevel::run_sample_trial_via;
 use crate::scenario::Scenario;
 use rand::rngs::StdRng;
@@ -147,18 +146,6 @@ impl PointResult {
             0.0
         } else {
             self.packet_errors as f64 / self.trials as f64
-        }
-    }
-
-    /// Converts to a plot point at sweep coordinate `x`.
-    pub fn to_point(&self, x: f64) -> BerPoint {
-        BerPoint {
-            x,
-            ber: self.ber.ber(),
-            per: self.per(),
-            ebn0_db: self.ebn0.mean(),
-            bits: self.ber.bits(),
-            trials: self.trials,
         }
     }
 }
@@ -412,40 +399,21 @@ fn link_budget_trial(
         // noise whose sigma reproduces the raw error probability p_chan.
         let sigma =
             if p_chan >= 0.5 { 1e6 } else { 1.0 / vab_util::special::q_inv(p_chan.max(1e-12)) };
-        let mut soft: Vec<f64> = coded
+        let soft: Vec<f64> = coded
             .iter()
             .map(|&b| {
                 let s = if b { 1.0 } else { -1.0 };
                 s + sigma * vab_util::rng::gaussian(rng)
             })
             .collect();
-        if let Some(il) = &link.interleaver {
-            let block = il.block_len();
-            soft.truncate(soft.len() / block * block);
-            soft = il.deinterleave_soft(&soft);
-        }
-        let mut b = vab_link::fec::conv_decode_soft(&soft);
-        if link.whitening {
-            b = vab_link::whiten::whiten(&b);
-        }
-        b
+        link.decode_soft(&soft)
     } else {
         for bit in coded.iter_mut() {
             if rng.random::<f64>() < p_chan {
                 *bit = !*bit;
             }
         }
-        let mut b = coded;
-        if let Some(il) = &link.interleaver {
-            let block = il.block_len();
-            b.truncate(b.len() / block * block);
-            b = il.deinterleave(&b);
-        }
-        b = link.fec.decode(&b);
-        if link.whitening {
-            b = vab_link::whiten::whiten(&b);
-        }
-        b
+        link.decode_bits(&coded)
     };
     let errors = info
         .iter()
@@ -476,15 +444,7 @@ fn trial_impairment(
     faults: &TrialFaults,
     trial: u64,
 ) -> (Option<FrontEnd>, f64, bool, bool) {
-    let fe_override = if faults.elements.is_empty() {
-        None
-    } else {
-        fe.array().map(|array| {
-            let mut faulted = array.clone();
-            faulted.apply_element_faults(&faults.elements);
-            FrontEnd::from_array(faulted, scenario.carrier())
-        })
-    };
+    let fe_override = fe.with_element_faults(&faults.elements, scenario.carrier());
     // Modulation-depth loss from resonance drift scales received *power*
     // as amplitude²; channel impairments subtract straight dB.
     let delta_db = 20.0 * faults.depth_scale.max(1e-9).log10() - faults.channel.extra_loss_db();
@@ -499,9 +459,14 @@ fn trial_impairment(
     (fe_override, delta_db, lost, faults.energy.brownout_mid_reply)
 }
 
-/// One operating point of a [`run_grid`] batch: a scenario, the front end
-/// its trials run on, and how faults and the sample-level channel reach
-/// those trials.
+/// One operating point of a [`run_grid`] batch or a [`try_run_point`]
+/// call: a scenario, the front end its trials run on, and how faults and
+/// the sample-level channel reach those trials.
+///
+/// The front end is the costly part to build (its load co-design search),
+/// so a caller that sweeps range, rate or trials builds one per system and
+/// reuses it; ablations pass modified arrays — failed elements, mismatched
+/// lines, custom states.
 #[derive(Clone)]
 pub struct GridPoint<'a> {
     scenario: Cow<'a, Scenario>,
@@ -513,103 +478,79 @@ pub struct GridPoint<'a> {
 impl<'a> GridPoint<'a> {
     /// A nominal point on front end `fe`: no faults, synthesized channels.
     pub fn new(scenario: Scenario, fe: &'a FrontEnd) -> Self {
-        Self::borrowed(Cow::Owned(scenario), fe)
+        Self::from_cow(Cow::Owned(scenario), fe)
     }
 
-    fn borrowed(scenario: Cow<'a, Scenario>, fe: &'a FrontEnd) -> Self {
+    /// [`GridPoint::new`] over a borrowed scenario, without cloning it.
+    pub fn borrowed(scenario: &'a Scenario, fe: &'a FrontEnd) -> Self {
+        Self::from_cow(Cow::Borrowed(scenario), fe)
+    }
+
+    fn from_cow(scenario: Cow<'a, Scenario>, fe: &'a FrontEnd) -> Self {
         Self { scenario, fe, faults: FaultSource::None, source: &SyntheticSource }
     }
 
-    /// Trial `t` runs under `plan.trial_faults(t, …)`, as in
-    /// [`run_point_faulted`].
+    /// Trial `t` runs under `plan.trial_faults(t, n_elements)`: element
+    /// failures rebuild the front end, resonance drift and channel
+    /// impairments shift the effective Eb/N0, blackouts/dropouts lose the
+    /// packet, mid-reply brownouts truncate it.
     pub fn faulted(mut self, plan: &'a FaultPlan) -> Self {
         self.faults = FaultSource::Plan(plan);
         self
     }
 
-    /// Sample-level trials take their channel from `source`, as in
-    /// [`run_point_with_source`].
+    /// Every trial runs under the same pre-sampled `faults` (the campaign
+    /// path: faults are sampled per deployment, and each deployment is a
+    /// single-packet point).
+    pub fn with_faults(mut self, faults: &'a TrialFaults) -> Self {
+        self.faults = FaultSource::Fixed(faults);
+        self
+    }
+
+    /// Sample-level trials take their channel from `source` — the replay
+    /// seam: pass a [`crate::chansource::BankSource`] and every trial
+    /// convolves against the recorded TVIR bank instead of synthesizing a
+    /// channel. Only meaningful with [`TrialEngine::SampleLevel`] (the
+    /// link-budget engine has no waveform to replay).
     pub fn with_source(mut self, source: &'a dyn ChannelSource) -> Self {
         self.source = source;
         self
     }
 }
 
-/// Runs all trials for one operating point.
+/// Runs all trials for one operating point on the scenario's own front end.
 pub fn run_point(scenario: &Scenario, cfg: &MonteCarloConfig) -> PointResult {
     let fe = scenario.front_end();
-    run_point_with_front_end(scenario, &fe, cfg)
+    try_run_point(GridPoint::borrowed(scenario, &fe), cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Like [`run_point`] but with an externally-built front end (ablations
-/// pass modified arrays — failed elements, mismatched lines, custom states).
-pub fn run_point_with_front_end(
-    scenario: &Scenario,
-    fe: &FrontEnd,
-    cfg: &MonteCarloConfig,
-) -> PointResult {
-    try_run_point_with_front_end(scenario, fe, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`run_point_with_front_end`]: worker-thread panics surface as
-/// a typed [`MonteCarloError`] instead of aborting the caller.
-pub fn try_run_point_with_front_end(
-    scenario: &Scenario,
-    fe: &FrontEnd,
-    cfg: &MonteCarloConfig,
-) -> Result<PointResult, MonteCarloError> {
-    run_one(GridPoint::borrowed(Cow::Borrowed(scenario), fe), cfg)
-}
-
-/// [`run_point`] with the sample-level channel supplied by an arbitrary
-/// [`ChannelSource`] — the replay entry point: pass a
-/// [`crate::chansource::BankSource`] and every trial convolves against the
-/// recorded TVIR bank instead of synthesizing a channel. Only meaningful
-/// with [`TrialEngine::SampleLevel`] (the link-budget engine has no
-/// waveform to replay). [`GridPoint::with_source`] is the form that takes
-/// a front end.
+/// [`run_point`] with the sample-level channel supplied by `source` (see
+/// [`GridPoint::with_source`]).
 pub fn run_point_with_source(
     scenario: &Scenario,
     cfg: &MonteCarloConfig,
     source: &dyn ChannelSource,
 ) -> PointResult {
     let fe = scenario.front_end();
-    let point = GridPoint::borrowed(Cow::Borrowed(scenario), &fe).with_source(source);
-    run_one(point, cfg).unwrap_or_else(|e| panic!("{e}"))
+    let point = GridPoint::borrowed(scenario, &fe).with_source(source);
+    try_run_point(point, cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`run_point`] under a deterministic fault plan: trial `t` experiences
-/// `plan.trial_faults(t, n_elements)` — element failures rebuild the front
-/// end, resonance drift and channel impairments shift the effective Eb/N0,
-/// blackouts/dropouts lose the packet, mid-reply brownouts truncate it.
-/// [`GridPoint::faulted`] is the form that takes a front end.
-pub fn run_point_faulted(
-    scenario: &Scenario,
+/// Runs all trials for one operating point. Worker panics surface as a
+/// typed [`MonteCarloError`] instead of aborting the caller.
+pub fn try_run_point(
+    point: GridPoint<'_>,
     cfg: &MonteCarloConfig,
-    plan: &FaultPlan,
-) -> PointResult {
-    let fe = scenario.front_end();
-    let point = GridPoint::borrowed(Cow::Borrowed(scenario), &fe).faulted(plan);
-    run_one(point, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_point`] with one pre-sampled [`TrialFaults`] applied to every
-/// trial of the point (the campaign path: faults are sampled per
-/// deployment, and each deployment is a single-packet point).
-pub fn run_point_with_trial_faults(
-    scenario: &Scenario,
-    fe: &FrontEnd,
-    cfg: &MonteCarloConfig,
-    faults: &TrialFaults,
-) -> PointResult {
-    let mut point = GridPoint::borrowed(Cow::Borrowed(scenario), fe);
-    point.faults = FaultSource::Fixed(faults);
-    run_one(point, cfg).unwrap_or_else(|e| panic!("{e}"))
+) -> Result<PointResult, MonteCarloError> {
+    let _span = vab_obs::Span::enter("sim.montecarlo", "run_point");
+    run_points(std::slice::from_ref(&point), cfg, Depth::Decode)
+        .pop()
+        .expect("one point in, one result out")
 }
 
 /// Runs every point of a figure under one config as a single batch on the
 /// compute pool ([`vab_util::threads::par_map`]): each point is split into
-/// the shards [`run_point`] would give it, and every (point, shard) pair is
+/// the shards [`try_run_point`] would give it, and every (point, shard) pair is
 /// one task. Results come back in `points` order, each identical to the
 /// point run on its own — counts, `trial_bers` and the Eb/N0 statistics to
 /// the last bit.
@@ -634,13 +575,6 @@ pub fn run_grid_ebn0(points: &[GridPoint<'_>], cfg: &MonteCarloConfig) -> Vec<Ru
         .into_iter()
         .map(|r| r.unwrap_or_else(|e| panic!("{e}")).ebn0)
         .collect()
-}
-
-fn run_one(point: GridPoint<'_>, cfg: &MonteCarloConfig) -> Result<PointResult, MonteCarloError> {
-    let _span = vab_obs::Span::enter("sim.montecarlo", "run_point");
-    run_points(std::slice::from_ref(&point), cfg, Depth::Decode)
-        .pop()
-        .expect("one point in, one result out")
 }
 
 /// How far each link-budget trial runs.
@@ -800,11 +734,6 @@ fn run_shard(
     PointResult { ber, packet_errors, trials: (hi - lo) as u64, ebn0, trial_bers }
 }
 
-/// Sweeps an axis: `points` are `(x, scenario)` pairs.
-pub fn run_ber_sweep(points: &[(f64, Scenario)], cfg: &MonteCarloConfig) -> Vec<BerPoint> {
-    points.iter().map(|(x, s)| run_point(s, cfg).to_point(*x)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -821,6 +750,11 @@ mod tests {
             engine: TrialEngine::LinkBudget,
             threads: 0,
         }
+    }
+
+    fn run_faulted(s: &Scenario, c: &MonteCarloConfig, plan: &FaultPlan) -> PointResult {
+        let fe = s.front_end();
+        try_run_point(GridPoint::borrowed(s, &fe).faulted(plan), c).expect("no worker panic")
     }
 
     #[test]
@@ -884,12 +818,12 @@ mod tests {
 
     #[test]
     fn off_fault_plan_matches_unfaulted_bit_for_bit() {
-        use vab_fault::{FaultConfig, FaultPlan};
+        use vab_fault::FaultConfig;
         let s = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(280.0));
         let c = cfg(24, 128);
         let plain = run_point(&s, &c);
         let plan = FaultPlan::new(c.seed, FaultConfig::off());
-        let faulted = run_point_faulted(&s, &c, &plan);
+        let faulted = run_faulted(&s, &c, &plan);
         assert_eq!(plain.ber.errors(), faulted.ber.errors());
         assert_eq!(plain.packet_errors, faulted.packet_errors);
         assert_eq!(plain.trial_bers, faulted.trial_bers);
@@ -897,12 +831,12 @@ mod tests {
 
     #[test]
     fn severe_faults_degrade_the_point() {
-        use vab_fault::{FaultConfig, FaultPlan};
+        use vab_fault::FaultConfig;
         let s = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(200.0));
         let c = cfg(60, 256);
         let nominal = run_point(&s, &c);
         let plan = FaultPlan::new(c.seed, FaultConfig::severe());
-        let faulted = run_point_faulted(&s, &c, &plan);
+        let faulted = run_faulted(&s, &c, &plan);
         assert!(
             faulted.ber.ber() > nominal.ber.ber(),
             "severe faults must raise BER: {} vs {}",
@@ -914,15 +848,15 @@ mod tests {
 
     #[test]
     fn faulted_point_reproducible_across_thread_counts() {
-        use vab_fault::{FaultConfig, FaultPlan};
+        use vab_fault::FaultConfig;
         let s = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(280.0));
         let plan = FaultPlan::new(9, FaultConfig::with_intensity(0.5));
         let mut c1 = cfg(16, 128);
         c1.threads = 1;
         let mut c8 = cfg(16, 128);
         c8.threads = 8;
-        let r1 = run_point_faulted(&s, &c1, &plan);
-        let r8 = run_point_faulted(&s, &c8, &plan);
+        let r1 = run_faulted(&s, &c1, &plan);
+        let r8 = run_faulted(&s, &c8, &plan);
         assert_eq!(r1.ber.errors(), r8.ber.errors());
         assert_eq!(r1.packet_errors, r8.packet_errors);
         assert_eq!(r1.trial_bers, r8.trial_bers);
@@ -968,7 +902,8 @@ mod tests {
                 MonteCarloError::WorkerPanicked { shard: 0, message: "bank unreadable".into() }
             );
         }
-        let r = try_run_point_with_front_end(&s, &fe, &cfg(4, 64)).expect("the pool still serves");
+        let r = try_run_point(GridPoint::borrowed(&s, &fe), &cfg(4, 64))
+            .expect("the pool still serves");
         assert_eq!(r.trials, 4);
     }
 
@@ -985,7 +920,8 @@ mod tests {
             c.threads = threads;
             for (&d, grid) in ranges.iter().zip(run_grid(&points, &c)) {
                 let alone =
-                    run_point_with_front_end(&Scenario::river(fe.kind(), Meters(d)), &fe, &c);
+                    try_run_point(GridPoint::new(Scenario::river(fe.kind(), Meters(d)), &fe), &c)
+                        .expect("no worker panic");
                 assert_eq!(grid.ber.errors(), alone.ber.errors());
                 assert_eq!(grid.packet_errors, alone.packet_errors);
                 assert_eq!(grid.trial_bers, alone.trial_bers);
@@ -998,7 +934,7 @@ mod tests {
     fn try_variant_returns_ok_on_clean_runs() {
         let s = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(50.0));
         let fe = s.front_end();
-        let r = try_run_point_with_front_end(&s, &fe, &cfg(4, 64)).expect("no worker panic");
+        let r = try_run_point(GridPoint::borrowed(&s, &fe), &cfg(4, 64)).expect("no worker panic");
         assert_eq!(r.trials, 4);
     }
 
@@ -1088,18 +1024,5 @@ mod tests {
         let Fade::Coherent { arrivals, .. } = &plan.fade else { panic!("PAB fades coherently") };
         let kept = arrivals.iter().filter(|a| a.n_surface > 0).count();
         assert_eq!((plan.enumeration_draws, kept), (7, 5));
-    }
-
-    #[test]
-    fn sweep_produces_ordered_points() {
-        let points: Vec<(f64, Scenario)> = [50.0, 150.0]
-            .iter()
-            .map(|&d| (d, Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(d))))
-            .collect();
-        let out = run_ber_sweep(&points, &cfg(5, 64));
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].x, 50.0);
-        assert_eq!(out[1].x, 150.0);
-        assert!(out[0].ebn0_db > out[1].ebn0_db);
     }
 }

@@ -7,7 +7,7 @@
 //! and to exercise the full DSP stack in integration tests.
 
 use crate::baseline::FrontEnd;
-use crate::chansource::{ChannelSource, SyntheticSource};
+use crate::chansource::ChannelSource;
 use crate::linkbudget::LinkBudget;
 use crate::scenario::Scenario;
 use rand::rngs::StdRng;
@@ -30,36 +30,18 @@ pub struct TransportedUplink {
 
 /// Transports `channel_bits` from the node to the reader at the waveform
 /// level: preamble prepend → FM0 switch waveform → (retro) multipath round
-/// trip → carrier leak + noise → carrier strip → acquisition → per-bit
-/// demodulation. Returns `None` when the synchronizer never locks.
-pub fn transport_uplink(
-    scenario: &Scenario,
-    fe: &FrontEnd,
-    channel_bits: &[bool],
-    rng: &mut StdRng,
-) -> Option<TransportedUplink> {
-    transport_uplink_scaled(scenario, fe, channel_bits, 1.0, rng)
-}
-
-/// Like [`transport_uplink`] but with the *modulated* reflection amplitude
-/// scaled by `amp_scale` — the waveform-level fault-injection hook.
-/// Resonance drift across the array, bubble-cloud attenuation and
-/// impulsive-burst penalties all reach the receiver as a weaker modulation
-/// sideband against an unchanged noise floor, which is exactly what this
-/// models (the static clutter and carrier leak are left untouched).
-pub fn transport_uplink_scaled(
-    scenario: &Scenario,
-    fe: &FrontEnd,
-    channel_bits: &[bool],
-    amp_scale: f64,
-    rng: &mut StdRng,
-) -> Option<TransportedUplink> {
-    transport_uplink_via(scenario, fe, channel_bits, amp_scale, &SyntheticSource, rng)
-}
-
-/// Like [`transport_uplink_scaled`] but with the channel supplied by an
-/// arbitrary [`ChannelSource`] — the seam that lets the same DSP stack run
-/// on a freshly synthesized channel or a replayed TVIR bank.
+/// trip over the channel `source` realizes → carrier leak + noise →
+/// carrier strip → acquisition → per-bit demodulation. Returns `None` when
+/// the synchronizer never locks.
+///
+/// `source` is the seam that lets the same DSP stack run on a freshly
+/// synthesized channel ([`crate::chansource::SyntheticSource`]) or a replayed TVIR bank.
+/// `amp_scale` scales the *modulated* reflection amplitude (1.0 for
+/// nominal trials) — the waveform-level fault-injection hook. Resonance
+/// drift across the array, bubble-cloud attenuation and impulsive-burst
+/// penalties all reach the receiver as a weaker modulation sideband against
+/// an unchanged noise floor, which is exactly what this models (the static
+/// clutter and carrier leak are left untouched).
 pub fn transport_uplink_via(
     scenario: &Scenario,
     fe: &FrontEnd,
@@ -181,73 +163,31 @@ fn received_waveform(
 /// using the link configuration (soft Viterbi for the convolutional code,
 /// hard decoding otherwise).
 pub fn decode_uplink(link: &vab_link::frame::LinkConfig, up: &TransportedUplink) -> Vec<bool> {
-    if link.fec == vab_link::fec::Fec::Conv {
-        let mut soft = up.soft_bits.clone();
-        // Impulsive-noise limiting: a snapping-shrimp transient produces a
-        // huge (confidently wrong) metric that would dominate the Viterbi
-        // path metric. Clip every metric to a few times the *median*
-        // magnitude — medians ignore the snaps that inflate an RMS.
-        let mut mags: Vec<f64> = soft.iter().map(|m| m.abs()).collect();
-        mags.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let med = mags.get(mags.len() / 2).copied().unwrap_or(1.0).max(1e-300);
-        let limit = 3.0 * med;
-        for m in soft.iter_mut() {
-            *m = m.clamp(-limit, limit);
-        }
-        if let Some(il) = &link.interleaver {
-            let block = il.block_len();
-            soft.truncate(soft.len() / block * block);
-            soft = il.deinterleave_soft(&soft);
-        }
-        let mut b = vab_link::fec::conv_decode_soft(&soft);
-        if link.whitening {
-            b = vab_link::whiten::whiten(&b);
-        }
-        b
-    } else {
-        let mut b = up.hard_bits.clone();
-        if let Some(il) = &link.interleaver {
-            let block = il.block_len();
-            b.truncate(b.len() / block * block);
-            b = il.deinterleave(&b);
-        }
-        b = link.fec.decode(&b);
-        if link.whitening {
-            b = vab_link::whiten::whiten(&b);
-        }
-        b
+    if link.fec != vab_link::fec::Fec::Conv {
+        return link.decode_bits(&up.hard_bits);
     }
+    let mut soft = up.soft_bits.clone();
+    // Impulsive-noise limiting: a snapping-shrimp transient produces a
+    // huge (confidently wrong) metric that would dominate the Viterbi
+    // path metric. Clip every metric to a few times the *median*
+    // magnitude — medians ignore the snaps that inflate an RMS.
+    let mut mags: Vec<f64> = soft.iter().map(|m| m.abs()).collect();
+    mags.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    let med = mags.get(mags.len() / 2).copied().unwrap_or(1.0).max(1e-300);
+    let limit = 3.0 * med;
+    for m in soft.iter_mut() {
+        *m = m.clamp(-limit, limit);
+    }
+    link.decode_soft(&soft)
 }
 
-/// Runs one full waveform trial with random payload bits.
+/// Runs one full waveform trial (encode → transport → decode) with random
+/// payload bits, over the channel `source` realizes and with the modulated
+/// amplitude scaled by `amp_scale` (see [`transport_uplink_via`]).
 ///
 /// Returns `(info_bit_errors, packet_error, ebn0_db)` where the Eb/N0 is
 /// the static link-budget value for reporting (the waveform itself carries
 /// the actual fading).
-pub fn run_sample_trial(
-    scenario: &Scenario,
-    fe: &FrontEnd,
-    n_info_bits: usize,
-    rng: &mut StdRng,
-) -> (usize, bool, f64) {
-    run_sample_trial_scaled(scenario, fe, n_info_bits, 1.0, rng)
-}
-
-/// [`run_sample_trial`] with the modulated amplitude scaled by `amp_scale`
-/// (see [`transport_uplink_scaled`]) — the fault-injected waveform trial.
-pub fn run_sample_trial_scaled(
-    scenario: &Scenario,
-    fe: &FrontEnd,
-    n_info_bits: usize,
-    amp_scale: f64,
-    rng: &mut StdRng,
-) -> (usize, bool, f64) {
-    run_sample_trial_via(scenario, fe, n_info_bits, amp_scale, &SyntheticSource, rng)
-}
-
-/// [`run_sample_trial_scaled`] over an arbitrary [`ChannelSource`]: the
-/// full waveform trial (encode → transport → decode) with the channel
-/// either synthesized per trial or replayed from a TVIR bank.
 pub fn run_sample_trial_via(
     scenario: &Scenario,
     fe: &FrontEnd,
@@ -273,6 +213,7 @@ pub fn run_sample_trial_via(
 mod tests {
     use super::*;
     use crate::baseline::SystemKind;
+    use crate::chansource::SyntheticSource;
     use crate::montecarlo::{run_point, MonteCarloConfig, TrialEngine};
     use crate::scenario::Scenario;
     use vab_util::rng::seeded;
@@ -310,7 +251,7 @@ mod tests {
         let s = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(30.0));
         let fe = s.front_end();
         let mut rng = seeded(101);
-        let (errors, pkt, _) = run_sample_trial(&s, &fe, 64, &mut rng);
+        let (errors, pkt, _) = run_sample_trial_via(&s, &fe, 64, 1.0, &SyntheticSource, &mut rng);
         assert_eq!(errors, 0, "30 m river trial should be clean");
         assert!(!pkt);
     }
@@ -325,7 +266,7 @@ mod tests {
             let s = Scenario::river(SystemKind::Pab, Meters(*d));
             let fe = s.front_end();
             let mut rng = seeded(102 + i as u64);
-            let (errors, _, _) = run_sample_trial(&s, &fe, 64, &mut rng);
+            let (errors, _, _) = run_sample_trial_via(&s, &fe, 64, 1.0, &SyntheticSource, &mut rng);
             if errors == 0 {
                 clean += 1;
             }
@@ -338,7 +279,7 @@ mod tests {
         let s = Scenario::river(SystemKind::Pab, Meters(2_000.0));
         let fe = s.front_end();
         let mut rng = seeded(103);
-        let (errors, pkt, _) = run_sample_trial(&s, &fe, 64, &mut rng);
+        let (errors, pkt, _) = run_sample_trial_via(&s, &fe, 64, 1.0, &SyntheticSource, &mut rng);
         assert!(pkt, "2 km PAB trial must fail");
         assert!(errors > 0);
     }
@@ -375,9 +316,23 @@ mod tests {
         let mut errs_calm = 0;
         let mut errs_rough = 0;
         for seed in 0..12 {
-            let (e, _, _) = run_sample_trial(&calm, &fe_c, 64, &mut seeded(200 + seed));
+            let (e, _, _) = run_sample_trial_via(
+                &calm,
+                &fe_c,
+                64,
+                1.0,
+                &SyntheticSource,
+                &mut seeded(200 + seed),
+            );
             errs_calm += e;
-            let (e, _, _) = run_sample_trial(&rough, &fe_r, 64, &mut seeded(200 + seed));
+            let (e, _, _) = run_sample_trial_via(
+                &rough,
+                &fe_r,
+                64,
+                1.0,
+                &SyntheticSource,
+                &mut seeded(200 + seed),
+            );
             errs_rough += e;
         }
         assert!(

@@ -13,8 +13,8 @@
 //! This is the path the `full_session` example and the deepest integration
 //! tests drive.
 
-use crate::baseline::FrontEnd;
-use crate::samplelevel::{decode_uplink, transport_uplink_scaled};
+use crate::chansource::SyntheticSource;
+use crate::samplelevel::{decode_uplink, transport_uplink_via};
 use crate::scenario::Scenario;
 use rand::rngs::StdRng;
 use vab_acoustics::channel::ChannelModel;
@@ -76,7 +76,7 @@ pub fn run_exchange(
 /// Protocol faults (corrupted ACKs, reader restarts) are *not* consumed
 /// here: they live above the waveform exchange, in the caller's ARQ/MAC
 /// loop.
-pub fn run_exchange_faulted(
+fn run_exchange_faulted(
     scenario: &Scenario,
     node: &mut Node,
     command: &Frame,
@@ -85,18 +85,8 @@ pub fn run_exchange_faulted(
 ) -> SessionOutcome {
     let _span = vab_obs::Span::enter("sim.session", "exchange");
     let pie = PieParams::vab_default();
-    let fe = {
-        let base = scenario.front_end();
-        if faults.elements.is_empty() {
-            base
-        } else if let Some(array) = base.array() {
-            let mut faulted = array.clone();
-            faulted.apply_element_faults(&faults.elements);
-            FrontEnd::from_array(faulted, scenario.carrier())
-        } else {
-            base // single-element systems have no switches to fail
-        }
-    };
+    let base = scenario.front_end();
+    let fe = base.with_element_faults(&faults.elements, scenario.carrier()).unwrap_or(base);
     let amp_scale =
         faults.depth_scale.max(0.0) * 10f64.powf(-faults.channel.extra_loss_db() / 20.0);
 
@@ -133,7 +123,14 @@ pub fn run_exchange_faulted(
     let uplink_frame = match event {
         NodeEvent::Reply { .. } if faults.channel.dropout => Err(SessionError::SyncLost),
         NodeEvent::Reply { channel_bits, .. } => {
-            match transport_uplink_scaled(scenario, &fe, &channel_bits, amp_scale, rng) {
+            match transport_uplink_via(
+                scenario,
+                &fe,
+                &channel_bits,
+                amp_scale,
+                &SyntheticSource,
+                rng,
+            ) {
                 None => Err(SessionError::SyncLost),
                 Some(up) => {
                     let bits = decode_uplink(&node.config.link, &up);

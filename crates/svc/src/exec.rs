@@ -17,7 +17,7 @@ use vab_acoustics::environment::SeaState;
 use vab_fault::{FaultConfig, WorkerFaultPlan};
 use vab_sim::campaign::{run_campaign_slice, CampaignConfig};
 use vab_sim::linkbudget::LinkBudget;
-use vab_sim::montecarlo::{try_run_point_with_front_end, MonteCarloConfig};
+use vab_sim::montecarlo::{try_run_point, GridPoint, MonteCarloConfig};
 use vab_sim::scenario::Scenario;
 use vab_util::json::Json;
 use vab_util::units::{Degrees, Meters};
@@ -192,7 +192,7 @@ fn execute_mc_point(spec: &JobSpec) -> Result<String, String> {
         threads: 0,
     };
     let fe = scenario.front_end();
-    let r = try_run_point_with_front_end(&scenario, &fe, &cfg).map_err(|e| e.to_string())?;
+    let r = try_run_point(GridPoint::new(scenario, &fe), &cfg).map_err(|e| e.to_string())?;
     // Only thread-count-invariant statistics: exact counts and the sorted
     // per-trial BER vector. (The mean Eb/N0 aggregates across shards in
     // shard order, so its last bits can differ with worker count — it

@@ -19,7 +19,7 @@ pub fn next_pow2(n: usize) -> usize {
 /// Process-wide plan cache: there are only ever a handful of distinct FFT
 /// sizes in play (one per filter/replay size class), so planning each size
 /// once and sharing the immutable plan removes the per-call allocation
-/// that used to dominate [`rfft`]'s profile.
+/// that used to dominate the real-signal transform's profile.
 static PLAN_CACHE: OnceLock<Mutex<HashMap<usize, Arc<Fft>>>> = OnceLock::new();
 
 /// Returns the shared plan for size `n`, planning it on first use.
@@ -204,43 +204,12 @@ crate::wide_bodies!(mod wide_filter for fn filter(
     inv: &[C64],
 ));
 
-/// Forward FFT of a real signal, zero-padded to the next power of two.
-///
-/// Returns the full complex spectrum (length `next_pow2(x.len())`). The
-/// plan comes from the shared [`plan`] cache, so only the output buffer
-/// is allocated per call.
-pub fn rfft(x: &[f64]) -> Vec<C64> {
-    let n = next_pow2(x.len());
-    let mut buf: Vec<C64> = Vec::with_capacity(n);
-    buf.extend(x.iter().map(|&v| C64::real(v)));
-    buf.resize(n, C64::ZERO);
-    plan(n).forward(&mut buf);
-    buf
-}
-
-/// Forward FFT of a real signal into a caller-owned buffer — the fully
-/// allocation-free variant of [`rfft`] for hot loops. `buf` is resized to
-/// `next_pow2(x.len())` (a no-op once warm).
-pub fn rfft_into(x: &[f64], buf: &mut Vec<C64>) {
-    let n = next_pow2(x.len());
-    buf.clear();
-    buf.extend(x.iter().map(|&v| C64::real(v)));
-    buf.resize(n, C64::ZERO);
-    plan(n).forward(buf);
-}
-
-/// Frequency of FFT bin `k` for sample rate `fs` and size `n`.
-#[inline]
-pub fn bin_freq(k: usize, n: usize, fs: f64) -> f64 {
-    k as f64 * fs / n as f64
-}
-
 /// Goertzel algorithm: the DFT of `x` evaluated at a single frequency.
 ///
 /// Much cheaper than a full FFT when only one tone matters — exactly the
 /// situation of an OOK/FSK backscatter receiver watching one subcarrier.
 /// Returns the complex DFT coefficient (same scaling as an FFT bin).
-pub fn goertzel(x: &[f64], freq_hz: f64, fs: f64) -> C64 {
+fn goertzel(x: &[f64], freq_hz: f64, fs: f64) -> C64 {
     let n = x.len();
     let w = TAU * freq_hz / fs;
     let coeff = 2.0 * w.cos();
@@ -267,6 +236,15 @@ pub fn goertzel_power(x: &[f64], freq_hz: f64, fs: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::approx_eq;
+
+    /// The full complex spectrum of a real signal, zero-padded to the next
+    /// power of two.
+    fn real_spectrum(x: &[f64]) -> Vec<C64> {
+        let mut buf: Vec<C64> = x.iter().map(|&v| C64::real(v)).collect();
+        buf.resize(next_pow2(x.len()), C64::ZERO);
+        plan(buf.len()).forward(&mut buf);
+        buf
+    }
 
     fn naive_dft(x: &[C64]) -> Vec<C64> {
         let n = x.len();
@@ -308,9 +286,9 @@ mod tests {
         let n = 128;
         let fs = 1000.0;
         let k = 10; // bin-centered tone
-        let f = bin_freq(k, n, fs);
+        let f = k as f64 * fs / n as f64;
         let x: Vec<f64> = (0..n).map(|i| (TAU * f * i as f64 / fs).cos()).collect();
-        let spec = rfft(&x);
+        let spec = real_spectrum(&x);
         let mags: Vec<f64> = spec.iter().map(|c| c.abs()).collect();
         // Energy should be in bins k and n-k only.
         assert!(mags[k] > 60.0);
@@ -331,9 +309,9 @@ mod tests {
                 (TAU * 1000.0 * i as f64 / fs).sin() + 0.5 * (TAU * 2500.0 * i as f64 / fs).cos()
             })
             .collect();
-        let spec = rfft(&x);
+        let spec = real_spectrum(&x);
         for k in [8usize, 20] {
-            let g = goertzel(&x, bin_freq(k, n, fs), fs);
+            let g = goertzel(&x, k as f64 * fs / n as f64, fs);
             assert!(
                 approx_eq(g.abs(), spec[k].abs(), 1e-6),
                 "k={k} g={} fft={}",
@@ -358,7 +336,7 @@ mod tests {
         let n = 128;
         let x: Vec<f64> = (0..n).map(|i| ((i * i) as f64 * 0.01).sin()).collect();
         let time_energy: f64 = x.iter().map(|v| v * v).sum();
-        let spec = rfft(&x);
+        let spec = real_spectrum(&x);
         let freq_energy: f64 = spec.iter().map(|c| c.norm_sq()).sum::<f64>() / n as f64;
         assert!(approx_eq(time_energy, freq_energy, 1e-9));
     }
@@ -523,20 +501,5 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "same size must share one plan");
         assert_eq!(a.len(), 512);
         assert!(!Arc::ptr_eq(&a, &plan(1024)));
-    }
-
-    #[test]
-    fn rfft_into_matches_rfft_and_reuses_capacity() {
-        let x: Vec<f64> = (0..200).map(|i| (i as f64 * 0.21).sin()).collect();
-        let want = rfft(&x);
-        let mut buf = Vec::new();
-        rfft_into(&x, &mut buf);
-        assert_eq!(buf.len(), want.len());
-        for (g, w) in buf.iter().zip(&want) {
-            assert!((g.re - w.re).abs() < 1e-12 && (g.im - w.im).abs() < 1e-12);
-        }
-        let cap = buf.capacity();
-        rfft_into(&x, &mut buf);
-        assert_eq!(buf.capacity(), cap, "warm rfft_into must not reallocate");
     }
 }

@@ -37,7 +37,7 @@ fn fft_len_for(taps_len: usize) -> usize {
 /// A reusable overlap-save convolution plan for a fixed tap vector.
 ///
 /// Construction performs all allocation (FFT plan lookup, tap spectrum,
-/// scratch); [`OlaPlan::convolve_into`] then runs allocation-free. Swap
+/// scratch); [`OlaPlan::convolve_add_into`] then runs allocation-free. Swap
 /// the taps without reallocating via [`OlaPlan::set_taps`] as long as the
 /// tap count stays in the same FFT size class — exactly the pattern a
 /// time-varying replay channel needs.
@@ -87,7 +87,7 @@ impl OlaPlan {
     }
 
     /// Plans overlap-save convolution with real `taps`.
-    pub fn new_real(taps: &[f64]) -> Self {
+    fn new_real(taps: &[f64]) -> Self {
         let c: Vec<C64> = taps.iter().map(|&t| C64::real(t)).collect();
         Self::new(&c)
     }
@@ -114,18 +114,12 @@ impl OlaPlan {
         self.taps_len
     }
 
-    /// FFT length in use (diagnostic).
-    #[inline]
-    pub fn fft_len(&self) -> usize {
-        self.fft_n
-    }
-
     /// Full linear convolution `y = x ⊛ taps` into `out`
     /// (`out.len() == x.len() + taps_len − 1`; resized as needed).
     ///
     /// After the one-time construction, this performs no allocation
     /// beyond growing `out`.
-    pub fn convolve_into(&mut self, x: &[C64], out: &mut Vec<C64>) {
+    fn convolve_into(&mut self, x: &[C64], out: &mut Vec<C64>) {
         out.clear();
         if x.is_empty() {
             return;
@@ -315,9 +309,9 @@ mod tests {
             assert!((g.re - w.re).abs() < 1e-9 && (g.im - w.im).abs() < 1e-9);
         }
         // Same size class: set_taps must not replan.
-        let fft_before = plan.fft_len();
+        let fft_before = plan.fft_n;
         plan.set_taps(&h2);
-        assert_eq!(plan.fft_len(), fft_before);
+        assert_eq!(plan.fft_n, fft_before);
         plan.convolve_into(&x, &mut out);
         let want2 = direct_c64(&x, &h2);
         for (g, w) in out.iter().zip(&want2) {

@@ -71,38 +71,6 @@ pub fn fractional_delay(x: &[f64], delay_samples: f64, taps: usize) -> Vec<f64> 
     y
 }
 
-/// Linear interpolation resampler from `fs_in` to `fs_out`.
-///
-/// Adequate for rate conversion of already-band-limited envelopes; carrier
-/// waveforms should stay at one rate end-to-end.
-pub fn resample_linear(x: &[f64], fs_in: f64, fs_out: f64) -> Vec<f64> {
-    assert!(fs_in > 0.0 && fs_out > 0.0);
-    if x.is_empty() {
-        return Vec::new();
-    }
-    let ratio = fs_in / fs_out;
-    let n_out = ((x.len() as f64 - 1.0) / ratio).floor() as usize + 1;
-    (0..n_out)
-        .map(|i| {
-            let t = i as f64 * ratio;
-            let i0 = t.floor() as usize;
-            let frac = t - i0 as f64;
-            if i0 + 1 < x.len() {
-                x[i0] * (1.0 - frac) + x[i0 + 1] * frac
-            } else {
-                x[x.len() - 1]
-            }
-        })
-        .collect()
-}
-
-/// Integer decimation by `m` with no anti-alias filter (caller must have
-/// band-limited the signal, e.g. after matched filtering).
-pub fn decimate(x: &[f64], m: usize) -> Vec<f64> {
-    assert!(m > 0, "decimation factor must be positive");
-    x.iter().step_by(m).copied().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,29 +109,6 @@ mod tests {
     }
 
     #[test]
-    fn resample_identity_rate() {
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let y = resample_linear(&x, 100.0, 100.0);
-        assert_eq!(y, x.to_vec());
-    }
-
-    #[test]
-    fn resample_doubles_samples() {
-        let x = [0.0, 1.0, 2.0];
-        let y = resample_linear(&x, 100.0, 200.0);
-        assert_eq!(y.len(), 5);
-        assert!((y[1] - 0.5).abs() < 1e-12);
-        assert!((y[3] - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn decimate_takes_every_mth() {
-        let x = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(decimate(&x, 2), vec![0.0, 2.0, 4.0]);
-        assert_eq!(decimate(&x, 3), vec![0.0, 3.0]);
-    }
-
-    #[test]
     fn long_interpolator_fft_path_matches_sine_shift() {
         // 64 taps crosses the FFT dispatch threshold; the result must
         // still be the delayed sine to interpolator accuracy.
@@ -182,6 +127,5 @@ mod tests {
     #[test]
     fn empty_inputs_are_fine() {
         assert!(fractional_delay(&[], 1.5, 8).iter().all(|&v| v == 0.0));
-        assert!(resample_linear(&[], 10.0, 20.0).is_empty());
     }
 }

@@ -31,24 +31,11 @@ pub fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (crate::TAU * u2).cos()
 }
 
-/// Fills a buffer with i.i.d. N(0, σ²) noise.
-pub fn gaussian_noise<R: Rng + ?Sized>(rng: &mut R, sigma: f64, out: &mut [f64]) {
-    for v in out.iter_mut() {
-        *v = sigma * gaussian(rng);
-    }
-}
-
 /// Draws a complex circular Gaussian sample with total variance σ²
 /// (σ²/2 per quadrature) — the standard fading-tap distribution.
 pub fn complex_gaussian<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> crate::complex::C64 {
     let s = sigma / std::f64::consts::SQRT_2;
     crate::complex::C64::new(s * gaussian(rng), s * gaussian(rng))
-}
-
-/// Draws a Rayleigh-distributed magnitude with scale σ (mode).
-pub fn rayleigh<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> f64 {
-    let u: f64 = 1.0 - rng.random::<f64>();
-    sigma * (-2.0 * u.ln()).sqrt()
 }
 
 /// Random bit vector of length `n` — test payloads.
@@ -113,18 +100,6 @@ mod tests {
         // total variance 4, split 2 per quadrature
         assert!(approx_eq(re.variance(), 2.0, 0.05));
         assert!(approx_eq(im.variance(), 2.0, 0.05));
-    }
-
-    #[test]
-    fn rayleigh_mean_matches_theory() {
-        let mut rng = seeded(3);
-        let sigma = 1.5;
-        let mut s = RunningStats::new();
-        for _ in 0..100_000 {
-            s.push(rayleigh(&mut rng, sigma));
-        }
-        let want = sigma * (std::f64::consts::PI / 2.0f64).sqrt();
-        assert!(approx_eq(s.mean(), want, 0.02), "{} vs {}", s.mean(), want);
     }
 
     #[test]

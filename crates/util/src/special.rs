@@ -51,12 +51,6 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Error function erf(x).
-#[inline]
-pub fn erf(x: f64) -> f64 {
-    1.0 - erfc(x)
-}
-
 /// Gaussian tail probability Q(x) = P(N(0,1) > x) = ½·erfc(x/√2).
 #[inline]
 pub fn q_func(x: f64) -> f64 {

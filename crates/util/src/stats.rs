@@ -144,12 +144,6 @@ impl Histogram {
         &self.counts
     }
 
-    /// Center value of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + (i as f64 + 0.5) * w
-    }
-
     /// Total sample count.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
@@ -224,7 +218,6 @@ mod tests {
         assert_eq!(h.counts()[0], 2);
         assert_eq!(h.counts()[9], 2);
         assert_eq!(h.total(), 4);
-        assert!(approx_eq(h.bin_center(0), 0.5, 1e-12));
     }
 
     #[test]

@@ -141,12 +141,6 @@ impl Hertz {
 }
 
 impl Meters {
-    /// Construct from kilometres.
-    #[inline]
-    pub fn from_km(km: f64) -> Self {
-        Meters(km * 1e3)
-    }
-
     /// Value in kilometres.
     #[inline]
     pub fn km(self) -> f64 {
@@ -159,12 +153,6 @@ impl Degrees {
     #[inline]
     pub fn radians(self) -> f64 {
         self.0.to_radians()
-    }
-
-    /// Construct from radians.
-    #[inline]
-    pub fn from_radians(rad: f64) -> Self {
-        Degrees(rad.to_degrees())
     }
 }
 
@@ -246,10 +234,9 @@ mod tests {
     }
 
     #[test]
-    fn khz_and_km_helpers() {
+    fn khz_helpers() {
         assert_eq!(Hertz::from_khz(18.5).value(), 18_500.0);
         assert!(approx_eq(Hertz(18_500.0).khz(), 18.5, 1e-12));
-        assert_eq!(Meters::from_km(0.3).value(), 300.0);
     }
 
     #[test]
@@ -265,7 +252,7 @@ mod tests {
     #[test]
     fn degrees_radians_roundtrip() {
         let d = Degrees(45.0);
-        assert!(approx_eq(Degrees::from_radians(d.radians()).value(), 45.0, 1e-12));
+        assert!(approx_eq(d.radians().to_degrees(), 45.0, 1e-12));
     }
 
     #[test]

@@ -42,17 +42,6 @@ impl Window {
     pub fn generate(self, n: usize) -> Vec<f64> {
         (0..n).map(|i| self.coeff(i, n)).collect()
     }
-
-    /// Kaiser β for a desired stopband attenuation in dB (Kaiser's formula).
-    pub fn kaiser_beta(atten_db: f64) -> f64 {
-        if atten_db > 50.0 {
-            0.1102 * (atten_db - 8.7)
-        } else if atten_db >= 21.0 {
-            0.5842 * (atten_db - 21.0).powf(0.4) + 0.07886 * (atten_db - 21.0)
-        } else {
-            0.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -88,13 +77,6 @@ mod tests {
         for x in v {
             assert!(approx_eq(x, 1.0, 1e-12));
         }
-    }
-
-    #[test]
-    fn kaiser_beta_formula_regions() {
-        assert_eq!(Window::kaiser_beta(10.0), 0.0);
-        assert!(Window::kaiser_beta(30.0) > 0.0);
-        assert!(approx_eq(Window::kaiser_beta(60.0), 0.1102 * 51.3, 1e-9));
     }
 
     #[test]

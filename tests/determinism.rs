@@ -58,11 +58,15 @@ fn experiment_tables_are_reproducible() {
 #[test]
 fn faulted_point_independent_of_thread_count() {
     use vab::fault::{FaultConfig, FaultPlan};
-    use vab::sim::montecarlo::run_point_faulted;
+    use vab::sim::montecarlo::{try_run_point, GridPoint};
     let s = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(280.0));
+    let fe = s.front_end();
     let plan = FaultPlan::new(42, FaultConfig::with_intensity(0.5));
-    let r1 = run_point_faulted(&s, &cfg(1, 42), &plan);
-    let r8 = run_point_faulted(&s, &cfg(8, 42), &plan);
+    let run = |threads| {
+        try_run_point(GridPoint::borrowed(&s, &fe).faulted(&plan), &cfg(threads, 42))
+            .expect("no worker panic")
+    };
+    let (r1, r8) = (run(1), run(8));
     assert_eq!(r1.ber.errors(), r8.ber.errors());
     assert_eq!(r1.packet_errors, r8.packet_errors);
     assert_eq!(r1.trial_bers, r8.trial_bers);

@@ -11,7 +11,7 @@ use vab::fault::{FaultConfig, FaultPlan};
 use vab::obs::sink::JsonlSink;
 use vab::sim::baseline::SystemKind;
 use vab::sim::campaign::{run_campaign, CampaignConfig};
-use vab::sim::montecarlo::{run_point_faulted, MonteCarloConfig, TrialEngine};
+use vab::sim::montecarlo::{try_run_point, GridPoint, MonteCarloConfig, TrialEngine};
 use vab::sim::scenario::Scenario;
 use vab::util::json::Json;
 use vab::util::units::Meters;
@@ -44,7 +44,9 @@ fn faulted_mc(threads: usize) -> MonteCarloConfig {
 fn faulted_point(threads: usize) -> (u64, u64, Vec<u64>) {
     let s = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(260.0));
     let plan = FaultPlan::new(77, FaultConfig::with_intensity(0.6));
-    let r = run_point_faulted(&s, &faulted_mc(threads), &plan);
+    let fe = s.front_end();
+    let r = try_run_point(GridPoint::borrowed(&s, &fe).faulted(&plan), &faulted_mc(threads))
+        .expect("no worker panic");
     let per_trial: Vec<u64> = r.trial_bers.iter().map(|b| (b * 256.0).round() as u64).collect();
     (r.ber.errors(), r.packet_errors, per_trial)
 }

@@ -10,7 +10,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use vab::fault::{FaultConfig, FaultPlan};
 use vab::sim::baseline::SystemKind;
-use vab::sim::montecarlo::{run_point_faulted, MonteCarloConfig, TrialEngine};
+use vab::sim::montecarlo::{try_run_point, GridPoint, MonteCarloConfig, TrialEngine};
 use vab::sim::scenario::Scenario;
 use vab::util::units::Meters;
 use vab_obsctl::flame::{self, Weight};
@@ -39,7 +39,9 @@ fn profiled_point(threads: usize) -> (u64, u64) {
         engine: TrialEngine::LinkBudget,
         threads,
     };
-    let r = run_point_faulted(&s, &cfg, &plan);
+    let fe = s.front_end();
+    let r =
+        try_run_point(GridPoint::borrowed(&s, &fe).faulted(&plan), &cfg).expect("no worker panic");
     (r.ber.errors(), r.packet_errors)
 }
 
@@ -222,7 +224,8 @@ fn no_co_design_search_runs_per_trial() {
     let s = Scenario::river(SystemKind::Vab { n_pairs: 4 }, Meters(150.0));
     let faulted = |trials| {
         let plan = FaultPlan::new(25, FaultConfig::severe());
-        let _ = run_point_faulted(&s, &cfg(trials), &plan);
+        let fe = s.front_end();
+        let _ = try_run_point(GridPoint::borrowed(&s, &fe).faulted(&plan), &cfg(trials));
     };
     seen.push(("faulted VAB".to_string(), searches(&faulted), 2));
     if !was_profiling {
@@ -278,7 +281,8 @@ fn sample_level_trial_allocates_a_pinned_count_per_stage() {
     let was_profiling = vab::obs::alloc::profiling();
     vab::obs::alloc::enable();
     vab::obs::alloc::reset();
-    let _ = vab::sim::samplelevel::run_sample_trial(&s, &fe, 64, &mut rng);
+    let source = vab::sim::chansource::SyntheticSource;
+    let _ = vab::sim::samplelevel::run_sample_trial_via(&s, &fe, 64, 1.0, &source, &mut rng);
     let counts = stage_counts();
     if !was_profiling {
         vab::obs::alloc::disable();

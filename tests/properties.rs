@@ -185,14 +185,61 @@ proptest! {
         prop_assert_eq!(Frame::from_bytes(&f.to_bytes()).expect("clean"), f);
     }
 
+    // Every code, with the interleaver (of any shape) on or off and
+    // whitening on or off: a frame survives a clean channel, and at the
+    // bit level `decode_bits` undoes `encode_bits` both at the drawn info
+    // length and at the next one whose code bits fill whole interleaver
+    // blocks. The decoded bits start with the info bits; what follows
+    // decodes the FEC and interleaver padding, so it is shorter than one
+    // interleaver block plus one Golay word. A trailing partial block on
+    // the channel is dropped, and for the convolutional code soft
+    // decoding of ±1 metrics equals hard decoding.
     #[test]
     fn coded_frame_roundtrip_any_payload(
         payload in prop::collection::vec(any::<u8>(), 0..32),
+        code in 0usize..7,
+        rows in 0usize..9,
+        cols in 1usize..17,
+        whitening in any::<bool>(),
+        info_len in 0usize..400,
+        junk in 1usize..16,
+        seed in any::<u64>(),
     ) {
-        let link = LinkConfig::vab_default();
+        let fec = [
+            Fec::None,
+            Fec::Repetition(1),
+            Fec::Repetition(3),
+            Fec::Repetition(5),
+            Fec::Hamming74,
+            Fec::Golay24,
+            Fec::Conv,
+        ][code];
+        let interleaver = (rows > 0).then(|| Interleaver::new(rows, cols));
+        let link = LinkConfig { fec, interleaver, whitening };
         let f = Frame::new(1, 2, 3, payload);
-        let decoded = link.decode(&link.encode(&f)).expect("clean channel");
-        prop_assert_eq!(decoded, f);
+        prop_assert_eq!(link.decode(&link.encode(&f)).expect("clean channel"), f, "{:?}", link);
+
+        let block = interleaver.map_or(1, |il| il.block_len());
+        let whole = (info_len..)
+            .find(|&k| fec.encoded_len(k).is_multiple_of(block))
+            .expect("some info length fills whole blocks");
+        let mut rng = vab::util::rng::seeded(seed);
+        for k in [info_len, whole] {
+            let info = vab::util::rng::random_bits(&mut rng, k);
+            let mut channel = link.encode_bits(&info);
+            let decoded = link.decode_bits(&channel);
+            prop_assert_eq!(&decoded[..k], &info[..], "{:?} at {} info bits", link, k);
+            prop_assert!(decoded.len() < k + block + 12, "{:?}: {} bits", link, decoded.len());
+            if fec == Fec::Conv {
+                let metrics: Vec<f64> =
+                    channel.iter().map(|&b| if b { 1.0 } else { -1.0 }).collect();
+                prop_assert_eq!(link.decode_soft(&metrics), decoded.clone(), "{:?}", link);
+            }
+            if block > 1 {
+                channel.extend(std::iter::repeat_n(true, junk.min(block - 1)));
+                prop_assert_eq!(link.decode_bits(&channel), decoded, "{:?}", link);
+            }
+        }
     }
 
     // ---------------- electro-mechanics
