@@ -23,7 +23,6 @@ pub mod environment;
 pub mod geometry;
 pub mod impulsive;
 pub mod noise;
-pub mod ray;
 pub mod soundspeed;
 pub mod spreading;
 
@@ -31,4 +30,3 @@ pub use channel::{Arrival, ChannelModel, ImpulseResponse, SurfaceMod};
 pub use environment::{Environment, SeaState, WaterKind};
 pub use geometry::Position;
 pub use impulsive::ImpulsiveNoise;
-pub use ray::{RayPath, RayTracer};

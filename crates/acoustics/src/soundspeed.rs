@@ -23,25 +23,6 @@ pub fn mackenzie(temp_c: f64, salinity_ppt: f64, depth_m: f64) -> f64 {
         - 7.139e-13 * t * d * d * d
 }
 
-/// A depth-dependent sound-speed profile.
-#[derive(Debug, Clone)]
-pub enum Profile {
-    /// Constant sound speed (well-mixed shallow water — the VAB regimes).
-    Iso(f64),
-    /// Linear gradient: speed at surface plus `gradient` (1/s) × depth.
-    Linear { surface: f64, gradient: f64 },
-}
-
-impl Profile {
-    /// Sound speed at `depth_m`.
-    pub fn at(&self, depth_m: f64) -> f64 {
-        match *self {
-            Profile::Iso(c) => c,
-            Profile::Linear { surface, gradient } => surface + gradient * depth_m,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,18 +50,5 @@ mod tests {
         // River-like: 15 °C, fresh, 3 m deep → mid-1460s m/s.
         let c = mackenzie(15.0, 0.5, 3.0);
         assert!(c > 1415.0 && c < 1490.0, "got {c}");
-    }
-
-    #[test]
-    fn iso_profile_is_constant() {
-        let p = Profile::Iso(1500.0);
-        assert_eq!(p.at(0.0), 1500.0);
-        assert_eq!(p.at(100.0), 1500.0);
-    }
-
-    #[test]
-    fn linear_profile_gradient() {
-        let p = Profile::Linear { surface: 1500.0, gradient: 0.1 };
-        assert!(approx_eq(p.at(10.0), 1501.0, 1e-9));
     }
 }

@@ -201,14 +201,15 @@ fn vbf_route(
             if line_distance_m(cand.pos, source.pos, reader) > pipe_radius_m {
                 continue;
             }
-            if hop_prob(&current, cand) < MIN_HOP_PROB {
+            let p = hop_prob(&current, cand);
+            if p < MIN_HOP_PROB {
                 continue; // the hop link doesn't close: not a neighbor
             }
-            next = Some(cand);
+            next = Some((cand, p));
             break;
         }
-        let Some(next) = next else { break };
-        delivery *= hop_prob(&current, next);
+        let Some((next, p)) = next else { break };
+        delivery *= p;
         relays.push(next.addr);
         current = *next;
     }

@@ -45,6 +45,8 @@
 //! the reader-count law and the resulting Θ(√N) aggregate-capacity
 //! scaling — is documented in `SCALING.md` at the repo root.
 
+use std::sync::Mutex;
+
 use rand::RngExt;
 use vab_acoustics::geometry::Position;
 use vab_mac::Addr;
@@ -52,6 +54,7 @@ use vab_util::db::db_to_lin_pow;
 use vab_util::hash::content_digest;
 use vab_util::json::Json;
 use vab_util::rng::{derive_seed, seeded};
+use vab_util::threads::par_map;
 
 use crate::capture::{jain_fairness, CaptureModel};
 use crate::interference::{interference_horizon_m, HORIZON_MARGIN_DB};
@@ -96,6 +99,11 @@ pub const PIPE_RADIUS_PITCH_MULT: f64 = 2.0;
 /// puts co-channel cells ≥ 1 km apart at every deployment scale, where
 /// seawater absorption starts doing the rest.
 pub const REUSE_GRID: usize = 8;
+
+/// Nodes per channel and interference task. A constant, not a share of
+/// the worker count, so the tasks and every allocation they make are the
+/// same at any `--jobs`.
+const NODE_CHUNK: usize = 2048;
 
 const STREAM_SCALE_PLACE: u64 = 0x5CA7;
 const STREAM_SCALE_FADING: u64 = 0x5FAD;
@@ -178,6 +186,13 @@ impl ScaleSpec {
 impl Network {
     /// The closed-form constructor: derives the ocean cell plan —
     /// placement, cells, channels, interference sinks and routes.
+    ///
+    /// Channels and sinks run on the compute pool as tasks of a fixed
+    /// 2,048 addresses, routes as one task per cell. Every task
+    /// reads only seed-pure per-address or per-cell inputs and writes its
+    /// own span of a table sized before it starts, and the serial steps
+    /// between them fold in address order, so the plan is bit-identical at
+    /// every worker count (`DESIGN.md` gives the argument).
     pub fn build(spec: &ScaleSpec) -> Self {
         let _t = vab_obs::time_stage("net.build");
         assert!(spec.n_nodes >= 1 && spec.n_readers >= 1, "need nodes and readers");
@@ -199,54 +214,60 @@ impl Network {
             .collect();
 
         // Placement: uniform over the box and the usable depth band,
-        // one seed-pure stream, draws in address order.
+        // one seed-pure stream, draws in address order, straight into the
+        // node table; the channel pass fills in every other field.
         let depth = phy.env.depth.value();
         let (z_lo, z_hi) = (DEPTH_MARGIN_M, depth - DEPTH_MARGIN_M);
         assert!(z_hi > z_lo, "water column too shallow for the depth margin");
+        let n = spec.n_nodes;
         let mut rng = seeded(derive_seed(spec.seed, STREAM_SCALE_PLACE));
-        let positions: Vec<Position> = (0..spec.n_nodes)
-            .map(|_| {
+        let mut nodes: Vec<NodeChannel> = (0..n)
+            .map(|i| {
                 let x = rng.random::<f64>() * spec.x_m;
                 let y = rng.random::<f64>() * spec.y_m;
                 let z = z_lo + rng.random::<f64>() * (z_hi - z_lo);
-                Position::new(x, y, z)
+                NodeChannel {
+                    addr: i as Addr,
+                    pos: Position::new(x, y, z),
+                    cell: 0,
+                    d_reader_m: 0.0,
+                    reply_db_at_1m: 0.0,
+                    rx_reader_lin: 0.0,
+                    direct_success: 0.0,
+                }
             })
             .collect();
 
-        // Cells: nearest reader, looked up around the node's grid cell.
-        let mut cell_members: Vec<Vec<Addr>> = vec![Vec::new(); spec.n_readers];
-        let cells: Vec<u32> =
-            positions.iter().map(|p| nearest_reader(&readers, g, spec.x_m, spec.y_m, p)).collect();
-
-        // Channels: closed-form sonar equation + log-normal fading,
-        // per-address fading streams (order- and thread-independent).
+        // Channels: nearest reader (looked up around the node's grid
+        // cell), closed-form sonar equation + log-normal fading from a
+        // per-address stream, one pool task per chunk of the table. Cell
+        // lists and the two maxima follow in one pass in address order.
         let stage = vab_obs::time_stage("net.channels");
         let fading_master = derive_seed(spec.seed, STREAM_SCALE_FADING);
         let noise_lin = db_to_lin_pow(phy.noise_reader_db);
-        let mut nodes = Vec::with_capacity(spec.n_nodes);
-        let mut max_range_m: f64 = 0.0;
-        for (i, &pos) in positions.iter().enumerate() {
-            let addr = i as Addr;
-            let cell = cells[i];
-            let d = pos.distance_to(&readers[cell as usize]).value();
-            let mut frng = seeded(derive_seed(fading_master, addr as u64));
-            let fading_db = FADING_SIGMA_DB * gaussian(&mut frng);
-            let tl_db = phy.tl_db(d);
-            let reply_db_at_1m = phy.source_level_db - tl_db + phy.modulated_gain_db + fading_db;
-            let rx_db = reply_db_at_1m - tl_db;
-            let rx_reader_lin = db_to_lin_pow(rx_db);
-            let direct_success = phy.frame_success(rx_reader_lin / noise_lin);
-            cell_members[cell as usize].push(addr);
-            max_range_m = max_range_m.max(d);
-            nodes.push(NodeChannel {
-                addr,
-                pos,
-                cell,
-                d_reader_m: d,
-                reply_db_at_1m,
-                rx_reader_lin,
-                direct_success,
-            });
+        par_spans("net.channels.chunk", &mut nodes, chunk_ends(n), |_, chunk| {
+            for node in chunk {
+                let cell = nearest_reader(&readers, g, spec.x_m, spec.y_m, &node.pos);
+                let d = node.pos.distance_to(&readers[cell as usize]).value();
+                let mut frng = seeded(derive_seed(fading_master, node.addr as u64));
+                let fading_db = FADING_SIGMA_DB * gaussian(&mut frng);
+                let tl_db = phy.tl_db(d);
+                let reply_db_at_1m =
+                    phy.source_level_db - tl_db + phy.modulated_gain_db + fading_db;
+                let rx_reader_lin = db_to_lin_pow(reply_db_at_1m - tl_db);
+                node.cell = cell;
+                node.d_reader_m = d;
+                node.reply_db_at_1m = reply_db_at_1m;
+                node.rx_reader_lin = rx_reader_lin;
+                node.direct_success = phy.frame_success(rx_reader_lin / noise_lin);
+            }
+        });
+        let mut cell_members: Vec<Vec<Addr>> = vec![Vec::new(); spec.n_readers];
+        let (mut max_range_m, mut loudest) = (0.0f64, f64::NEG_INFINITY);
+        for node in &nodes {
+            cell_members[node.cell as usize].push(node.addr);
+            max_range_m = max_range_m.max(node.d_reader_m);
+            loudest = loudest.max(node.reply_db_at_1m);
         }
         drop(stage);
 
@@ -260,7 +281,6 @@ impl Network {
         // in ascending index (a partial last row ends the walk). Each sink
         // equals the pairwise oracle's per-source term.
         let stage = vab_obs::time_stage("net.interference");
-        let loudest = nodes.iter().map(|n| n.reply_db_at_1m).fold(f64::NEG_INFINITY, f64::max);
         let floor_db = phy.noise_reader_db - HORIZON_MARGIN_DB;
         let horizon_m = interference_horizon_m(&phy.env, phy.carrier, loudest, floor_db);
         let r2 = horizon_m * horizon_m;
@@ -282,42 +302,59 @@ impl Network {
                     (d2 <= r2).then_some((r as u32, d2)) // else past the horizon
                 })
         };
-        // Count first, so the flat array is allocated once at its size.
-        let mut sink_offsets = Vec::with_capacity(spec.n_nodes + 1);
-        sink_offsets.push(0);
-        for n in &nodes {
-            sink_offsets.push(sink_offsets[sink_offsets.len() - 1] + heard_by(n).count());
+        // Count per chunk, then a prefix sum, so the flat array is
+        // allocated once at its size and each chunk fills its own span.
+        let mut sink_offsets = vec![0usize; n + 1];
+        par_spans("net.interference.chunk", &mut sink_offsets[1..], chunk_ends(n), |k, counts| {
+            for (count, node) in counts.iter_mut().zip(&nodes[k * NODE_CHUNK..]) {
+                *count = heard_by(node).count();
+            }
+        });
+        for a in 0..n {
+            sink_offsets[a + 1] += sink_offsets[a];
         }
-        let mut sinks = Vec::with_capacity(sink_offsets[spec.n_nodes]);
-        for n in &nodes {
+        let mut sinks = vec![(0u32, 0.0f64); sink_offsets[n]];
+        let sink_ends = chunk_ends(n).map(|end| sink_offsets[end]);
+        par_spans("net.interference.chunk", &mut sinks, sink_ends, |k, span| {
+            let chunk = nodes[k * NODE_CHUNK..].iter().take(NODE_CHUNK);
             // `d2.sqrt()` is `n.pos.distance_to(reader)`, the same sum.
-            sinks.extend(
+            let heard = chunk.flat_map(|n| {
                 heard_by(n)
-                    .map(|(r, d2)| (r, db_to_lin_pow(n.reply_db_at_1m - phy.tl_db(d2.sqrt())))),
-            );
-        }
+                    .map(|(r, d2)| (r, db_to_lin_pow(n.reply_db_at_1m - phy.tl_db(d2.sqrt()))))
+            });
+            for (slot, sink) in span.iter_mut().zip(heard) {
+                *slot = sink;
+            }
+        });
         drop(stage);
 
-        // Routes: per cell, planned over the closed-form hop model.
+        // Routes: per cell, planned over the closed-form hop model, one
+        // pool task per cell writing its plan into its own cell-major
+        // span of the table.
         let stage = vab_obs::time_stage("net.routing");
         let pipe_radius_m = PIPE_RADIUS_PITCH_MULT * spec.node_pitch_m();
         let route_seed = derive_seed(spec.seed, STREAM_SCALE_ROUTE);
         let noise_hop_db = phy.noise_hop_db;
-        let mut routes: Vec<Option<RelayRoute>> = vec![None; spec.n_nodes];
-        for (c, members) in cell_members.iter().enumerate() {
-            let rns: Vec<RouteNode> = members
+        let hop_prob = |from: &RouteNode, to: &RouteNode| -> f64 {
+            let n = &nodes[from.addr as usize];
+            let d = from.pos.distance_to(&to.pos).value();
+            let snr_db = n.reply_db_at_1m - phy.tl_db(d) - noise_hop_db;
+            phy.frame_success(db_to_lin_pow(snr_db))
+        };
+        let mut routes = vec![RelayRoute { addr: 0, relays: Vec::new(), delivery_prob: 0.0 }; n];
+        let mut end = 0;
+        let cell_ends = cell_members.iter().map(|members| {
+            end += members.len();
+            end
+        });
+        par_spans("net.routing.cell", &mut routes, cell_ends, |c, span| {
+            let rns: Vec<RouteNode> = cell_members[c]
                 .iter()
                 .map(|&a| {
                     let n = &nodes[a as usize];
                     RouteNode { addr: a, pos: n.pos, direct_prob: n.direct_success }
                 })
                 .collect();
-            let hop_prob = |from: &RouteNode, to: &RouteNode| -> f64 {
-                let n = &nodes[from.addr as usize];
-                let d = from.pos.distance_to(&to.pos).value();
-                let snr_db = n.reply_db_at_1m - phy.tl_db(d) - noise_hop_db;
-                phy.frame_success(db_to_lin_pow(snr_db))
-            };
             let planned = plan_routes(
                 spec.policy,
                 &rns,
@@ -326,13 +363,20 @@ impl Network {
                 derive_seed(route_seed, c as u64),
                 &hop_prob,
             );
-            for route in planned {
-                let a = route.addr as usize;
-                routes[a] = Some(route);
+            for (slot, route) in span.iter_mut().zip(planned) {
+                *slot = route;
+            }
+        });
+        // Every route names its source, and the cells partition the
+        // addresses: one in-place cycle walk puts each route at its
+        // address, each swap settling one of them.
+        for a in 0..n {
+            while routes[a].addr as usize != a {
+                let home = routes[a].addr as usize;
+                assert_ne!(routes[home].addr as usize, home, "two routes for one address");
+                routes.swap(a, home);
             }
         }
-        let routes: Vec<RelayRoute> =
-            routes.into_iter().map(|r| r.expect("every node is in exactly one cell")).collect();
         drop(stage);
 
         let contention_master = derive_seed(spec.seed, STREAM_SCALE_CONTENTION);
@@ -456,6 +500,41 @@ impl Network {
             mean_goodput_bps: if served > 0 { aggregate / served as f64 } else { 0.0 },
             jain_fairness: jain_fairness(&goodputs),
             mean_hops: if served > 0 { hops_sum as f64 / served as f64 } else { 0.0 },
+        }
+    }
+}
+
+/// Ends of the [`NODE_CHUNK`]-address chunks of an `n`-node table (the
+/// last one may be partial).
+fn chunk_ends(n: usize) -> impl Iterator<Item = usize> {
+    (1..=n.div_ceil(NODE_CHUNK)).map(move |k| (k * NODE_CHUNK).min(n))
+}
+
+/// Splits `table` at the ascending `ends` (the last one is its length)
+/// and runs `task(k, span k)` for every span as one compute-pool task
+/// inside its own `stage`, so the task's allocations are profiled
+/// whichever thread runs it. The spans are disjoint, so each task writes
+/// only its own; a task's panic resumes here.
+fn par_spans<T: Send>(
+    stage: &'static str,
+    table: &mut [T],
+    ends: impl Iterator<Item = usize>,
+    task: impl Fn(usize, &mut [T]) + Sync,
+) {
+    let mut spans = Vec::with_capacity(ends.size_hint().0);
+    let (mut rest, mut start) = (table, 0);
+    for end in ends {
+        let (span, tail) = rest.split_at_mut(end - start);
+        spans.push(Mutex::new(span));
+        (rest, start) = (tail, end);
+    }
+    let ran = par_map(spans.len(), |k| {
+        let _t = vab_obs::time_stage(stage);
+        task(k, &mut spans[k].lock().expect("only its own task locks a span"));
+    });
+    for outcome in ran {
+        if let Err(payload) = outcome {
+            std::panic::resume_unwind(payload);
         }
     }
 }
@@ -728,6 +807,54 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Every field the build derives, exactly: `{:?}` prints each float
+    /// in its shortest round-trip form.
+    fn plan_text(net: &Network) -> String {
+        format!(
+            "{:?} {:?} {:?} {:?} {:?} {:?} {:?}",
+            net.nodes,
+            net.cell_members,
+            net.sink_offsets,
+            net.sinks,
+            net.routes,
+            net.horizon_m.to_bits(),
+            net.max_range_m.to_bits(),
+        )
+    }
+
+    /// Builds `spec` at one and at eight workers and checks the plans are
+    /// identical; returns the plan.
+    fn same_plan_at_1_and_8_jobs(spec: &ScaleSpec) -> Network {
+        vab_util::threads::set_jobs(1);
+        let one = Network::build(spec);
+        vab_util::threads::set_jobs(8);
+        let eight = Network::build(spec);
+        vab_util::threads::set_jobs(0);
+        assert_eq!(plan_text(&one), plan_text(&eight), "{} nodes", spec.n_nodes);
+        one
+    }
+
+    #[test]
+    fn a_plan_inside_one_chunk_is_the_same_at_any_worker_count() {
+        let spec = ScaleSpec::ocean(NODE_CHUNK / 2, 31);
+        assert_eq!(chunk_ends(spec.n_nodes).collect::<Vec<_>>(), [NODE_CHUNK / 2]);
+        same_plan_at_1_and_8_jobs(&spec);
+    }
+
+    #[test]
+    fn a_plan_with_a_partial_last_chunk_is_the_same_at_any_worker_count() {
+        let n = 2 * NODE_CHUNK + NODE_CHUNK / 3;
+        let spec = ScaleSpec::ocean(n, 31);
+        assert_eq!(chunk_ends(n).collect::<Vec<_>>(), [NODE_CHUNK, 2 * NODE_CHUNK, n]);
+        // 81 readers: past the 64-channel plan, so the sink passes have a
+        // span to fill in every chunk.
+        let net = same_plan_at_1_and_8_jobs(&spec);
+        let starts = std::iter::once(0).chain(chunk_ends(n));
+        for (start, end) in starts.zip(chunk_ends(n)) {
+            assert!(net.sink_offsets[end] > net.sink_offsets[start], "no sinks in {start}..{end}");
         }
     }
 

@@ -1,10 +1,11 @@
 //! `vab-net` determinism regressions and capture-model properties.
 //!
 //! The headline guarantees: FN1/FN2/FN3 CSVs are bit-identical whatever
-//! the worker-pool width, because each deployment is internally
-//! single-threaded and seed-pure — parallelism only shards *across*
-//! deployments; and the ocean tier's horizon-culled interference sinks are
-//! bit-identical to the pairwise oracle over the in-horizon sources.
+//! the worker-pool width, because every pool task inside a deployment
+//! (build chunks, route cells, inventory classes) is seed-pure and its
+//! results are merged in a fixed order; and the ocean tier's
+//! horizon-culled interference sinks are bit-identical to the pairwise
+//! oracle over the in-horizon sources.
 
 use std::sync::Arc;
 
@@ -155,12 +156,32 @@ fn has_sinks(net: &Network) -> bool {
     net.nodes.iter().any(|n| !net.sinks_of(n.addr).is_empty())
 }
 
-/// fnv1a64 digests of a built plan's sinks (every victim and every power
-/// bit, in node then reader order) and routes (relays plus the delivery
-/// probability's bits), and of one inventory's `discovered` order.
-fn plan_digests(spec: &ScaleSpec) -> (u64, u64, u64) {
+/// fnv1a64 digests of a built plan's node table (every `NodeChannel`
+/// field's bits, in address order), cell lists (every cell's length and
+/// members), sinks (every victim and every power bit, in node then reader
+/// order) and routes (relays plus the delivery probability's bits), and
+/// of one inventory's `discovered` order.
+fn plan_digests(spec: &ScaleSpec) -> [u64; 5] {
     let net = Network::build(spec);
     assert!(has_sinks(&net), "the plan must have co-channel sinks");
+    let mut nodes = Vec::new();
+    for n in &net.nodes {
+        nodes.extend_from_slice(&n.addr.to_le_bytes());
+        for v in [n.pos.x, n.pos.y, n.pos.z] {
+            nodes.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        nodes.extend_from_slice(&n.cell.to_le_bytes());
+        for v in [n.d_reader_m, n.reply_db_at_1m, n.rx_reader_lin, n.direct_success] {
+            nodes.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+    }
+    let mut members = Vec::new();
+    for cell in &net.cell_members {
+        members.extend_from_slice(&(cell.len() as u32).to_le_bytes());
+        for &a in cell {
+            members.extend_from_slice(&a.to_le_bytes());
+        }
+    }
     let mut sinks = Vec::new();
     for node_sinks in net.nodes.iter().map(|n| net.sinks_of(n.addr)) {
         sinks.extend_from_slice(&(node_sinks.len() as u32).to_le_bytes());
@@ -179,26 +200,30 @@ fn plan_digests(spec: &ScaleSpec) -> (u64, u64, u64) {
     }
     let order: Vec<u8> =
         net.run_inventory().discovered.iter().flat_map(|a| a.to_le_bytes()).collect();
-    (fnv1a64(&sinks), fnv1a64(&routes), fnv1a64(&order))
+    [nodes, members, sinks, routes, order].map(|bytes| fnv1a64(&bytes))
 }
 
 /// The 20,736-node ocean plan is the smallest canonical deployment with
 /// co-channel interference (144 readers on a 64-channel reuse plan), so
-/// it pins the sinks, the VBF routes and the inventory's discovery order
-/// bit for bit — at every worker count.
+/// it pins the node table, the cell lists, the sinks, the VBF routes and
+/// the inventory's discovery order bit for bit — at every worker count.
 #[test]
 fn ocean_20k_sinks_routes_and_discovery_order_are_pinned() {
     let spec = ScaleSpec::ocean(20_736, 2023);
+    let pinned = [
+        ("node table", 0x7daa_7728_f07e_da47),
+        ("cell lists", 0x1cde_912d_2366_8e07),
+        ("sinks", 0xf6e0_1802_2dfa_ef01),
+        ("routes", 0x8808_938f_ea74_4a39),
+        ("order", 0x3eb1_df73_9a61_8962),
+    ];
     for jobs in [1, 2, 8] {
         set_jobs(jobs);
-        let (sinks, routes, order) = plan_digests(&spec);
+        let digests = plan_digests(&spec);
         set_jobs(0);
-        assert_eq!(sinks, 0xf6e0_1802_2dfa_ef01, "ocean(20736, 2023) sinks drifted at {jobs} jobs");
-        assert_eq!(
-            routes, 0x8808_938f_ea74_4a39,
-            "ocean(20736, 2023) routes drifted at {jobs} jobs"
-        );
-        assert_eq!(order, 0x3eb1_df73_9a61_8962, "ocean(20736, 2023) order drifted at {jobs} jobs");
+        for ((what, want), got) in pinned.iter().zip(digests) {
+            assert_eq!(got, *want, "ocean(20736, 2023) {what} drifted at {jobs} jobs");
+        }
     }
 }
 
@@ -345,6 +370,42 @@ fn ocean_65k_deployment_meets_the_bench_target() {
     set_jobs(0);
     eprintln!("ocean(65536) deployment on one worker: best of 3 {best:.3} s");
     assert!(best <= 0.35, "need <= 0.35 s, measured {best:.3} s");
+}
+
+/// The BENCH target for the pooled build: `Network::build` of the
+/// 65,536-node ocean plan on two workers costs at most 0.75× its
+/// one-worker wall, best of five each (alternated). Gated behind
+/// `VAB_BENCH=1` like the other wall-clock gates; run it `--release`. It
+/// skips on a one-core host, where two workers cannot run at once.
+#[test]
+fn ocean_65k_build_meets_the_parallel_target() {
+    if std::env::var("VAB_BENCH").is_err() {
+        eprintln!("skipped: set VAB_BENCH=1 to run the 65k build gate");
+        return;
+    }
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+        eprintln!("skipped: the 65k build gate needs two cores");
+        return;
+    }
+    use std::time::Instant;
+    let spec = ScaleSpec::ocean(65_536, 2023);
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..5 {
+        for (jobs, best) in [1, 2].into_iter().zip(&mut best) {
+            set_jobs(jobs);
+            let t = Instant::now();
+            let net = Network::build(&spec);
+            *best = best.min(t.elapsed().as_secs_f64());
+            drop(net);
+        }
+    }
+    set_jobs(0);
+    let [one, two] = best;
+    let ratio = two / one;
+    eprintln!(
+        "ocean(65536) build, best of 5: 1 worker {one:.4} s, 2 workers {two:.4} s ({ratio:.2}×)"
+    );
+    assert!(ratio <= 0.75, "need <= 0.75× the one-worker build, measured {ratio:.2}×");
 }
 
 #[test]
